@@ -148,12 +148,21 @@ def restore_params(params: ParameterSet, values: dict[str, np.ndarray]) -> None:
         p.value.data[...] = values[p.id]
 
 
-def checkpoint_from_nmt(model: NmtModel, meta: Optional[dict] = None) -> Checkpoint:
-    cfg = model.cfg
-    arch = {"src_vocab": cfg.src_vocab, "tgt_vocab": cfg.tgt_vocab,
+def _nmt_arch(cfg: NmtConfig) -> dict:
+    return {"src_vocab": cfg.src_vocab, "tgt_vocab": cfg.tgt_vocab,
             "embed_dim": cfg.embed_dim, "hidden": cfg.hidden,
             "deep_output_width": cfg.deep_output_width}
-    return Checkpoint("nmt", arch, snapshot_params(model.params), meta or {})
+
+
+def _nmt_config(arch: dict) -> NmtConfig:
+    return NmtConfig(src_vocab=arch["src_vocab"], tgt_vocab=arch["tgt_vocab"],
+                     embed_dim=arch["embed_dim"], hidden=arch["hidden"],
+                     deep_output_width=arch["deep_output_width"])
+
+
+def checkpoint_from_nmt(model: NmtModel, meta: Optional[dict] = None) -> Checkpoint:
+    return Checkpoint("nmt", _nmt_arch(model.cfg), snapshot_params(model.params),
+                      meta or {})
 
 
 def checkpoint_from_lm(lm: RnnLm, meta: Optional[dict] = None) -> Checkpoint:
@@ -163,11 +172,7 @@ def checkpoint_from_lm(lm: RnnLm, meta: Optional[dict] = None) -> Checkpoint:
 
 
 def checkpoint_from_fused(fm: FusedModel, meta: Optional[dict] = None) -> Checkpoint:
-    arch = {"src_vocab": fm.nmt.cfg.src_vocab,
-            "tgt_vocab": fm.nmt.cfg.tgt_vocab,
-            "embed_dim": fm.nmt.cfg.embed_dim,
-            "hidden": fm.nmt.cfg.hidden,
-            "deep_output_width": fm.nmt.cfg.deep_output_width,
+    arch = {**_nmt_arch(fm.nmt.cfg),
             "lm_vocab": fm.lm.cfg.vocab,
             "lm_embed_dim": fm.lm.cfg.embed_dim,
             "lm_hidden": fm.lm.cfg.hidden}
@@ -177,11 +182,7 @@ def checkpoint_from_fused(fm: FusedModel, meta: Optional[dict] = None) -> Checkp
 def build_nmt(ckpt: Checkpoint) -> NmtModel:
     if ckpt.kind != "nmt":
         raise CheckpointError(f"expected an nmt checkpoint, got {ckpt.kind!r}")
-    a = ckpt.arch
-    cfg = NmtConfig(src_vocab=a["src_vocab"], tgt_vocab=a["tgt_vocab"],
-                    embed_dim=a["embed_dim"], hidden=a["hidden"],
-                    deep_output_width=a["deep_output_width"])
-    model = NmtModel(cfg, np.random.default_rng(0))
+    model = NmtModel(_nmt_config(ckpt.arch), np.random.default_rng(0))
     restore_params(model.params, ckpt.params)
     return model
 
@@ -200,10 +201,7 @@ def build_fused(ckpt: Checkpoint) -> FusedModel:
     if ckpt.kind != "fused":
         raise CheckpointError(f"expected a fused checkpoint, got {ckpt.kind!r}")
     a = ckpt.arch
-    nmt = NmtModel(NmtConfig(src_vocab=a["src_vocab"], tgt_vocab=a["tgt_vocab"],
-                             embed_dim=a["embed_dim"], hidden=a["hidden"],
-                             deep_output_width=a["deep_output_width"]),
-                   np.random.default_rng(0))
+    nmt = NmtModel(_nmt_config(a), np.random.default_rng(0))
     lm = RnnLm(LmConfig(vocab=a["lm_vocab"], embed_dim=a["lm_embed_dim"],
                         hidden=a["lm_hidden"]), np.random.default_rng(0))
     fm = FusedModel(nmt, lm, np.random.default_rng(0))

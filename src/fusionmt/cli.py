@@ -99,14 +99,6 @@ def load_config(path: Optional[str]) -> dict[str, dict]:
     return cfg
 
 
-def _train_config(cfg: dict) -> training.TrainConfig:
-    return training.TrainConfig(**cfg["train"])
-
-
-def _finetune_config(cfg: dict) -> training.FinetuneConfig:
-    return training.FinetuneConfig(**cfg["finetune"])
-
-
 def _read_tokens(cfg: dict, path: str) -> list[list[str]]:
     if not path:
         raise ConfigError("missing corpus path in [data]")
@@ -169,10 +161,10 @@ def cmd_make_toy(args) -> int:
 
 def cmd_train_lm(args) -> int:
     cfg = load_config(args.config)
+    tcfg = training.TrainConfig(**cfg["train"])
     vocab = _load_vocab(cfg["data"]["tgt_vocab"])
     mono = [vocab.encode(s) for s in _read_tokens(cfg, cfg["data"]["mono_train"])]
     dev = [vocab.encode(s) for s in _read_tokens(cfg, cfg["data"]["mono_dev"])]
-    tcfg = _train_config(cfg)
     start = 0
     if args.resume:
         prev = ckpt_io.load_checkpoint(args.resume)
@@ -193,11 +185,11 @@ def cmd_train_lm(args) -> int:
 
 def cmd_train_nmt(args) -> int:
     cfg = load_config(args.config)
+    tcfg = training.TrainConfig(**cfg["train"])
     src_vocab = _load_vocab(cfg["data"]["src_vocab"])
     tgt_vocab = _load_vocab(cfg["data"]["tgt_vocab"])
     train = _load_bitext(cfg, "src_train", "tgt_train", src_vocab, tgt_vocab, True)
     dev = _load_bitext(cfg, "src_dev", "tgt_dev", src_vocab, tgt_vocab, False)
-    tcfg = _train_config(cfg)
     start = 0
     if args.resume:
         prev = ckpt_io.load_checkpoint(args.resume)
@@ -222,11 +214,11 @@ def cmd_train_nmt(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
+    fcfg = training.FinetuneConfig(**cfg["finetune"])
     src_vocab = _load_vocab(cfg["data"]["src_vocab"])
     tgt_vocab = _load_vocab(cfg["data"]["tgt_vocab"])
     nmt = ckpt_io.build_nmt(ckpt_io.load_checkpoint(args.nmt))
     lm = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
-    fcfg = _finetune_config(cfg)
     fm = FusedModel(nmt, lm, np.random.default_rng(fcfg.seed))
     train = _load_bitext(cfg, "src_train", "tgt_train", src_vocab, tgt_vocab, True)
     dev = _load_bitext(cfg, "src_dev", "tgt_dev", src_vocab, tgt_vocab, False)
@@ -330,17 +322,12 @@ def cmd_sweep_beta(args) -> int:
     betas = ([float(b) for b in args.betas.split(",")] if args.betas
              else decoding.default_beta_grid())
 
-    def decode_all(beta):
+    table = []
+    for beta in betas:
         bc = decoding.BeamConfig(
             beam_width=args.beam or cfg["decode"]["beam_width"],
             fusion="shallow", shallow=decoding.ShallowConfig(beta=beta))
-        return [decoding.translate(p.src, bc, nmt=nmt, lm=lm).tokens
-                for p in dev]
-
-    def score(hyps):
-        return evaluation.bleu(hyps, [p.tgt for p in dev]).score
-
-    table = decoding.sweep_beta(betas, decode_all, score)
+        table.append((beta, evaluation.decode_bleu(dev, bc, nmt=nmt, lm=lm)))
     for beta, bleu_score in table:
         print(f"{beta:.6f}\t{bleu_score:.4f}")
     best = max(table, key=lambda row: row[1])

@@ -16,7 +16,6 @@ Decoding is forward-only (no tape) and read-only with respect to the models.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -83,7 +82,8 @@ class Hypothesis:
 
 
 def lm_renormalize(lm_logp: np.ndarray, exclusion) -> np.ndarray:
-    """Renormalize LM log-probs over the non-excluded tokens.
+    """Renormalize LM log-probs over the non-excluded tokens, row-wise over
+    the last axis of a (V,) or (K, V) array.
 
     Excluded entries are set to -inf; the caller scores them without an LM
     term."""
@@ -91,15 +91,13 @@ def lm_renormalize(lm_logp: np.ndarray, exclusion) -> np.ndarray:
     excl = sorted(exclusion)
     if len(excl) >= lm_logp.shape[-1]:
         raise T.DomainError("exclusion set covers the entire vocabulary")
-    out = lm_logp.copy()
-    out[..., excl] = -np.inf
-    keep = np.delete(lm_logp, excl, axis=-1)
-    m = keep.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(keep - m).sum(axis=-1, keepdims=True))
     mask = np.ones(lm_logp.shape[-1], dtype=bool)
     mask[excl] = False
-    out[..., mask] = (lm_logp[..., mask] - lse.squeeze(-1)[..., None]
-                      if lm_logp.ndim > 1 else lm_logp[mask] - lse[0])
+    keep = lm_logp[..., mask]
+    m = keep.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(keep - m).sum(axis=-1, keepdims=True))
+    out = np.full_like(lm_logp, -np.inf)
+    out[..., mask] = keep - lse
     return out
 
 
@@ -275,12 +273,6 @@ def gate_stats(traces: Sequence[Sequence[float]]) -> GateStats:
     arr = np.asarray(values, dtype=np.float64)
     return GateStats(mean=float(arr.mean()), std=float(arr.std()),
                      traces=[list(tr) for tr in traces])
-
-
-def sweep_beta(betas: Sequence[float], decode_fn, score_fn) -> list[tuple[float, float]]:
-    """Evaluate ``score_fn(decode_fn(beta))`` over a beta grid; returns the
-    (beta, score) table sorted as given."""
-    return [(float(b), float(score_fn(decode_fn(float(b))))) for b in betas]
 
 
 def default_beta_grid(n: int = 7, lo: float = 0.001, hi: float = 0.1) -> list[float]:

@@ -7,8 +7,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import decoding
 from .data import DataError, pad_mono_batch
-from .models import RnnLm, lm_batch_loss
+from .models import FusedModel, NmtModel, RnnLm, lm_batch_loss
 
 
 @dataclass
@@ -93,6 +94,15 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
     return BleuReport(precisions=precisions, brevity_penalty=bp,
                       candidate_length=cand_len, reference_length=ref_len,
                       score=score)
+
+
+def decode_bleu(pairs, beam_cfg: decoding.BeamConfig,
+                nmt: Optional[NmtModel] = None, lm: Optional[RnnLm] = None,
+                fused: Optional[FusedModel] = None) -> float:
+    """Corpus BLEU of beam-decoding each pair's source against its target."""
+    hyps = [decoding.translate(p.src, beam_cfg, nmt=nmt, lm=lm,
+                               fused=fused).tokens for p in pairs]
+    return bleu(hyps, [p.tgt for p in pairs]).score
 
 
 @dataclass

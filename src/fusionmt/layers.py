@@ -35,20 +35,16 @@ def gaussian(rng: np.random.Generator, shape, std: float = 0.01) -> np.ndarray:
 class NoiseConfig:
     """Training-time regularization: inverted dropout + additive weight noise.
 
-    Both are forced off at inference (``active`` False).
+    Only the training losses take one, so both are off at inference.
     """
     dropout_p: float = 0.0
     weight_noise_std: float = 0.0
-    active: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.weight_noise_std < 0.0:
             raise ValueError("weight_noise_std must be >= 0")
-
-    def effective_dropout(self) -> float:
-        return self.dropout_p if self.active else 0.0
 
 
 class GruCell:
@@ -144,8 +140,6 @@ class Embedding:
 
     def __init__(self, prefix: str, vocab_size: int, dim: int,
                  params: ParameterSet, rng: np.random.Generator):
-        self.vocab_size = vocab_size
-        self.dim = dim
         self.table = params.add(Parameter(
             f"{prefix}.table", gaussian(rng, (vocab_size, dim))))
 
@@ -166,16 +160,11 @@ class DeepOutputLayer:
                  context_size: int, pool_width: int, vocab_size: int,
                  params: ParameterSet, rng: np.random.Generator,
                  lm_state_size: Optional[int] = None):
-        self.state_size = state_size
-        self.embed_size = embed_size
-        self.context_size = context_size
         self.pool_width = pool_width
-        self.vocab_size = vocab_size
         self.lm_state_size = lm_state_size
         in_dim = state_size + embed_size + context_size
         if lm_state_size is not None:
             in_dim += lm_state_size
-        self.input_dim = in_dim
         self.W_h = params.add(Parameter(
             f"{prefix}.W_h", gaussian(rng, (in_dim, 2 * pool_width))))
         self.b_h = params.add(Parameter(f"{prefix}.b_h", np.zeros(2 * pool_width)))

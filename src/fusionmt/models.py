@@ -9,12 +9,12 @@ inputs are length-B id vectors.  Decoding uses B == 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .data import BOS_ID, EOS_ID
+from .data import EOS_ID
 from .layers import (
     DeepOutputLayer,
     Embedding,
@@ -169,14 +169,14 @@ def _annotation_proj(model: NmtModel, ann: AnnotationMatrix) -> list:
     return ann._attn_proj
 
 
-def attend(model: NmtModel, s_prev: Tensor, y_prev,
+def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
            ann: AnnotationMatrix) -> tuple[AttentionScores, Tensor]:
-    """Additive attention over the annotations; returns scores and the
-    context vector c = sum_j alpha_j h_j."""
+    """Additive attention over the annotations, queried by the previous
+    state and the (B, e) embedding of the previous word; returns scores and
+    the context vector c = sum_j alpha_j h_j."""
     if ann.length == 0:
         raise T.DomainError("attend: empty annotation matrix")
     a = model.attn
-    y_emb = _embed_prev(model, y_prev, s_prev.shape[0])
     query = T.add_rowvec(
         T.add(T.matmul(s_prev, a["W_a"].value), T.matmul(y_emb, a["V_a"].value)),
         a["b_a"].value)
@@ -194,12 +194,22 @@ def attend(model: NmtModel, s_prev: Tensor, y_prev,
     return AttentionScores(energies=energies, alpha=alpha), ctx
 
 
-def _embed_prev(model_or_emb, y_prev, batch: int) -> Tensor:
-    emb = model_or_emb.tgt_emb if isinstance(model_or_emb, NmtModel) else model_or_emb
+def _embed_prev(emb: Embedding, y_prev, batch: int) -> Tensor:
     ids = np.asarray(y_prev, dtype=np.intp)
     if ids.ndim == 0:
         ids = np.full(batch, int(ids), dtype=np.intp)
     return emb.lookup(ids)
+
+
+def _recur(model: NmtModel, s_prev: Tensor, y_prev, ann: AnnotationMatrix,
+           ) -> tuple[Tensor, Tensor, Tensor, AttentionScores]:
+    """Embed the previous word, attend, and advance the decoder GRU.
+
+    Returns (new state, previous-word embedding, context, attention)."""
+    y_emb = _embed_prev(model.tgt_emb, y_prev, s_prev.shape[0])
+    scores, ctx = attend(model, s_prev, y_emb, ann)
+    s_new = gru_step(model.decoder, s_prev, T.concat([y_emb, ctx], axis=1))
+    return s_new, y_emb, ctx, scores
 
 
 def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
@@ -209,35 +219,35 @@ def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
     """One decoder step: attend, recur, deep output, log-softmax.
 
     Returns (new state, log-probs over the target vocab, attention)."""
-    scores, ctx = attend(model, s_prev, y_prev, ann)
-    y_emb = _embed_prev(model, y_prev, s_prev.shape[0])
-    s_new = gru_step(model.decoder, s_prev, T.concat([y_emb, ctx], axis=1))
-    p = noise.effective_dropout() if noise else 0.0
+    s_new, y_emb, ctx, scores = _recur(model, s_prev, y_prev, ann)
+    p = noise.dropout_p if noise else 0.0
     logits = deep_output(model.out, s_new, y_emb, ctx, dropout_p=p, rng=rng)
     return s_new, T.log_softmax(logits), scores
+
+
+def _teacher_forced_nll(step, state, batch) -> Tensor:
+    """Teacher-forced mean (over sentences) summed NLL of ``batch.tgt_out``;
+    ``step(state, y_prev)`` returns (new state, (B, V) log-probs)."""
+    b, t_len = batch.tgt_in.shape
+    total = None
+    for t in range(t_len):
+        state, logp = step(state, batch.tgt_in[:, t])
+        nll = T.take_per_row(logp, batch.tgt_out[:, t])
+        nll = T.sum_all(T.mul(nll, T.constant(batch.tgt_mask[:, t])))
+        total = nll if total is None else T.add(total, nll)
+    return T.scale(total, -1.0 / b)
 
 
 def nmt_batch_loss(model: NmtModel, batch, noise: Optional[NoiseConfig] = None,
                    rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean (over sentences) of the summed negative log-likelihood."""
     ann = encode(model, batch.src, batch.src_mask, append_eos=False)
-    s = initial_state(model, ann)
-    b, t_len = batch.tgt_in.shape
-    total = None
-    for t in range(t_len):
-        s, logp, _ = decode_step(model, s, batch.tgt_in[:, t], ann,
-                                 noise=noise, rng=rng)
-        step = T.take_per_row(logp, batch.tgt_out[:, t])
-        step = T.mul(step, T.constant(batch.tgt_mask[:, t]))
-        step = T.sum_all(step)
-        total = step if total is None else T.add(total, step)
-    return T.scale(total, -1.0 / b)
 
+    def step(s, y_prev):
+        s, logp, _ = decode_step(model, s, y_prev, ann, noise=noise, rng=rng)
+        return s, logp
 
-def nmt_loss(model: NmtModel, pair) -> Tensor:
-    """Negative log-likelihood of a single sentence pair."""
-    from .data import pad_batch
-    return nmt_batch_loss(model, pad_batch([pair]))
+    return _teacher_forced_nll(step, initial_state(model, ann), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +291,8 @@ def lm_step(lm: RnnLm, state: tuple[Tensor, Tensor], y_prev,
 
 def lm_batch_loss(lm: RnnLm, batch) -> Tensor:
     """Mean (over sentences) summed NLL of a monolingual padded batch."""
-    b, t_len = batch.tgt_in.shape
-    state = lm.initial_state(b)
-    total = None
-    for t in range(t_len):
-        state, logp = lm_step(lm, state, batch.tgt_in[:, t])
-        step = T.take_per_row(logp, batch.tgt_out[:, t])
-        step = T.sum_all(T.mul(step, T.constant(batch.tgt_mask[:, t])))
-        total = step if total is None else T.add(total, step)
-    return T.scale(total, -1.0 / b)
+    return _teacher_forced_nll(lambda state, y_prev: lm_step(lm, state, y_prev),
+                               lm.initial_state(batch.size), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +361,12 @@ def fused_step(fm: FusedModel, s_tm_prev: Tensor, lm_state_prev, y_prev,
     """Advance decoder and LM in lockstep on the same previous token.
 
     Returns (s_tm, lm_state, log-probs, attention, gate)."""
-    model = fm.nmt
-    scores, ctx = attend(model, s_tm_prev, y_prev, ann)
-    y_emb = _embed_prev(model, y_prev, s_tm_prev.shape[0])
-    s_tm = gru_step(model.decoder, s_tm_prev, T.concat([y_emb, ctx], axis=1))
-    b = s_tm_prev.shape[0]
-    x_lm = _embed_prev(fm.lm.tgt_emb, y_prev, b)
+    s_tm, y_emb, ctx, scores = _recur(fm.nmt, s_tm_prev, y_prev, ann)
+    x_lm = _embed_prev(fm.lm.tgt_emb, y_prev, s_tm_prev.shape[0])
     h_lm, c_lm = lstm_step(fm.lm.lstm, lm_state_prev, x_lm)
     g = controller_gate(fm.controller, h_lm)
     gated = T.mul_colvec(h_lm, g)
-    p = noise.effective_dropout() if noise else 0.0
+    p = noise.dropout_p if noise else 0.0
     logits = deep_output(fm.out, s_tm, y_emb, ctx, s_lm_gated=gated,
                          dropout_p=p, rng=rng)
     return s_tm, (h_lm, c_lm), T.log_softmax(logits), scores, g
@@ -377,14 +376,11 @@ def fused_batch_loss(fm: FusedModel, batch, noise: Optional[NoiseConfig] = None,
                      rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean summed NLL under the fused output distribution."""
     ann = encode(fm.nmt, batch.src, batch.src_mask, append_eos=False)
-    s = initial_state(fm.nmt, ann)
-    b, t_len = batch.tgt_in.shape
-    lm_state = fm.lm.initial_state(b)
-    total = None
-    for t in range(t_len):
-        s, lm_state, logp, _, _ = fused_step(
-            fm, s, lm_state, batch.tgt_in[:, t], ann, noise=noise, rng=rng)
-        step = T.take_per_row(logp, batch.tgt_out[:, t])
-        step = T.sum_all(T.mul(step, T.constant(batch.tgt_mask[:, t])))
-        total = step if total is None else T.add(total, step)
-    return T.scale(total, -1.0 / b)
+
+    def step(state, y_prev):
+        s, lm_state, logp, _, _ = fused_step(fm, *state, y_prev, ann,
+                                             noise=noise, rng=rng)
+        return (s, lm_state), logp
+
+    state = (initial_state(fm.nmt, ann), fm.lm.initial_state(batch.size))
+    return _teacher_forced_nll(step, state, batch)

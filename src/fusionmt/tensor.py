@@ -52,9 +52,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -100,10 +97,6 @@ class ParameterSet:
         self._by_id[param.id] = param
         return param
 
-    def merge(self, other: "ParameterSet") -> None:
-        for p in other:
-            self.add(p)
-
     def get(self, pid: str) -> Parameter:
         return self._by_id[pid]
 
@@ -123,9 +116,6 @@ class ParameterSet:
     def zero_grads(self) -> None:
         for p in self:
             p.zero_grad()
-
-    def n_values(self) -> int:
-        return sum(p.value.size for p in self)
 
 
 class _Node:
@@ -216,12 +206,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    return _record((a, b), out, lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
@@ -295,17 +279,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-    return _record((a,), out, lambda g: (g * y,))
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-    return _record((a,), out, lambda g: (g / a.data,))
-
-
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
     if a.size == 0:
@@ -377,12 +350,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _record((a,), out, lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    out = Tensor(a.data.mean())
-    return _record((a,), out, lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
-
-
 def rows(table: Tensor, idx) -> Tensor:
     """Gather rows of a (V, d) matrix; backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -445,16 +412,15 @@ def finite_difference_check(
     loss_fn: Callable[[], float],
     params: ParameterSet,
     step: float = 1e-5,
-    only_trainable: bool = True,
     floor: float = 1e-3,
 ) -> dict[str, float]:
     """Compare tape gradients of ``loss_fn`` against central differences.
 
     ``loss_fn`` must recompute the loss from the current parameter values
-    (forward only).  Returns the max relative error per parameter id.
-    ``floor`` bounds the denominator from below: central differences carry
-    O(eps / step) roundoff, so gradients far below the floor can only be
-    compared absolutely.
+    (forward only).  Returns the max relative error per trainable
+    parameter id.  ``floor`` bounds the denominator from below: central
+    differences carry O(eps / step) roundoff, so gradients far below the
+    floor can only be compared absolutely.
     """
     params.zero_grads()
     with Tape() as tape:
@@ -462,9 +428,7 @@ def finite_difference_check(
     tape.backward(loss if isinstance(loss, Tensor) else Tensor(loss), params)
 
     errors: dict[str, float] = {}
-    for p in params:
-        if only_trainable and not p.trainable:
-            continue
+    for p in params.trainable():
         flat = p.value.data.reshape(-1)
         analytic = p.grad.data.reshape(-1)
         worst = 0.0

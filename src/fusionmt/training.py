@@ -73,25 +73,23 @@ class TrainConfig:
             raise ValueError("clip_threshold must be > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        if self.weight_noise_std < 0.0:
+            raise ValueError("weight_noise_std must be >= 0")
+
+    def regularization_at(self, update: int) -> tuple[float, float]:
+        """(dropout_p, weight_noise_std) active at a given update index."""
+        return self.dropout_p, self.weight_noise_std
 
 
 @dataclass
-class FinetuneConfig:
-    batch_size: int = 80
-    clip_threshold: float = 5.0
+class FinetuneConfig(TrainConfig):
     optimizer: str = "adam"
-    learning_rate: float = 1e-3
     dropout_p: float = 0.56
     weight_noise_std: float = 0.005
     reg_reduce_after: int = 10_000
     reg_reduce_factor: float = 0.5
-    max_updates: int = 10_000
-    eval_interval: int = 100
-    patience: int = 5
-    seed: int = 0
-    update_scale: float = 1.0
-    dev_beam_width: int = 2
-    stop_metric: Optional[float] = None
 
     def regularization_at(self, update: int) -> tuple[float, float]:
         """(dropout_p, weight_noise_std) active at a given update index."""
@@ -259,8 +257,7 @@ class TrainingHistory:
 
 def _training_loop(params: ParameterSet, batch_iter: BatchIterator,
                    loss_fn: Callable, eval_fn: Callable[[], float],
-                   mode: str, cfg, regularization_at: Callable[[int], tuple],
-                   start_update: int = 0,
+                   mode: str, cfg: TrainConfig, start_update: int = 0,
                    ) -> tuple[EarlyStopState, TrainingHistory]:
     opt = make_optimizer(cfg.optimizer, cfg.learning_rate)
     noise_rng = np.random.default_rng(cfg.seed + 1)
@@ -272,7 +269,7 @@ def _training_loop(params: ParameterSet, batch_iter: BatchIterator,
     while n_update < cfg.max_updates:
         for raw in batch_iter.epoch_batches():
             n_update += 1
-            p_drop, w_std = regularization_at(n_update)
+            p_drop, w_std = cfg.regularization_at(n_update)
             noise = NoiseConfig(dropout_p=p_drop, weight_noise_std=w_std)
             saved = perturb_parameters(params, w_std, noise_rng)
             params.zero_grads()
@@ -328,24 +325,13 @@ def train_lm(lm: RnnLm, mono: Sequence[Sequence[int]],
     def eval_fn():
         return evaluation.perplexity(lm, dev).perplexity
 
-    reg = lambda n: (0.0, cfg.weight_noise_std)
     stop, history = _training_loop(lm.params, batch_iter, loss_fn, eval_fn,
-                                   "min", cfg, reg, start_update)
+                                   "min", cfg, start_update)
     restore_params(lm.params, stop.best_params)
     ckpt = checkpoint_from_lm(lm, meta={
         "updates": stop.best_update, "best_dev_perplexity": stop.best_metric,
         "seed": cfg.seed})
     return ckpt, history
-
-
-def _dev_bleu(decode_one: Callable, dev_pairs) -> float:
-    hyps = []
-    refs = []
-    for pair in dev_pairs:
-        res = decode_one(pair.src)
-        hyps.append(res.tokens)
-        refs.append(pair.tgt)
-    return evaluation.bleu(hyps, refs).score
 
 
 def train_nmt(model: NmtModel, bitext, dev, cfg: TrainConfig,
@@ -361,13 +347,10 @@ def train_nmt(model: NmtModel, bitext, dev, cfg: TrainConfig,
         return nmt_batch_loss(model, pad_batch(raw), noise=noise, rng=rng)
 
     def eval_fn():
-        return _dev_bleu(
-            lambda src: decoding.translate(src, beam_cfg, nmt=model),
-            dev)
+        return evaluation.decode_bleu(dev, beam_cfg, nmt=model)
 
-    reg = lambda n: (cfg.dropout_p, cfg.weight_noise_std)
     stop, history = _training_loop(model.params, batch_iter, loss_fn, eval_fn,
-                                   "max", cfg, reg, start_update)
+                                   "max", cfg, start_update)
     restore_params(model.params, stop.best_params)
     ckpt = checkpoint_from_nmt(model, meta={
         "updates": stop.best_update, "best_dev_bleu": stop.best_metric,
@@ -390,13 +373,10 @@ def finetune_deep_fusion(fm: FusedModel, bitext, dev, cfg: FinetuneConfig,
         return fused_batch_loss(fm, pad_batch(raw), noise=noise, rng=rng)
 
     def eval_fn():
-        return _dev_bleu(
-            lambda src: decoding.translate(src, beam_cfg, fused=fm),
-            dev)
+        return evaluation.decode_bleu(dev, beam_cfg, fused=fm)
 
     stop, history = _training_loop(fm.params, batch_iter, loss_fn, eval_fn,
-                                   "max", cfg, cfg.regularization_at,
-                                   start_update)
+                                   "max", cfg, start_update)
     # only trainable blocks come from the early-stop snapshot; frozen blocks
     # are asserted unchanged below
     for p in fm.params.trainable():

@@ -130,7 +130,7 @@ def test_attention_normalization(criterion):
             for _ in range(8):
                 s = T.constant(rng.normal(size=(1, 5)))
                 y_prev = int(rng.integers(0, 9))
-                scores, ctx = attend(model, s, y_prev, ann)
+                scores, ctx = attend(model, s, model.tgt_emb.lookup([y_prev]), ann)
                 alpha = scores.alpha.data[0]
                 assert abs(alpha.sum() - 1.0) <= 1e-10
                 assert np.all(alpha >= 0.0)

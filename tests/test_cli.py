@@ -116,6 +116,25 @@ class TestExitCodes:
                          "--input", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, setting, key", [
+        (["finetune", "--nmt", "no.ckpt", "--lm", "no.ckpt"],
+         "[finetune]\npatience = 0\n", "patience"),
+        (["train-nmt"], "[train]\ndropout_p = 1.0\n", "dropout_p"),
+        (["train-lm"], "[train]\ndropout_p = 1.0\n", "dropout_p"),
+    ])
+    def test_bad_training_value_exits_2_first(self, tmp_path, capsys, argv,
+                                              setting, key):
+        # the config has no data paths: naming the bad key shows that the
+        # value is rejected before any corpus or checkpoint is read
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(setting)
+        out_path = tmp_path / "x.ckpt"
+        code, out = run(argv[:1] + ["--config", str(cfg), "--output",
+                                    str(out_path)] + argv[1:], capsys)
+        assert code == 2
+        assert key in out.err
+        assert not out_path.exists()
+
 
 class TestBuildVocab:
     def test_header_and_cap(self, tmp_path, capsys):

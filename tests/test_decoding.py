@@ -23,9 +23,9 @@ from fusionmt.decoding import (
     lm_renormalize,
     replace_unk,
     shallow_score,
-    sweep_beta,
     translate,
 )
+from fusionmt.evaluation import bleu, decode_bleu
 from fusionmt.models import (
     ConfigurationError,
     FusedModel,
@@ -129,6 +129,13 @@ class TestLmRenormalize:
     def test_full_exclusion_rejected(self):
         with pytest.raises(T.DomainError):
             lm_renormalize(np.zeros(2), {0, 1})
+
+    def test_rows_equal_single_row_calls(self):
+        rng = np.random.default_rng(1)
+        logp = np.log(rng.dirichlet(np.ones(9), size=5))  # (K, V)
+        out = lm_renormalize(logp, {EOS_ID, UNK_ID})
+        want = np.stack([lm_renormalize(row, {EOS_ID, UNK_ID}) for row in logp])
+        np.testing.assert_array_equal(out, want)
 
 
 class TestShallowScore:
@@ -428,34 +435,18 @@ class TestSweepBeta:
         dev = [SentencePair([3, 4], [3]), SentencePair([4], [4, 3])]
         base_cfg = BeamConfig(beam_width=3)
         base_hyps = [translate(p.src, base_cfg, nmt=nmt).tokens for p in dev]
-
-        def decode_all(beta):
-            cfg = BeamConfig(beam_width=3, fusion="shallow",
-                             shallow=ShallowConfig(beta=beta))
-            return [translate(p.src, cfg, nmt=nmt, lm=lm).tokens for p in dev]
-
-        from fusionmt.evaluation import bleu
-
-        def score(hyps):
-            return bleu(hyps, [p.tgt for p in dev]).score
-
-        table = sweep_beta([0.0, 0.01], decode_all, score)
-        assert table[0][1] == score(base_hyps)
+        cfg = BeamConfig(beam_width=3, fusion="shallow",
+                         shallow=ShallowConfig(beta=0.0))
+        assert decode_bleu(dev, cfg, nmt=nmt, lm=lm) == \
+            bleu(base_hyps, [p.tgt for p in dev]).score
 
     def test_deterministic_table(self):
         nmt, lm, _ = small_models(vocab=6, seed=19)
         dev = [SentencePair([3], [3])]
 
-        def decode_all(beta):
-            cfg = BeamConfig(beam_width=2, fusion="shallow",
-                             shallow=ShallowConfig(beta=beta))
-            return [translate(p.src, cfg, nmt=nmt, lm=lm).tokens for p in dev]
+        def table():
+            return [decode_bleu(dev, BeamConfig(
+                beam_width=2, fusion="shallow", shallow=ShallowConfig(beta=b)),
+                nmt=nmt, lm=lm) for b in (0.0, 0.05, 0.1)]
 
-        from fusionmt.evaluation import bleu
-
-        def score(hyps):
-            return bleu(hyps, [p.tgt for p in dev]).score
-
-        betas = [0.0, 0.05, 0.1]
-        assert sweep_beta(betas, decode_all, score) == \
-            sweep_beta(betas, decode_all, score)
+        assert table() == table()

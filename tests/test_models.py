@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fusionmt import tensor as T
-from fusionmt.data import EOS_ID, SentencePair, pad_batch, pad_mono_batch
+from fusionmt.data import BOS_ID, EOS_ID, SentencePair, pad_batch, pad_mono_batch
 from fusionmt.models import (
     ConfigurationError,
     Controller,
@@ -30,7 +30,6 @@ from fusionmt.models import (
     lm_batch_loss,
     lm_step,
     nmt_batch_loss,
-    nmt_loss,
 )
 from fusionmt.tensor import ParameterSet, Tape, finite_difference_check
 
@@ -46,6 +45,18 @@ def tiny_nmt(hidden=4, embed=3, src_vocab=7, tgt_vocab=6, seed=0):
 def tiny_lm(vocab=6, embed=3, hidden=5, seed=0):
     return RnnLm(LmConfig(vocab=vocab, embed_dim=embed, hidden=hidden),
                  np.random.default_rng(seed))
+
+
+def stepwise_nll(step, state, tgt):
+    """NLL of ``tgt`` + EOS recomputed one B == 1 step at a time;
+    ``step(state, prev)`` returns (new state, log-probs)."""
+    total = 0.0
+    prev = BOS_ID
+    for y in list(tgt) + [EOS_ID]:
+        state, logp = step(state, prev)
+        total -= logp.data[0, y]
+        prev = y
+    return total
 
 
 def jitter_params(params, std=0.1, seed=42):
@@ -141,7 +152,7 @@ class TestAttention:
         model = tiny_nmt()
         ann = encode(model, [3], append_eos=False)
         s = initial_state(model, ann)
-        scores, ctx = attend(model, s, 2, ann)
+        scores, ctx = attend(model, s, model.tgt_emb.lookup([2]), ann)
         assert scores.alpha.data[0, 0] == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(ctx.data, ann.rows[0].data, atol=1e-15)
 
@@ -152,7 +163,7 @@ class TestAttention:
             model.params.get(pid).value.data[...] = 0.0
         ann = encode(model, [3, 4, 5])
         s = initial_state(model, ann)
-        scores, ctx = attend(model, s, 2, ann)
+        scores, ctx = attend(model, s, model.tgt_emb.lookup([2]), ann)
         np.testing.assert_allclose(scores.alpha.data, 0.25, atol=1e-15)
         mean = np.mean([r.data for r in ann.rows], axis=0)
         np.testing.assert_allclose(ctx.data, mean, atol=1e-12)
@@ -161,7 +172,7 @@ class TestAttention:
         model = tiny_nmt(seed=5)
         ann = encode(model, [3, 4, 5, 3])
         s = initial_state(model, ann)
-        scores, _ = attend(model, s, 4, ann)
+        scores, _ = attend(model, s, model.tgt_emb.lookup([4]), ann)
         e = scores.energies.data[0]
         with mpmath.workdps(50):
             exps = [mpmath.exp(v) for v in e]
@@ -176,7 +187,8 @@ class TestAttention:
             src = rng.integers(3, 7, size=int(rng.integers(1, 6)))
             ann = encode(model, src)
             s = T.constant(rng.standard_normal((1, model.cfg.hidden)))
-            scores, ctx = attend(model, s, int(rng.integers(0, 6)), ann)
+            y_emb = model.tgt_emb.lookup([int(rng.integers(0, 6))])
+            scores, ctx = attend(model, s, y_emb, ann)
             assert abs(scores.alpha.data.sum() - 1.0) < 1e-10
             stack = np.stack([r.data[0] for r in ann.rows])
             assert (ctx.data[0] <= stack.max(axis=0) + 1e-12).all()
@@ -188,7 +200,7 @@ class TestAttention:
                            SentencePair([3], [3])])
         ann = encode(model, batch.src, batch.src_mask, append_eos=False)
         s = initial_state(model, ann)
-        scores, _ = attend(model, s, 2, ann)
+        scores, _ = attend(model, s, model.tgt_emb.lookup([2, 2]), ann)
         # second sentence: positions beyond its EOS are padding
         assert scores.alpha.data[1, 2:].max() < 1e-12
         np.testing.assert_allclose(scores.alpha.data.sum(axis=1), 1.0,
@@ -219,15 +231,14 @@ class TestDecoder:
     def test_loss_equals_stepwise_recomputation(self):
         model = tiny_nmt(seed=4)
         pair = SentencePair([3, 4, 5], [4, 3, 5])
-        total = nmt_loss(model, pair).item()
+        total = nmt_batch_loss(model, pad_batch([pair])).item()
         ann = encode(model, pair.src)
-        s = initial_state(model, ann)
-        want = 0.0
-        prev = 2  # beginning-of-sequence
-        for y in pair.tgt + [EOS_ID]:
+
+        def step(s, prev):
             s, logp, _ = decode_step(model, s, prev, ann)
-            want -= logp.data[0, y]
-            prev = y
+            return s, logp
+
+        want = stepwise_nll(step, initial_state(model, ann), pair.tgt)
         assert total == pytest.approx(want, abs=1e-10)
 
     def test_uniform_model_loss_is_length_log_vocab(self):
@@ -236,7 +247,8 @@ class TestDecoder:
             model.params.get(pid).value.data[...] = 0.0
         pair = SentencePair([3, 4], [3, 4, 5])
         want = 4 * np.log(model.cfg.tgt_vocab)  # 3 tokens + EOS
-        assert nmt_loss(model, pair).item() == pytest.approx(want, abs=1e-12)
+        loss = nmt_batch_loss(model, pad_batch([pair])).item()
+        assert loss == pytest.approx(want, abs=1e-12)
 
     def test_batched_loss_equals_mean_of_singles(self):
         model = tiny_nmt(seed=8)
@@ -244,14 +256,15 @@ class TestDecoder:
                  SentencePair([5], [3, 4, 3]),
                  SentencePair([6, 3, 4], [4, 4])]
         batched = nmt_batch_loss(model, pad_batch(pairs)).item()
-        singles = [nmt_loss(model, p).item() for p in pairs]
+        singles = [nmt_batch_loss(model, pad_batch([p])).item() for p in pairs]
         assert batched == pytest.approx(np.mean(singles), abs=1e-10)
 
     def test_full_gradient_check(self):
         model = tiny_nmt(hidden=4, embed=3, src_vocab=6, tgt_vocab=5, seed=1)
         jitter_params(model.params)
         pair = SentencePair([3, 4, 5], [3, 4])
-        errors = finite_difference_check(lambda: nmt_loss(model, pair),
+        batch = pad_batch([pair])
+        errors = finite_difference_check(lambda: nmt_batch_loss(model, batch),
                                          model.params)
         worst = max(errors.values())
         assert worst < 1e-4, f"max rel err {worst}"
@@ -284,13 +297,8 @@ class TestLanguageModel:
         lm = tiny_lm(seed=6)
         sent = [3, 4, 5, 3]
         batched = lm_batch_loss(lm, pad_mono_batch([sent])).item()
-        state = lm.initial_state()
-        want = 0.0
-        prev = 2
-        for y in sent + [EOS_ID]:
-            state, logp = lm_step(lm, state, prev)
-            want -= logp.data[0, y]
-            prev = y
+        want = stepwise_nll(lambda state, prev: lm_step(lm, state, prev),
+                            lm.initial_state(), sent)
         assert batched == pytest.approx(want, abs=1e-10)
 
     def test_gradient_check(self):
@@ -365,6 +373,23 @@ class TestFusedModel:
             assert g.data[0, 0] == pytest.approx(1.0 / (1.0 + np.e), abs=1e-12)
             prev = int(np.argmax(logp_b.data[0]))
 
+    def test_batch_loss_equals_stepwise(self):
+        fm = self.make(seed=6)
+        # make the LM block nonzero so the fused path actually differs
+        fm.out.W_h.value.data[: fm.lm.cfg.hidden, :] = RNG.standard_normal(
+            (fm.lm.cfg.hidden, fm.out.W_h.value.shape[1]))
+        pair = SentencePair([3, 4, 5], [4, 3, 5])
+        total = fused_batch_loss(fm, pad_batch([pair])).item()
+        ann = encode(fm.nmt, pair.src)
+
+        def step(state, prev):
+            s, lm_state, logp, _, _ = fused_step(fm, *state, prev, ann)
+            return (s, lm_state), logp
+
+        state = (initial_state(fm.nmt, ann), fm.lm.initial_state())
+        want = stepwise_nll(step, state, pair.tgt)
+        assert total == pytest.approx(want, abs=1e-10)
+
     def test_fused_logprobs_normalized(self):
         fm = self.make(seed=9)
         # make the LM block nonzero so the fused path actually differs
@@ -410,9 +435,8 @@ class TestFusedModel:
         scores_b = decode_step(fm.nmt, s_b, 2, ann)
         # compare to the fused layer evaluated with an exactly-zero LM input
         from fusionmt.layers import deep_output
-        from fusionmt.models import _embed_prev, attend as attend_fn
-        att, ctx = attend_fn(fm.nmt, s_b, 2, ann)
-        y_emb = _embed_prev(fm.nmt, 2, 1)
+        y_emb = fm.nmt.tgt_emb.lookup([2])
+        att, ctx = attend(fm.nmt, s_b, y_emb, ann)
         from fusionmt.models import gru_step
         s_new = gru_step(fm.nmt.decoder, s_b, T.concat([y_emb, ctx], axis=1))
         logits = deep_output(fm.out, s_new, y_emb, ctx,

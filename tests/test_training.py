@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusionmt.checkpoint import param_digests
-from fusionmt.data import SentencePair, pad_mono_batch
+from fusionmt.data import SentencePair, pad_batch, pad_mono_batch
 from fusionmt.models import (
     FusedModel,
     LmConfig,
@@ -12,7 +12,7 @@ from fusionmt.models import (
     NmtModel,
     RnnLm,
     lm_batch_loss,
-    nmt_loss,
+    nmt_batch_loss,
 )
 from fusionmt.tensor import Parameter, ParameterSet, Tape
 from fusionmt import tensor as T
@@ -201,6 +201,16 @@ class TestOovFilter:
             oov_filter([[0, 0, 3]])
 
 
+@pytest.mark.parametrize("config_cls", [TrainConfig, FinetuneConfig])
+@pytest.mark.parametrize("bad", [
+    {"batch_size": 0}, {"clip_threshold": 0.0}, {"patience": 0},
+    {"dropout_p": 1.0}, {"dropout_p": -0.1}, {"weight_noise_std": -0.1},
+])
+def test_config_rejects_bad_values(config_cls, bad):
+    with pytest.raises(ValueError):
+        config_cls(**bad)
+
+
 class TestFinetuneSchedule:
     def test_reduction_after_threshold(self):
         cfg = FinetuneConfig(dropout_p=0.56, weight_noise_std=0.005,
@@ -271,7 +281,7 @@ class TestTrainNmt:
         for _ in range(50):
             model.params.zero_grads()
             with Tape() as tape:
-                loss = nmt_loss(model, pair)
+                loss = nmt_batch_loss(model, pad_batch([pair]))
             losses.append(loss.item())
             tape.backward(loss, model.params)
             opt.step(model.params)
