@@ -159,6 +159,14 @@ def cmd_make_toy(args) -> int:
     return 0
 
 
+def _warn_if_start_kept(ckpt, history, start: int) -> None:
+    """Warn when a run updated but kept its starting parameters."""
+    if history.lines and ckpt.meta["updates"] == start:
+        print(f"warning: no dev evaluation beat update {start}; the checkpoint "
+              f"keeps its parameters, not those of the {len(history.lines)} "
+              "updates run", file=sys.stderr)
+
+
 def cmd_train_lm(args) -> int:
     cfg = load_config(args.config)
     tcfg = training.TrainConfig(**cfg["train"])
@@ -207,6 +215,7 @@ def cmd_train_nmt(args) -> int:
     ckpt_io.save_checkpoint(args.output, ckpt)
     if args.log:
         history.write(args.log)
+    _warn_if_start_kept(ckpt, history, start)
     print(f"best dev BLEU {ckpt.meta['best_dev_bleu']:.2f} "
           f"at update {ckpt.meta['updates']}")
     return 0
@@ -226,6 +235,7 @@ def cmd_finetune(args) -> int:
     ckpt_io.save_checkpoint(args.output, ckpt)
     if args.log:
         history.write(args.log)
+    _warn_if_start_kept(ckpt, history, 0)
     print(f"best dev BLEU {ckpt.meta['best_dev_bleu']:.2f} "
           f"at update {ckpt.meta['updates']}")
     return 0
@@ -268,8 +278,12 @@ def cmd_translate(args) -> int:
             src_tokens = D.tokenize(line, lowercase=cfg["data"]["lowercase"],
                                     char_mode=cfg["data"]["char_mode"])
             src_ids = src_vocab.encode(src_tokens)
-            res = decoding.translate(src_ids, beam_cfg, nmt=nmt, lm=lm,
-                                     fused=fused)
+            if src_ids:
+                res = decoding.translate(src_ids, beam_cfg, nmt=nmt, lm=lm,
+                                         fused=fused)
+            else:  # a blank line gives blank output, keeping line alignment
+                res = decoding.TranslationResult([], 0.0, np.zeros((0, 1)),
+                                                 [], True)
             out_tokens = tgt_vocab.decode(res.tokens)
             if replace:
                 out_tokens = decoding.replace_unk(out_tokens, res.attention,

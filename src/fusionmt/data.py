@@ -44,9 +44,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def encode_token(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         get = self.token_to_id.get
         return [get(t, UNK_ID) for t in tokens]

@@ -8,7 +8,7 @@ inputs are length-B id vectors.  Decoding uses B == 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,8 +28,6 @@ from .layers import (
     lstm_step,
 )
 from .tensor import ParameterSet, Tensor
-
-_NEG_INF = -1e9  # additive mask for padded attention positions
 
 
 class ConfigurationError(ValueError):
@@ -97,27 +95,22 @@ class NmtModel:
 
 @dataclass
 class AnnotationMatrix:
-    """Per-position encoder annotations h_j = [backward_j ; forward_j]."""
-    rows: list  # T tensors of shape (B, 2d)
+    """Encoder annotations h_j = [backward_j ; forward_j] for every position."""
+    h: Tensor  # (B, T, 2d)
+    proj: Tensor  # (B, T, d): h projected by U_a, shared by every attend
     mask: np.ndarray  # (B, T) 1/0
     bwd_first: Tensor  # backward state at position 0, feeds the initial state
-    _attn_proj: Optional[list] = field(default=None, repr=False)
-
-    @property
-    def length(self) -> int:
-        return len(self.rows)
 
 
 @dataclass
 class AttentionScores:
-    energies: Tensor  # (B, T)
     alpha: Tensor  # (B, T), rows sum to 1
 
 
 def encode(model: NmtModel, source, src_mask: Optional[np.ndarray] = None,
            append_eos: bool = True) -> AnnotationMatrix:
-    """Run both encoder directions; returns one annotation row per source
-    position (end-of-sequence included).
+    """Run both encoder directions; returns the annotations of every source
+    position (end-of-sequence included) and their attention projection.
 
     ``source`` is either a single id sequence or a padded (B, T) id array
     with an explicit mask (already EOS-terminated)."""
@@ -151,8 +144,9 @@ def encode(model: NmtModel, source, src_mask: Optional[np.ndarray] = None,
 
     fwd = run(model.enc_fwd, range(t_len))
     bwd = run(model.enc_bwd, range(t_len - 1, -1, -1))
-    rows = [T.concat([bwd[j], fwd[j]], axis=1) for j in range(t_len)]
-    return AnnotationMatrix(rows=rows, mask=np.asarray(src_mask, dtype=np.float64),
+    h = T.concat([T.stack(bwd, axis=1), T.stack(fwd, axis=1)], axis=2)
+    return AnnotationMatrix(h=h, proj=T.matmul(h, model.attn["U_a"].value),
+                            mask=np.asarray(src_mask, dtype=np.float64),
                             bwd_first=bwd[0])
 
 
@@ -162,36 +156,17 @@ def initial_state(model: NmtModel, ann: AnnotationMatrix) -> Tensor:
                                model.b_init.value))
 
 
-def _annotation_proj(model: NmtModel, ann: AnnotationMatrix) -> list:
-    if ann._attn_proj is None:
-        u = model.attn["U_a"].value
-        ann._attn_proj = [T.matmul(h, u) for h in ann.rows]
-    return ann._attn_proj
-
-
 def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
            ann: AnnotationMatrix) -> tuple[AttentionScores, Tensor]:
     """Additive attention over the annotations, queried by the previous
     state and the (B, e) embedding of the previous word; returns scores and
     the context vector c = sum_j alpha_j h_j."""
-    if ann.length == 0:
-        raise T.DomainError("attend: empty annotation matrix")
     a = model.attn
     query = T.add_rowvec(
         T.add(T.matmul(s_prev, a["W_a"].value), T.matmul(y_emb, a["V_a"].value)),
         a["b_a"].value)
-    proj = _annotation_proj(model, ann)
-    cols = [T.matmul(T.tanh(T.add(query, proj[j])), a["v_a"].value)
-            for j in range(ann.length)]
-    energies = T.concat(cols, axis=1)  # (B, T)
-    if not ann.mask.all():
-        energies = T.add(energies, T.constant((ann.mask - 1.0) * -_NEG_INF))
-    alpha = T.softmax(energies)
-    ctx = None
-    for j in range(ann.length):
-        piece = T.mul_colvec(ann.rows[j], T.narrow(alpha, 1, j, 1))
-        ctx = piece if ctx is None else T.add(ctx, piece)
-    return AttentionScores(energies=energies, alpha=alpha), ctx
+    alpha, ctx = T.attention(query, ann.proj, ann.h, a["v_a"].value, ann.mask)
+    return AttentionScores(alpha=alpha), ctx
 
 
 def _embed_prev(emb: Embedding, y_prev, batch: int) -> Tensor:

@@ -20,7 +20,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input is outside the operation's domain (e.g. empty softmax)."""
+    """Input is outside the operation's domain (e.g. an empty log_softmax)."""
 
 
 class TapeError(RuntimeError):
@@ -244,10 +244,12 @@ def mul_colvec(m: Tensor, col: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """(n, k) @ (k, m), or (B, T, k) @ (k, m) applied to each of the B*T rows."""
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    out = Tensor(a.data @ b.data)
-    return _record((a, b), out, lambda g: (g @ b.data.T, a.data.T @ g))
+    out = Tensor(a.data @ b.data)  # a 2-D reshape below is a same-shape view
+    return _record((a, b), out, lambda g: (g @ b.data.T, a.data.reshape(
+        -1, b.shape[0]).T @ g.reshape(-1, b.shape[1])))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -277,23 +279,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
     return y
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, stabilized by max subtraction."""
-    if a.size == 0:
-        raise DomainError("softmax of an empty tensor")
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record((a,), out, backward)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -327,22 +312,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(tuple(tensors), out, backward)
 
 
-def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
-    if not (0 <= start and start + size <= a.shape[axis]):
-        raise ShapeError(
-            f"narrow: [{start}:{start + size}) out of range for axis {axis} "
-            f"of shape {a.shape}")
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, start + size)
-    index = tuple(index)
-    out = Tensor(a.data[index].copy())
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
-
-    return _record((a,), out, backward)
+def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join equal-shape tensors along a new axis."""
+    if not tensors:
+        raise DomainError("stack of no tensors")
+    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
+    return _record(tuple(tensors), out, lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -402,6 +377,38 @@ def maxout2(a: Tensor) -> Tensor:
         return (gp.reshape(n, two_k),)
 
     return _record((a,), out, backward)
+
+
+def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
+              mask: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Additive attention (Bahdanau et al.) over all T positions at once.
+
+    Energies e = tanh(proj + query) . v_a for a (B, d) query and (B, T, d)
+    projected annotations, -1e9 where the (B, T) 0/1 ``mask`` is 0, then
+    alpha = softmax over T and context = sum_j alpha_j h_j for (B, T, k)
+    annotations ``h``.  Returns (alpha, context); only the context is
+    differentiable."""
+    b, t_len, d = proj.shape
+    if (query.shape != (b, d) or h.data.ndim != 3 or h.shape[:2] != (b, t_len)
+            or v_a.shape != (d, 1) or mask.shape != (b, t_len)):
+        raise ShapeError(f"attention: shapes {query.shape}, {proj.shape}, "
+                         f"{h.shape}, {v_a.shape} and mask {mask.shape}")
+    if t_len == 0:
+        raise DomainError("attention over no positions")
+    u = np.tanh(query.data[:, None, :] + proj.data)
+    e = (u @ v_a.data)[:, :, 0] + (mask - 1.0) * 1e9
+    ex = np.exp(e - e.max(axis=1, keepdims=True))
+    alpha = ex / ex.sum(axis=1, keepdims=True)
+    ctx = Tensor((alpha[:, :, None] * h.data).sum(axis=1))
+
+    def backward(g):
+        g_alpha = h.data @ g[:, :, None]  # (B, T, 1)
+        g_e = alpha[:, :, None] * (g_alpha - alpha[:, None, :] @ g_alpha)
+        g_pre = g_e * v_a.data[:, 0] * (1.0 - u * u)  # (B, T, d)
+        return (g_pre.sum(axis=1), g_pre, alpha[:, :, None] * g[:, None, :],
+                u.reshape(-1, d).T @ g_e.reshape(-1, 1))
+
+    return Tensor(alpha), _record((query, proj, h, v_a), ctx, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,12 @@ class FinetuneConfig(TrainConfig):
     reg_reduce_after: int = 10_000
     reg_reduce_factor: float = 0.5
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 <= self.reg_reduce_factor <= 1.0:
+            raise ValueError("reg_reduce_factor must be in [0, 1], got "
+                             f"{self.reg_reduce_factor}")
+
     def regularization_at(self, update: int) -> tuple[float, float]:
         """(dropout_p, weight_noise_std) active at a given update index."""
         if update > self.reg_reduce_after:

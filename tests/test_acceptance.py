@@ -124,7 +124,7 @@ def test_attention_normalization(criterion):
         for _ in range(125):
             src = rng.integers(3, 9, size=int(rng.integers(1, 8)))
             ann = encode(model, src)
-            rows = np.stack([r.data[0] for r in ann.rows])
+            rows = ann.h.data[0]
             lo = rows.min(axis=0) - 1e-12
             hi = rows.max(axis=0) + 1e-12
             for _ in range(8):

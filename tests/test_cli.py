@@ -121,6 +121,8 @@ class TestExitCodes:
          "[finetune]\npatience = 0\n", "patience"),
         (["train-nmt"], "[train]\ndropout_p = 1.0\n", "dropout_p"),
         (["train-lm"], "[train]\ndropout_p = 1.0\n", "dropout_p"),
+        (["finetune", "--nmt", "no.ckpt", "--lm", "no.ckpt"],
+         "[finetune]\nreg_reduce_factor = 2.0\n", "reg_reduce_factor"),
     ])
     def test_bad_training_value_exits_2_first(self, tmp_path, capsys, argv,
                                               setting, key):
@@ -239,6 +241,64 @@ class TestPipeline:
                          str(toy_dir / "toy" / "test.tgt")], capsys)
         assert code == 0
         assert out.out.startswith("BLEU")
+
+    def test_blank_input_line_keeps_alignment(self, toy_dir, capsys):
+        ckpt, _ = self.train(toy_dir, capsys)
+        first, second = read_lines(toy_dir / "toy" / "test.src")[:2]
+
+        def translate(name, lines):
+            src = toy_dir / f"{name}.src"
+            write_lines(src, lines)
+            att, gates = toy_dir / f"{name}.att", toy_dir / f"{name}.gates"
+            code, out = run(["translate", "--config", str(toy_dir / "exp.cfg"),
+                             "--nmt", str(ckpt), "--beam", "2",
+                             "--input", str(src), "--dump-attention", str(att),
+                             "--dump-gates", str(gates)], capsys)
+            assert code == 0
+            return out.out, att.read_text(), gates.read_text()
+
+        out, att, gates = translate("blank", [first, "", second])
+        out1, att1, gates1 = translate("first", [first])
+        out2, att2, gates2 = translate("second", [second])
+        assert out.splitlines()[1] == ""
+        assert out == out1 + "\n" + out2
+        assert att == att1 + "\n" + att2  # an empty attention block
+        assert gates == gates1 + "\n" + gates2
+
+    @pytest.mark.parametrize("command", ["train-nmt", "finetune"])
+    def test_warns_when_start_snapshot_kept(self, toy_dir, capsys, command):
+        ckpt, _ = self.train(toy_dir, capsys)
+        mono = toy_dir / "toy" / "train.tgt"
+        # a zero learning rate leaves every dev evaluation equal to update 0's
+        text = (toy_dir / "exp.cfg").read_text().replace(
+            "[data]\n", f"[data]\nmono_train = {mono}\nmono_dev = {mono}\n"
+        ).replace("learning_rate = 0.002", "learning_rate = 0.0") + """
+[lm]
+embed_dim = 6
+hidden = 8
+
+[finetune]
+batch_size = 16
+learning_rate = 0.0
+max_updates = 4
+eval_interval = 2
+"""
+        argv = [command, "--config", str(toy_dir / "zero.cfg"),
+                "--output", str(toy_dir / "out.ckpt")]
+        if command == "finetune":
+            lm_ckpt = toy_dir / "lm.ckpt"
+            (toy_dir / "zero.cfg").write_text(text)
+            assert run(["train-lm", "--config", str(toy_dir / "zero.cfg"),
+                        "--output", str(lm_ckpt)], capsys)[0] == 0
+            argv += ["--nmt", str(ckpt), "--lm", str(lm_ckpt)]
+        for max_updates, warned in (("4", True), ("0", False)):
+            (toy_dir / "zero.cfg").write_text(text.replace(
+                "max_updates = 4", f"max_updates = {max_updates}").replace(
+                "max_updates = 10", f"max_updates = {max_updates}"))
+            code, out = run(argv, capsys)
+            assert code == 0
+            assert out.out.endswith("at update 0\n")
+            assert ("warning: no dev evaluation beat update 0" in out.err) == warned
 
     def test_determinism_across_runs(self, toy_dir, capsys):
         ckpt1, _ = self.train(toy_dir, capsys)

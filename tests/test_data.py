@@ -63,12 +63,11 @@ class TestVocabulary:
 
     def test_hand_counted_ids(self):
         v = build_vocab([["a", "a", "b"]], cap=5)
-        assert v.encode_token("a") == 3
-        assert v.encode_token("b") == 4
+        assert v.encode(["a", "b"]) == [3, 4]
 
     def test_unknown_maps_to_unk(self):
         v = build_vocab([["a"]], cap=5)
-        assert v.encode_token("zzz") == UNK_ID
+        assert v.encode(["zzz"]) == [UNK_ID]
         assert v.encode(["a", "zzz"]) == [3, 0]
 
     def test_cap_binds(self):

@@ -68,6 +68,23 @@ def jitter_params(params, std=0.1, seed=42):
             p.value.data += rng.standard_normal(p.value.shape) * std
 
 
+def reference_attention(model, s, y_emb, h, mask):
+    """Plain-NumPy additive attention, one source position at a time.
+
+    Returns (masked energies, alpha, context) for (B, d) ``s``, (B, e)
+    ``y_emb``, (B, T, 2d) annotations ``h`` and a (B, T) 0/1 mask."""
+    a = {k: p.value.data for k, p in model.attn.items()}
+    query = s @ a["W_a"] + y_emb @ a["V_a"] + a["b_a"]
+    t_len = h.shape[1]
+    e = np.stack([np.tanh(query + h[:, j] @ a["U_a"]) @ a["v_a"][:, 0]
+                  for j in range(t_len)], axis=1)
+    e = np.where(mask > 0, e, -1e9)
+    alpha = np.exp(e - e.max(axis=1, keepdims=True))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    ctx = sum(alpha[:, j:j + 1] * h[:, j] for j in range(t_len))
+    return e, alpha, ctx
+
+
 class TestConfig:
     def test_default_output_width(self):
         cfg = NmtConfig(src_vocab=5, tgt_vocab=5, hidden=10)
@@ -86,14 +103,13 @@ class TestEncoder:
     def test_row_count_and_width(self):
         model = tiny_nmt()
         ann = encode(model, [3, 4, 5])
-        assert ann.length == 4  # appended end-of-sequence
-        assert all(r.shape == (1, 8) for r in ann.rows)
+        assert ann.h.shape == (1, 4, 8)  # appended end-of-sequence
+        assert ann.proj.shape == (1, 4, 4)
 
     def test_single_token_no_eos(self):
         model = tiny_nmt()
         ann = encode(model, [3], append_eos=False)
-        assert ann.length == 1
-        assert ann.rows[0].shape == (1, 2 * model.cfg.hidden)
+        assert ann.h.shape == (1, 1, 2 * model.cfg.hidden)
 
     def test_empty_source_rejected(self):
         with pytest.raises(T.DomainError):
@@ -104,8 +120,7 @@ class TestEncoder:
         for p in model.params:
             p.value.data[...] = 0.0
         ann = encode(model, [3, 4])
-        for r in ann.rows:
-            np.testing.assert_array_equal(r.data, 0.0)
+        np.testing.assert_array_equal(ann.h.data, 0.0)
 
     def test_palindrome_mirror_symmetry(self):
         model = tiny_nmt()
@@ -117,11 +132,11 @@ class TestEncoder:
                     f"nmt.enc_bwd.{kind}_{gate}").value.data[...] = src
         ann = encode(model, [3, 4, 5, 4, 3], append_eos=False)
         d = model.cfg.hidden
-        n = ann.length
+        n = ann.h.shape[1]
         for j in range(n):
-            mirrored = ann.rows[n - 1 - j].data
+            mirrored = ann.h.data[:, n - 1 - j]
             swapped = np.concatenate([mirrored[:, d:], mirrored[:, :d]], axis=1)
-            np.testing.assert_allclose(ann.rows[j].data, swapped, atol=1e-12)
+            np.testing.assert_allclose(ann.h.data[:, j], swapped, atol=1e-12)
 
     def test_batched_matches_single(self):
         model = tiny_nmt()
@@ -130,9 +145,9 @@ class TestEncoder:
         ann = encode(model, batch.src, batch.src_mask, append_eos=False)
         for i, p in enumerate(pairs):
             single = encode(model, p.src)
-            for j in range(len(p.src) + 1):
-                np.testing.assert_allclose(ann.rows[j].data[i],
-                                           single.rows[j].data[0], atol=1e-12)
+            n = len(p.src) + 1
+            np.testing.assert_allclose(ann.h.data[i, :n], single.h.data[0],
+                                       atol=1e-12)
 
     def test_initial_state_from_backward_first(self):
         model = tiny_nmt()
@@ -154,7 +169,7 @@ class TestAttention:
         s = initial_state(model, ann)
         scores, ctx = attend(model, s, model.tgt_emb.lookup([2]), ann)
         assert scores.alpha.data[0, 0] == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(ctx.data, ann.rows[0].data, atol=1e-15)
+        np.testing.assert_allclose(ctx.data, ann.h.data[:, 0], atol=1e-15)
 
     def test_zero_alignment_params_uniform(self):
         model = tiny_nmt()
@@ -165,15 +180,17 @@ class TestAttention:
         s = initial_state(model, ann)
         scores, ctx = attend(model, s, model.tgt_emb.lookup([2]), ann)
         np.testing.assert_allclose(scores.alpha.data, 0.25, atol=1e-15)
-        mean = np.mean([r.data for r in ann.rows], axis=0)
+        mean = ann.h.data.mean(axis=1)
         np.testing.assert_allclose(ctx.data, mean, atol=1e-12)
 
     def test_alpha_is_softmax_of_energies(self):
         model = tiny_nmt(seed=5)
         ann = encode(model, [3, 4, 5, 3])
         s = initial_state(model, ann)
-        scores, _ = attend(model, s, model.tgt_emb.lookup([4]), ann)
-        e = scores.energies.data[0]
+        y_emb = model.tgt_emb.lookup([4])
+        scores, _ = attend(model, s, y_emb, ann)
+        e = reference_attention(model, s.data, y_emb.data, ann.h.data,
+                                ann.mask)[0][0]
         with mpmath.workdps(50):
             exps = [mpmath.exp(v) for v in e]
             total = mpmath.fsum(exps)
@@ -190,7 +207,7 @@ class TestAttention:
             y_emb = model.tgt_emb.lookup([int(rng.integers(0, 6))])
             scores, ctx = attend(model, s, y_emb, ann)
             assert abs(scores.alpha.data.sum() - 1.0) < 1e-10
-            stack = np.stack([r.data[0] for r in ann.rows])
+            stack = ann.h.data[0]
             assert (ctx.data[0] <= stack.max(axis=0) + 1e-12).all()
             assert (ctx.data[0] >= stack.min(axis=0) - 1e-12).all()
 
@@ -205,6 +222,23 @@ class TestAttention:
         assert scores.alpha.data[1, 2:].max() < 1e-12
         np.testing.assert_allclose(scores.alpha.data.sum(axis=1), 1.0,
                                    atol=1e-10)
+
+    def test_padded_batch_matches_per_position_reference(self):
+        model = tiny_nmt(seed=8)
+        jitter_params(model.params, std=0.5)
+        srcs = [[3, 4, 5, 6, 3, 4], [5, 6], [4], [6, 5, 4, 3]]
+        batch = pad_batch([SentencePair(src, [3]) for src in srcs])
+        ann = encode(model, batch.src, batch.src_mask, append_eos=False)
+        assert ann.h.shape[:2] == (4, 7)
+        s = T.constant(RNG.standard_normal((4, model.cfg.hidden)))
+        y_emb = model.tgt_emb.lookup([2, 3, 4, 5])
+        scores, ctx = attend(model, s, y_emb, ann)
+        _, alpha, want_ctx = reference_attention(model, s.data, y_emb.data,
+                                                 ann.h.data, ann.mask)
+        np.testing.assert_allclose(scores.alpha.data, alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ctx.data, want_ctx, rtol=0, atol=1e-12)
+        for i, src in enumerate(srcs):
+            assert (scores.alpha.data[i, len(src) + 1:] < 1e-12).all()
 
 
 # ---------------------------------------------------------------------------

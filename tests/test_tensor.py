@@ -55,15 +55,29 @@ class TestMatmulForward:
         with pytest.raises(T.ShapeError):
             T.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))))
 
+    def test_batched_rows(self):
+        a = RNG.standard_normal((2, 3, 4))
+        b = RNG.standard_normal((4, 5))
+        got = T.matmul(T.constant(a), T.constant(b)).data
+        for i in range(2):
+            np.testing.assert_allclose(got[i], a[i] @ b, atol=1e-12)
+        with pytest.raises(T.ShapeError):
+            T.matmul(T.constant(a), T.constant(np.zeros((3, 5))))
+
+
+def softmax(x):
+    """Softmax values, read through the fused log_softmax op."""
+    return np.exp(T.log_softmax(T.constant(x)).data)
+
 
 class TestSoftmaxForward:
     def test_uniform(self):
-        out = T.softmax(T.constant([0.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-15)
+        out = softmax([0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(out, [0.25] * 4, atol=1e-15)
 
     def test_shift_invariance_no_overflow(self):
-        small = T.softmax(T.constant([3.0, 3.0])).data
-        big = T.softmax(T.constant([1003.0, 1003.0])).data
+        small = softmax([3.0, 3.0])
+        big = softmax([1003.0, 1003.0])
         np.testing.assert_allclose(small, [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(big, [0.5, 0.5], atol=1e-15)
 
@@ -73,17 +87,15 @@ class TestSoftmaxForward:
             es = [mpmath.exp(v) for v in x]
             s = mpmath.fsum(es)
             want = np.array([float(e / s) for e in es])
-        got = T.softmax(T.constant(x)).data
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(softmax(x), want, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(T.DomainError):
-            T.softmax(T.constant(np.zeros(0)))
+            softmax(np.zeros(0))
 
     def test_rows_sum_to_one(self):
-        x = T.constant(RNG.standard_normal((5, 7)) * 10)
-        np.testing.assert_allclose(T.softmax(x).data.sum(axis=-1), 1.0,
-                                   atol=1e-12)
+        x = RNG.standard_normal((5, 7)) * 10
+        np.testing.assert_allclose(softmax(x).sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestSigmoidForward:
@@ -114,12 +126,12 @@ class TestStructuralOps:
     def test_tanh_zero(self):
         assert T.tanh(T.constant([0.0])).data[0] == 0.0
 
-    def test_narrow(self):
-        a = T.constant(np.arange(12.0).reshape(3, 4))
-        out = T.narrow(a, 1, 1, 2)
-        np.testing.assert_array_equal(out.data, [[1, 2], [5, 6], [9, 10]])
-        with pytest.raises(T.ShapeError):
-            T.narrow(a, 1, 3, 2)
+    def test_stack(self):
+        out = T.stack([T.constant([[1.0, 2.0]]), T.constant([[3.0, 4.0]])],
+                      axis=1)
+        np.testing.assert_array_equal(out.data, [[[1, 2], [3, 4]]])
+        with pytest.raises(T.DomainError):
+            T.stack([])
 
     def test_rows_gather(self):
         table = T.constant(np.arange(8.0).reshape(4, 2))
@@ -181,12 +193,6 @@ class TestOpGradients:
     def test_sigmoid(self):
         self.unary(T.sigmoid)
 
-    def test_softmax(self):
-        params = ParameterSet()
-        a = params.add(make_param("a", (2, 3)))
-        w = T.constant(RNG.standard_normal((2, 3)))
-        check_op(lambda: T.sum_all(T.mul(T.softmax(a.value), w)), params)
-
     def test_log_softmax(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
@@ -239,11 +245,12 @@ class TestOpGradients:
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
         b = params.add(make_param("b", (2, 2)))
-        w = T.constant(RNG.standard_normal((2, 3)))
+        # the loss reads only columns 1..3 of the concatenation
+        w = T.constant(RNG.standard_normal((2, 5)) * [0, 1, 1, 1, 0])
 
         def loss():
             cat = T.concat([a.value, b.value], axis=1)
-            return T.sum_all(T.mul(T.narrow(cat, 1, 1, 3), w))
+            return T.sum_all(T.mul(cat, w))
 
         check_op(loss, params)
 
@@ -265,6 +272,69 @@ class TestOpGradients:
         a = params.add(make_param("a", (2, 6)))
         w = T.constant(RNG.standard_normal((2, 3)))
         check_op(lambda: T.sum_all(T.mul(T.maxout2(a.value), w)), params)
+
+    def test_stack(self):
+        params = ParameterSet()
+        a = params.add(make_param("a", (2, 3)))
+        b = params.add(make_param("b", (2, 3)))
+        w = T.constant(RNG.standard_normal((2, 2, 3)))
+        check_op(lambda: T.sum_all(T.mul(T.stack([a.value, b.value], axis=1),
+                                         w)), params)
+
+    def test_matmul_batched(self):
+        params = ParameterSet()
+        a = params.add(make_param("a", (3, 5, 4)))
+        b = params.add(make_param("b", (4, 2)))
+        w = T.constant(RNG.standard_normal((3, 5, 2)))
+        check_op(lambda: T.sum_all(T.mul(T.matmul(a.value, b.value), w)),
+                 params)
+
+
+class TestAttentionOp:
+    """Finite differences through the fused additive-attention op, B=3 and
+    T=6, with every input trainable."""
+
+    def check(self, mask):
+        b, t_len, d, k = 3, 6, 4, 5
+        params = ParameterSet()
+        query = params.add(make_param("query", (b, d)))
+        proj = params.add(make_param("proj", (b, t_len, d)))
+        h = params.add(make_param("h", (b, t_len, k)))
+        v_a = params.add(make_param("v_a", (d, 1)))
+        w = T.constant(RNG.standard_normal((b, k)))
+
+        def loss():
+            _, ctx = T.attention(query.value, proj.value, h.value, v_a.value,
+                                 mask)
+            return T.sum_all(T.mul(ctx, w))
+
+        check_op(loss, params, tol=1e-4)
+
+    def test_unmasked(self):
+        self.check(np.ones((3, 6)))
+
+    def test_padded_rows(self):
+        mask = np.ones((3, 6))
+        mask[1, 4:] = 0.0
+        mask[2, 1:] = 0.0
+        self.check(mask)
+
+    def test_alpha_normalized_and_masked(self):
+        mask = np.ones((3, 6))
+        mask[2, 2:] = 0.0
+        alpha, _ = T.attention(T.constant(RNG.standard_normal((3, 4))),
+                               T.constant(RNG.standard_normal((3, 6, 4))),
+                               T.constant(RNG.standard_normal((3, 6, 5))),
+                               T.constant(RNG.standard_normal((4, 1))), mask)
+        np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
+        assert alpha.data[2, 2:].max() < 1e-12
+
+    def test_shapes_checked(self):
+        with pytest.raises(T.ShapeError):
+            T.attention(T.constant(np.zeros((2, 4))),
+                        T.constant(np.zeros((2, 3, 4))),
+                        T.constant(np.zeros((2, 3, 5))),
+                        T.constant(np.zeros((3, 1))), np.ones((2, 3)))
 
 
 class TestMaxoutTieRule:

@@ -1,5 +1,7 @@
 """Optimizers, clipping, early stopping, and the three training loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,9 +207,13 @@ class TestOovFilter:
 @pytest.mark.parametrize("bad", [
     {"batch_size": 0}, {"clip_threshold": 0.0}, {"patience": 0},
     {"dropout_p": 1.0}, {"dropout_p": -0.1}, {"weight_noise_std": -0.1},
+    {"reg_reduce_factor": 2.0, "reg_reduce_after": 3},
+    {"reg_reduce_factor": -0.5},
 ])
 def test_config_rejects_bad_values(config_cls, bad):
-    with pytest.raises(ValueError):
+    # TrainConfig has no reg_reduce_* fields, so it rejects them as keywords
+    known = {f.name for f in dataclasses.fields(config_cls)}
+    with pytest.raises(ValueError if bad.keys() <= known else TypeError):
         config_cls(**bad)
 
 
