@@ -11,11 +11,14 @@ Three scoring modes share one beam loop:
                   advances in lockstep and the controller gate is recorded
                   per emitted token.
 
-Decoding is forward-only (no tape) and read-only with respect to the models.
+Each beam step runs the models once, on the live hypotheses stacked into
+rows.  Decoding is forward-only (no tape) and read-only with respect to the
+models; a NaN or infinite score raises NumericError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -35,6 +38,7 @@ from .models import (
     initial_state,
     lm_step,
 )
+from .tensor import NumericError, Tensor
 
 
 @dataclass
@@ -70,8 +74,8 @@ class BeamConfig:
 class Hypothesis:
     tokens: list[int]
     score: float
-    s_tm: object  # decoder state tensor, (1, d)
-    lm_state: object = None  # (h, c) when fusing
+    s_tm: object  # decoder state, a (d,) row of its step's stacked states
+    lm_state: object = None  # (h, c) rows when fusing
     attention: list = field(default_factory=list)  # one alpha row per token
     gates: list = field(default_factory=list)  # deep fusion only
     finished: bool = False
@@ -96,8 +100,8 @@ def lm_renormalize(lm_logp: np.ndarray, exclusion) -> np.ndarray:
     keep = lm_logp[..., mask]
     m = keep.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(keep - m).sum(axis=-1, keepdims=True))
-    out = np.full_like(lm_logp, -np.inf)
-    out[..., mask] = keep - lse
+    out = lm_logp - lse
+    out[..., excl] = -np.inf
     return out
 
 
@@ -110,11 +114,16 @@ def shallow_score(tm_logp: np.ndarray, lm_logp_renorm: np.ndarray,
     if tm_logp.shape != lm_logp_renorm.shape:
         raise T.ShapeError(
             f"shallow_score: shapes {tm_logp.shape} vs {lm_logp_renorm.shape}")
-    lm_term = np.where(np.isfinite(lm_logp_renorm), lm_logp_renorm, 0.0)
+    lm_term = np.where(lm_logp_renorm == -np.inf, 0.0, lm_logp_renorm)
     out = tm_logp + beta * lm_term
     excl = sorted(exclusion)
     out[..., excl] = tm_logp[..., excl]
     return out
+
+
+def _stack(rows) -> Tensor:
+    # a single row is viewed, not copied
+    return T.constant(rows[0][None] if len(rows) == 1 else np.stack(rows))
 
 
 class BeamScorer:
@@ -144,35 +153,86 @@ class BeamScorer:
                         f"LM vocab {lm.cfg.vocab} != target vocab "
                         f"{nmt.cfg.tgt_vocab}")
         self.ann: Optional[AnnotationMatrix] = None
+        self._anns: dict = {}  # rows -> annotations broadcast to that many
+        self._rows: dict = {}  # id of each scored hypothesis -> its row
+        self._scored: Sequence[Hypothesis] = ()  # keeps those ids valid
+        self._step: tuple = ()  # the scored rows, stacked
 
     def start(self, source_ids) -> Hypothesis:
         self.ann = encode(self.nmt, source_ids)
-        s0 = initial_state(self.nmt, self.ann)
+        self._anns = {1: self.ann}
+        self._rows, self._scored = {}, ()
+        s0 = initial_state(self.nmt, self.ann).data[0]
         lm_state = None
         if self.cfg.fusion in ("shallow", "deep"):
-            lm_state = self.lm.initial_state(1)
+            lm_state = tuple(x.data[0] for x in self.lm.initial_state(1))
         return Hypothesis(tokens=[], score=0.0, s_tm=s0, lm_state=lm_state)
 
+    def _annotations(self, n: int) -> AnnotationMatrix:
+        """The sentence's annotations repeated for n rows, as zero-copy
+        broadcast views."""
+        ann = self._anns.get(n)
+        if ann is None:
+            a = self.ann
+            ann = self._anns[n] = AnnotationMatrix(
+                h=T.constant(np.broadcast_to(a.h.data, (n,) + a.h.shape[1:])),
+                proj=T.constant(np.broadcast_to(a.proj.data,
+                                                (n,) + a.proj.shape[1:])),
+                mask=np.broadcast_to(a.mask, (n,) + a.mask.shape[1:]),
+                bwd_first=a.bwd_first)
+        return ann
+
+    def score(self, hyps: Sequence[Hypothesis]):
+        """Run the models once over the stacked hypotheses and score every
+        next word of each; ``expand`` then reads one hypothesis's row.
+
+        Returns the (n, V) selection and final log-probs.  Raises
+        NumericError if any final score is NaN or infinite."""
+        s_prev = _stack([h.s_tm for h in hyps])
+        y_prev = [h.tokens[-1] if h.tokens else BOS_ID for h in hyps]
+        ann = self._annotations(len(hyps))
+        gates = lm_rows = None
+        if self.cfg.fusion != "none":
+            lm_prev = (_stack([h.lm_state[0] for h in hyps]),
+                       _stack([h.lm_state[1] for h in hyps]))
+        if self.cfg.fusion == "deep":
+            s_tm, (h_lm, c_lm), logp, scores, g = fused_step(
+                self.fused, s_prev, lm_prev, y_prev, ann)
+            sel = final = logp.data
+            lm_rows = (h_lm.data, c_lm.data)
+            gates = g.data[:, 0].tolist()
+        else:
+            s_tm, logp, scores = decode_step(self.nmt, s_prev, y_prev, ann)
+            sel = final = logp.data
+            if self.cfg.fusion == "shallow":
+                (h_lm, c_lm), lm_logp = lm_step(self.lm, lm_prev, y_prev)
+                lm_rows = (h_lm.data, c_lm.data)
+                sc = self.cfg.shallow
+                renorm = lm_renormalize(lm_logp.data, sc.exclusion)
+                final = shallow_score(sel, renorm, sc.beta, sc.exclusion)
+        # one reduction: a NaN or an infinity anywhere makes the sum one
+        if not math.isfinite(final.sum()):
+            raise NumericError(
+                f"non-finite {self.cfg.fusion!r}-mode decoding scores at "
+                f"output position {len(hyps[0].tokens) + 1}")
+        self._rows = {id(h): i for i, h in enumerate(hyps)}
+        self._scored = hyps
+        self._step = (sel, final, s_tm.data, lm_rows, scores.alpha.data, gates)
+        return sel, final
+
     def expand(self, hyp: Hypothesis):
-        """Score every next word for one hypothesis.
+        """One hypothesis's row of the last ``score``; a hypothesis outside
+        it is scored on its own.
 
         Returns (selection log-probs, final log-probs, successor fields)."""
-        y_prev = hyp.tokens[-1] if hyp.tokens else BOS_ID
-        if self.cfg.fusion == "deep":
-            s_tm, lm_state, logp, scores, g = fused_step(
-                self.fused, hyp.s_tm, hyp.lm_state, y_prev, self.ann)
-            dist = logp.data[0]
-            return dist, dist, s_tm, lm_state, scores.alpha.data[0], float(g.data[0, 0])
-        s_tm, logp, scores = decode_step(self.nmt, hyp.s_tm, y_prev, self.ann)
-        tm = logp.data[0]
-        lm_state = None
-        final = tm
-        if self.cfg.fusion == "shallow":
-            lm_state, lm_logp = lm_step(self.lm, hyp.lm_state, y_prev)
-            sc = self.cfg.shallow
-            renorm = lm_renormalize(lm_logp.data[0], sc.exclusion)
-            final = shallow_score(tm, renorm, sc.beta, sc.exclusion)
-        return tm, final, s_tm, lm_state, scores.alpha.data[0], None
+        i = self._rows.get(id(hyp))
+        if i is None:
+            self.score([hyp])
+            i = 0
+        sel, final, s_tm, lm, alpha, gates = self._step
+        return (sel[i], final[i], s_tm[i],
+                None if lm is None else (lm[0][i], lm[1][i]), alpha[i],
+                None if gates is None else gates[i])
 
 
 def beam_step(hyps: Sequence[Hypothesis], scorer: BeamScorer,
@@ -183,24 +243,23 @@ def beam_step(hyps: Sequence[Hypothesis], scorer: BeamScorer,
     done = [h for h in hyps if h.finished]
     if not live:
         return list(hyps)
-    k_width = cfg.beam_width
-    candidates = []  # (selection score, hyp index, token, final score, exp)
-    expansions = []
-    for i, h in enumerate(live):
-        exp = scorer.expand(h)
-        expansions.append(exp)
-        sel, fin = exp[0], exp[1]
-        for k in range(sel.shape[0]):
-            candidates.append((h.score + sel[k], i, k, h.score + fin[k]))
-    # preselection: TM-based scores for shallow fusion, final scores otherwise
-    candidates.sort(key=lambda c: (-c[0], c[2], len(live[c[1]].tokens)))
+    sel, final = scorer.score(live)
+    expansions = [scorer.expand(h) for h in live]
+    n = len(live)
+    prior = [h.score for h in live]
+    # preselection: TM-based scores for shallow fusion, final scores
+    # otherwise.  Flattened token-major, a stable sort breaks ties by token
+    # id, then by hypothesis order.
+    ranked = -(np.array(prior)[:, None] + sel)
+    order = ranked.T.argsort(axis=None, kind="stable")[:cfg.beam_width]
     new = []
-    for _, i, k, fin in candidates[:k_width]:
+    for j in order.tolist():
+        k, i = divmod(j, n)
         h = live[i]
         _, _, s_tm, lm_state, alpha, gate = expansions[i]
         new.append(Hypothesis(
             tokens=h.tokens + [k],
-            score=fin,
+            score=prior[i] + final[i, k],
             s_tm=s_tm,
             lm_state=lm_state,
             attention=h.attention + [alpha],
@@ -209,7 +268,7 @@ def beam_step(hyps: Sequence[Hypothesis], scorer: BeamScorer,
         ))
     pool = done + new
     pool.sort(key=lambda h: h.sort_key(cfg.length_normalize))
-    return pool[:k_width]
+    return pool[:cfg.beam_width]
 
 
 @dataclass

@@ -3,8 +3,8 @@ two-way-maxout deep output layer.
 
 Cells are immutable bundles of parameters; the ``*_step`` functions are pure
 given (parameters, state, input) and are differentiable through the tape.
-All step functions are batched: states and inputs are (B, d) matrices, so a
-single sentence is simply B == 1.
+All step functions are batched: states and inputs are (B, d) matrices, one
+row per sentence of a training batch or per live hypothesis of a beam step.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@ model, the LSTM language model, and the deep-fusion composite with its
 controller gate.
 
 All forward procedures are batched: states are (B, d) matrices and token
-inputs are length-B id vectors.  Decoding uses B == 1.
+inputs are length-B id vectors.  Beam decoding stacks the live hypotheses
+of a step into the B rows.
 """
 
 from __future__ import annotations

@@ -23,6 +23,10 @@ class DomainError(ValueError):
     """Input is outside the operation's domain (e.g. an empty log_softmax)."""
 
 
+class NumericError(RuntimeError):
+    """NaN/Inf encountered in a loss, a gradient or a decoding score."""
+
+
 class TapeError(RuntimeError):
     """Backward requested without a valid recording."""
 

@@ -37,13 +37,9 @@ from .models import (
     lm_batch_loss,
     nmt_batch_loss,
 )
-from .tensor import ParameterSet, Tape
+from .tensor import NumericError, ParameterSet, Tape
 
 logger = logging.getLogger(__name__)
-
-
-class NumericError(RuntimeError):
-    """NaN/Inf encountered in a loss or gradient."""
 
 
 class StateError(RuntimeError):

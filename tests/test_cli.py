@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from fusionmt import cli
+from fusionmt.checkpoint import (
+    checkpoint_from_fused,
+    checkpoint_from_lm,
+    checkpoint_from_nmt,
+    save_checkpoint,
+)
 from fusionmt.cli import ConfigError, load_config, main
-from fusionmt.data import RESERVED, read_lines, write_lines
+from fusionmt.data import RESERVED, Vocabulary, read_lines, write_lines
+from fusionmt.models import FusedModel, LmConfig, NmtConfig, NmtModel, RnnLm
 
 
 def run(argv, capsys=None):
@@ -136,6 +143,35 @@ class TestExitCodes:
         assert code == 2
         assert key in out.err
         assert not out_path.exists()
+
+
+class TestNumericFailure:
+    @pytest.mark.parametrize("mode, poisoned", [
+        ("none", "nmt.out.b_o"),
+        ("shallow", "lm.b_out"),
+        ("deep", "fuse.ctrl.b_g"),
+    ])
+    def test_nan_parameter_exits_3(self, toy_dir, capsys, mode, poisoned):
+        vocab = len(Vocabulary.load(toy_dir / "vocab.txt"))
+        rng = np.random.default_rng(0)
+        nmt = NmtModel(NmtConfig(src_vocab=vocab, tgt_vocab=vocab,
+                                 embed_dim=8, hidden=12), rng)
+        lm = RnnLm(LmConfig(vocab=vocab, embed_dim=6, hidden=8), rng)
+        ckpts = {"nmt": checkpoint_from_nmt(nmt), "lm": checkpoint_from_lm(lm)}
+        ckpts["fused"] = checkpoint_from_fused(FusedModel(nmt, lm, rng))
+        argv = ["translate", "--config", str(toy_dir / "exp.cfg"),
+                "--mode", mode, "--beam", "3",
+                "--input", str(toy_dir / "toy" / "test.src")]
+        for kind, ckpt in ckpts.items():
+            if poisoned in ckpt.params:
+                ckpt.params[poisoned].flat[0] = np.nan
+            save_checkpoint(toy_dir / f"{kind}.ckpt", ckpt)
+            argv += [f"--{kind}", str(toy_dir / f"{kind}.ckpt")]
+        code, out = run(argv, capsys)
+        assert code == 3
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("numeric failure: non-finite")
 
 
 class TestBuildVocab:

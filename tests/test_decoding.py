@@ -2,7 +2,9 @@
 
 The central oracle is exhaustive enumeration: on a vocabulary of 4 with a
 short length cap, a wide-enough beam must return the same sequence and
-score as brute-force argmax over every candidate output.
+score as brute-force argmax over every candidate output.  A plain
+per-hypothesis beam (one B = 1 model call per hypothesis) is the reference
+for the batched one.
 """
 
 import itertools
@@ -10,9 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionmt import tensor as T
-from fusionmt.data import EOS_ID, UNK_ID, RESERVED, SentencePair
+from fusionmt.data import BOS_ID, EOS_ID, UNK_ID, RESERVED, SentencePair
 from fusionmt.decoding import (
     BeamConfig,
     BeamScorer,
@@ -363,6 +366,184 @@ class TestBeamMechanics:
         n_steps = len(res.tokens) + (1 if res.finished else 0)
         assert len(res.gates) == n_steps
         assert all(0.0 < g < 1.0 for g in res.gates)
+
+
+# ---------------------------------------------------------------------------
+# the batched beam against a per-hypothesis reference
+# ---------------------------------------------------------------------------
+
+def jittered_models(vocab=7, seed=0, scale=0.6):
+    """small_models with every parameter moved by N(0, scale^2) noise, so
+    the output distributions are peaked and differ between hypotheses."""
+    nmt, lm, fused = small_models(vocab=vocab, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for params in (nmt.params, lm.params, fused.params):
+        for p in params:
+            p.value.data += rng.standard_normal(p.value.shape) * scale
+    return nmt, lm, fused
+
+
+def reference_translate(src, cfg, nmt=None, lm=None, fused=None):
+    """Plain per-hypothesis beam search: the models run once per live
+    hypothesis with B = 1, and the K*V candidates are sorted as Python
+    tuples by (-score, token id), stably in hypothesis order.  Returns the
+    best Hypothesis (decoder states are (1, d) tensors here)."""
+    deep = cfg.fusion == "deep"
+    if deep:
+        nmt, lm = fused.nmt, fused.lm
+    ann = encode(nmt, list(src))
+    lm0 = lm.initial_state(1) if cfg.fusion != "none" else None
+    hyps = [Hypothesis(tokens=[], score=0.0, s_tm=initial_state(nmt, ann),
+                       lm_state=lm0)]
+
+    def expand(h):
+        y_prev = h.tokens[-1] if h.tokens else BOS_ID
+        if deep:
+            s, lm_state, logp, scores, g = fused_step(
+                fused, h.s_tm, h.lm_state, y_prev, ann)
+            return (logp.data[0], logp.data[0], s, lm_state,
+                    scores.alpha.data[0], float(g.data[0, 0]))
+        s, logp, scores = decode_step(nmt, h.s_tm, y_prev, ann)
+        tm = final = logp.data[0]
+        lm_state = None
+        if cfg.fusion == "shallow":
+            lm_state, lm_logp = lm_step(lm, h.lm_state, y_prev)
+            sc = cfg.shallow
+            final = shallow_score(
+                tm, lm_renormalize(lm_logp.data[0], sc.exclusion), sc.beta,
+                sc.exclusion)
+        return tm, final, s, lm_state, scores.alpha.data[0], None
+
+    for _ in range(cfg.max_output_length(len(src))):
+        live = [h for h in hyps if not h.finished]
+        expansions = [expand(h) for h in live]
+        candidates = []
+        for i, (h, exp) in enumerate(zip(live, expansions)):
+            for k in range(exp[0].shape[0]):
+                candidates.append((h.score + exp[0][k], i, k,
+                                   h.score + exp[1][k]))
+        candidates.sort(key=lambda c: (-c[0], c[2]))
+        new = []
+        for _, i, k, fin in candidates[:cfg.beam_width]:
+            h = live[i]
+            _, _, s, lm_state, alpha, gate = expansions[i]
+            new.append(Hypothesis(
+                tokens=h.tokens + [k], score=fin, s_tm=s, lm_state=lm_state,
+                attention=h.attention + [alpha],
+                gates=h.gates + ([] if gate is None else [gate]),
+                finished=k == EOS_ID))
+        pool = [h for h in hyps if h.finished] + new
+        pool.sort(key=lambda h: h.sort_key(cfg.length_normalize))
+        hyps = pool[:cfg.beam_width]
+        if all(h.finished for h in hyps):
+            break
+    finished = [h for h in hyps if h.finished]
+    return min(finished or hyps, key=lambda h: h.sort_key(cfg.length_normalize))
+
+
+class TestBatchedBeam:
+    @pytest.mark.parametrize("width", [2, 5, 10])
+    @pytest.mark.parametrize("mode", ["none", "shallow", "deep"])
+    def test_equals_per_hypothesis_reference(self, width, mode):
+        rng = np.random.default_rng(width)
+        for seed in range(3):
+            nmt, lm, fused = jittered_models(seed=seed)
+            cfg = BeamConfig(beam_width=width, fusion=mode,
+                             shallow=ShallowConfig(beta=0.3))
+            for _ in range(4):
+                src = [int(x) for x in rng.integers(0, 5, rng.integers(1, 6))]
+                got = translate(src, cfg, nmt=nmt, lm=lm, fused=fused)
+                want = reference_translate(src, cfg, nmt=nmt, lm=lm,
+                                           fused=fused)
+                assert got.tokens + [EOS_ID] * got.finished == want.tokens
+                assert got.finished == want.finished
+                assert abs(got.score - want.score) <= 1e-12
+                np.testing.assert_allclose(got.attention,
+                                           np.stack(want.attention),
+                                           rtol=0, atol=1e-12)
+                assert len(got.gates) == len(want.gates)
+                np.testing.assert_allclose(got.gates, want.gates, rtol=0,
+                                           atol=1e-12)
+
+    def test_ties_break_by_token_then_hypothesis(self):
+        nmt, _, _ = small_models(vocab=6, seed=7)
+        t1, t2 = 3, 5  # the two best words, tied exactly
+        nmt.out.W_o.value.data[[t1, t2]] = 0.0
+        nmt.out.b_o.value.data[[t1, t2]] = 5.0
+        scorer = BeamScorer(BeamConfig(), nmt=nmt)
+        start = scorer.start([3, 4])
+        # same state, same last word and same score: the rows tie exactly
+        a = Hypothesis(tokens=[4, 3], score=-1.5, s_tm=start.s_tm)
+        b = Hypothesis(tokens=[5, 3], score=-1.5, s_tm=start.s_tm)
+        sel, _ = scorer.score([a, b])
+        np.testing.assert_array_equal(sel[0], sel[1])
+        assert sel[0, t1] == sel[0, t2]
+        assert set(np.argsort(-sel[0])[:2]) == {t1, t2}
+        for width, want in [
+            (1, [[4, 3, t1]]),
+            (2, [[4, 3, t1], [5, 3, t1]]),
+            (3, [[4, 3, t1], [4, 3, t2], [5, 3, t1]]),
+        ]:
+            out = beam_step([a, b], scorer, BeamConfig(beam_width=width))
+            assert [h.tokens for h in out] == want, width
+
+    def test_expand_reads_the_step_without_rerunning_models(self, monkeypatch):
+        nmt, lm, _ = small_models(vocab=6, seed=8)
+        cfg = BeamConfig(beam_width=3, fusion="shallow",
+                         shallow=ShallowConfig(beta=0.3))
+        scorer = BeamScorer(cfg, nmt=nmt, lm=lm)
+        hyps = beam_step([scorer.start([3, 4])], scorer, cfg)
+        alone = [scorer.expand(h) for h in hyps]  # scored one at a time
+        sel, final = scorer.score(hyps)
+        monkeypatch.setattr("fusionmt.decoding.decode_step", None)
+        monkeypatch.setattr("fusionmt.decoding.lm_step", None)
+        for i, h in enumerate(hyps):
+            row = scorer.expand(h)
+            assert row[5] is None  # no gate outside deep fusion
+            np.testing.assert_array_equal(row[0], sel[i])
+            np.testing.assert_array_equal(row[1], final[i])
+            for got, want in zip(row[:5], alone[i][:5]):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(src=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+       width=st.integers(1, 6), mode=st.sampled_from(["none", "shallow", "deep"]),
+       seed=st.integers(0, 3), offset=st.integers(0, 4))
+def test_beam_invariants(src, width, mode, seed, offset):
+    nmt, lm, fused = jittered_models(seed=seed)
+    cfg = BeamConfig(beam_width=width, fusion=mode,
+                     shallow=ShallowConfig(beta=0.3), max_len_factor=1,
+                     max_len_offset=offset)
+    max_len = cfg.max_output_length(len(src))
+    # drive the beam step by step, recording every hypothesis it keeps
+    scorer = BeamScorer(cfg, nmt=nmt, lm=lm, fused=fused)
+    hyps = [scorer.start(src)]
+    prefix_score = {}
+    for _ in range(max_len):
+        hyps = beam_step(hyps, scorer, cfg)
+        for h in hyps:
+            if h.finished:  # exactly one EOS, and it is the last token
+                assert h.tokens.count(EOS_ID) == 1 and h.tokens[-1] == EOS_ID
+            else:
+                assert EOS_ID not in h.tokens
+            prefix_score[tuple(h.tokens)] = h.score
+        if all(h.finished for h in hyps):
+            break
+    res = translate(src, cfg, nmt=nmt, lm=lm, fused=fused)
+    again = translate(src, cfg, nmt=nmt, lm=lm, fused=fused)
+    assert (res.tokens, res.score, res.gates, res.finished) == \
+        (again.tokens, again.score, again.gates, again.finished)
+    np.testing.assert_array_equal(res.attention, again.attention)
+    assert EOS_ID not in res.tokens
+    path = res.tokens + [EOS_ID] * res.finished
+    assert len(path) <= max_len
+    assert res.attention.shape[0] == len(path)
+    # every prefix of the returned path was kept by the beam, and adding a
+    # word never raises the score
+    scores = [prefix_score[tuple(path[:i])] for i in range(1, len(path) + 1)]
+    assert scores[-1] == res.score
+    assert all(b <= a for a, b in zip(scores, scores[1:]))
 
 
 # ---------------------------------------------------------------------------
