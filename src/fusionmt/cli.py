@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import logging
 import os
 import sys
@@ -29,6 +30,12 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, wrong type, missing file)."""
 
 
+def _defaults(config_cls) -> dict:
+    """A dataclass's config keys: each field with a bool/int/float/str default."""
+    return {f.name: f.default for f in dataclasses.fields(config_cls)
+            if isinstance(f.default, (bool, int, float, str))}
+
+
 # section -> key -> default (the default also fixes the type)
 _SCHEMA: dict[str, dict] = {
     "data": {
@@ -38,21 +45,10 @@ _SCHEMA: dict[str, dict] = {
         "lowercase": True, "char_mode": False,
         "filter": True, "max_len": 80, "ratio_bound": 3.0,
     },
-    "model": {"embed_dim": 620, "hidden": 1000, "deep_output_width": 0},
-    "lm": {"embed_dim": 620, "hidden": 2400},
-    "train": {
-        "batch_size": 80, "clip_threshold": 5.0, "optimizer": "adadelta",
-        "learning_rate": 1e-3, "dropout_p": 0.0, "weight_noise_std": 0.0,
-        "max_updates": 10000, "eval_interval": 100, "patience": 5,
-        "seed": 0, "update_scale": 1.0, "dev_beam_width": 2,
-    },
-    "finetune": {
-        "batch_size": 80, "clip_threshold": 5.0, "optimizer": "adam",
-        "learning_rate": 1e-3, "dropout_p": 0.56, "weight_noise_std": 0.005,
-        "reg_reduce_after": 10000, "reg_reduce_factor": 0.5,
-        "max_updates": 10000, "eval_interval": 100, "patience": 5,
-        "seed": 0, "update_scale": 1.0, "dev_beam_width": 2,
-    },
+    "model": _defaults(NmtConfig),
+    "lm": _defaults(LmConfig),
+    "train": _defaults(training.TrainConfig),
+    "finetune": _defaults(training.FinetuneConfig),
     "decode": {
         "beam_width": 10, "fusion": "none", "beta": 0.0,
         "replace_unk": False, "length_normalize": False,
@@ -67,13 +63,17 @@ def load_config(path: Optional[str]) -> dict[str, dict]:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:  # a malformed file, or a stray '%' read as interpolation
+        read = parser.read(path)
+        sections = {s: parser.items(s) for s in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
             default = _SCHEMA[section][key]
@@ -159,12 +159,28 @@ def cmd_make_toy(args) -> int:
     return 0
 
 
-def _warn_if_start_kept(ckpt, history, start: int) -> None:
-    """Warn when a run updated but kept its starting parameters."""
+def _resume_or(args, build, fresh):
+    """The model rebuilt from ``--resume`` and its update count, else fresh."""
+    if not args.resume:
+        return fresh(), 0
+    prev = ckpt_io.load_checkpoint(args.resume)
+    return build(prev), int(prev.meta.get("updates", 0))
+
+
+def _train(args, train_fn, model, start: int, data, dev, tcfg,
+           report: str) -> int:
+    """Train, save, write the ``--log``, warn when the starting parameters
+    were kept, and print ``report`` filled from the checkpoint meta."""
+    ckpt, history = train_fn(model, data, dev, tcfg, start_update=start)
+    ckpt_io.save_checkpoint(args.output, ckpt)
+    if args.log:
+        history.write(args.log)
     if history.lines and ckpt.meta["updates"] == start:
         print(f"warning: no dev evaluation beat update {start}; the checkpoint "
               f"keeps its parameters, not those of the {len(history.lines)} "
               "updates run", file=sys.stderr)
+    print(report.format(**ckpt.meta))
+    return 0
 
 
 def cmd_train_lm(args) -> int:
@@ -173,22 +189,12 @@ def cmd_train_lm(args) -> int:
     vocab = _load_vocab(cfg["data"]["tgt_vocab"])
     mono = [vocab.encode(s) for s in _read_tokens(cfg, cfg["data"]["mono_train"])]
     dev = [vocab.encode(s) for s in _read_tokens(cfg, cfg["data"]["mono_dev"])]
-    start = 0
-    if args.resume:
-        prev = ckpt_io.load_checkpoint(args.resume)
-        lm = ckpt_io.build_lm(prev)
-        start = int(prev.meta.get("updates", 0))
-    else:
-        lm = RnnLm(LmConfig(vocab=len(vocab), embed_dim=cfg["lm"]["embed_dim"],
-                            hidden=cfg["lm"]["hidden"]),
-                   np.random.default_rng(tcfg.seed))
-    ckpt, history = training.train_lm(lm, mono, dev, tcfg, start_update=start)
-    ckpt_io.save_checkpoint(args.output, ckpt)
-    if args.log:
-        history.write(args.log)
-    print(f"best dev perplexity {ckpt.meta['best_dev_perplexity']:.4f} "
-          f"at update {ckpt.meta['updates']}")
-    return 0
+    lm, start = _resume_or(args, ckpt_io.build_lm, lambda: RnnLm(
+        LmConfig(vocab=len(vocab), **cfg["lm"]),
+        np.random.default_rng(tcfg.seed)))
+    return _train(args, training.train_lm, lm, start, mono, dev, tcfg,
+                  "best dev perplexity {best_dev_perplexity:.4f} "
+                  "at update {updates}")
 
 
 def cmd_train_nmt(args) -> int:
@@ -198,27 +204,12 @@ def cmd_train_nmt(args) -> int:
     tgt_vocab = _load_vocab(cfg["data"]["tgt_vocab"])
     train = _load_bitext(cfg, "src_train", "tgt_train", src_vocab, tgt_vocab, True)
     dev = _load_bitext(cfg, "src_dev", "tgt_dev", src_vocab, tgt_vocab, False)
-    start = 0
-    if args.resume:
-        prev = ckpt_io.load_checkpoint(args.resume)
-        model = ckpt_io.build_nmt(prev)
-        start = int(prev.meta.get("updates", 0))
-    else:
-        model = NmtModel(
-            NmtConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
-                      embed_dim=cfg["model"]["embed_dim"],
-                      hidden=cfg["model"]["hidden"],
-                      deep_output_width=cfg["model"]["deep_output_width"]),
-            np.random.default_rng(tcfg.seed))
-    ckpt, history = training.train_nmt(model, train, dev, tcfg,
-                                       start_update=start)
-    ckpt_io.save_checkpoint(args.output, ckpt)
-    if args.log:
-        history.write(args.log)
-    _warn_if_start_kept(ckpt, history, start)
-    print(f"best dev BLEU {ckpt.meta['best_dev_bleu']:.2f} "
-          f"at update {ckpt.meta['updates']}")
-    return 0
+    model, start = _resume_or(args, ckpt_io.build_nmt, lambda: NmtModel(
+        NmtConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
+                  **cfg["model"]),
+        np.random.default_rng(tcfg.seed)))
+    return _train(args, training.train_nmt, model, start, train, dev, tcfg,
+                  "best dev BLEU {best_dev_bleu:.2f} at update {updates}")
 
 
 def cmd_finetune(args) -> int:
@@ -231,21 +222,15 @@ def cmd_finetune(args) -> int:
     fm = FusedModel(nmt, lm, np.random.default_rng(fcfg.seed))
     train = _load_bitext(cfg, "src_train", "tgt_train", src_vocab, tgt_vocab, True)
     dev = _load_bitext(cfg, "src_dev", "tgt_dev", src_vocab, tgt_vocab, False)
-    ckpt, history = training.finetune_deep_fusion(fm, train, dev, fcfg)
-    ckpt_io.save_checkpoint(args.output, ckpt)
-    if args.log:
-        history.write(args.log)
-    _warn_if_start_kept(ckpt, history, 0)
-    print(f"best dev BLEU {ckpt.meta['best_dev_bleu']:.2f} "
-          f"at update {ckpt.meta['updates']}")
-    return 0
+    return _train(args, training.finetune_deep_fusion, fm, 0, train, dev, fcfg,
+                  "best dev BLEU {best_dev_bleu:.2f} at update {updates}")
 
 
 def _beam_config(args, cfg) -> decoding.BeamConfig:
     dec = cfg["decode"]
     beta = dec["beta"] if args.beta is None else args.beta
     return decoding.BeamConfig(
-        beam_width=args.beam or dec["beam_width"],
+        beam_width=dec["beam_width"] if args.beam is None else args.beam,
         fusion=args.mode or dec["fusion"],
         shallow=decoding.ShallowConfig(beta=beta),
         length_normalize=dec["length_normalize"])
@@ -271,35 +256,36 @@ def cmd_translate(args) -> int:
             f"{tgt_vocab_size}")
     lines = D.read_lines(args.input) if args.input else sys.stdin.read().splitlines()
     replace = args.replace_unk or cfg["decode"]["replace_unk"]
-    att_dump = open(args.dump_attention, "w") if args.dump_attention else None
-    gate_dump = open(args.dump_gates, "w") if args.dump_gates else None
-    try:
-        for line in lines:
-            src_tokens = D.tokenize(line, lowercase=cfg["data"]["lowercase"],
-                                    char_mode=cfg["data"]["char_mode"])
-            src_ids = src_vocab.encode(src_tokens)
-            if src_ids:
-                res = decoding.translate(src_ids, beam_cfg, nmt=nmt, lm=lm,
-                                         fused=fused)
-            else:  # a blank line gives blank output, keeping line alignment
-                res = decoding.TranslationResult([], 0.0, np.zeros((0, 1)),
-                                                 [], True)
-            out_tokens = tgt_vocab.decode(res.tokens)
-            if replace:
-                out_tokens = decoding.replace_unk(out_tokens, res.attention,
-                                                  src_tokens)
-            print(" ".join(out_tokens))
-            if att_dump is not None:
+    # decode every line before writing anything, so a failure on a later
+    # line leaves no partial stdout or dump file
+    outputs, results = [], []
+    for line in lines:
+        src_tokens = D.tokenize(line, lowercase=cfg["data"]["lowercase"],
+                                char_mode=cfg["data"]["char_mode"])
+        src_ids = src_vocab.encode(src_tokens)
+        if src_ids:
+            res = decoding.translate(src_ids, beam_cfg, nmt=nmt, lm=lm,
+                                     fused=fused)
+        else:  # a blank line gives blank output, keeping line alignment
+            res = decoding.TranslationResult([], 0.0, np.zeros((0, 1)), [], True)
+        out_tokens = tgt_vocab.decode(res.tokens)
+        if replace:
+            out_tokens = decoding.replace_unk(out_tokens, res.attention,
+                                              src_tokens)
+        outputs.append(" ".join(out_tokens))
+        results.append(res)
+    if args.dump_attention:
+        with open(args.dump_attention, "w") as f:
+            for res in results:
                 for row in res.attention:
-                    att_dump.write("\t".join(f"{v:.6f}" for v in row) + "\n")
-                att_dump.write("\n")
-            if gate_dump is not None:
-                gate_dump.write(" ".join(f"{g:.6f}" for g in res.gates) + "\n")
-    finally:
-        if att_dump is not None:
-            att_dump.close()
-        if gate_dump is not None:
-            gate_dump.close()
+                    f.write("\t".join(f"{v:.6f}" for v in row) + "\n")
+                f.write("\n")
+    if args.dump_gates:
+        with open(args.dump_gates, "w") as f:
+            for res in results:
+                f.write(" ".join(f"{g:.6f}" for g in res.gates) + "\n")
+    for out in outputs:
+        print(out)
     return 0
 
 
@@ -336,11 +322,11 @@ def cmd_sweep_beta(args) -> int:
     betas = ([float(b) for b in args.betas.split(",")] if args.betas
              else decoding.default_beta_grid())
 
+    width = cfg["decode"]["beam_width"] if args.beam is None else args.beam
     table = []
     for beta in betas:
-        bc = decoding.BeamConfig(
-            beam_width=args.beam or cfg["decode"]["beam_width"],
-            fusion="shallow", shallow=decoding.ShallowConfig(beta=beta))
+        bc = decoding.BeamConfig(beam_width=width, fusion="shallow",
+                                 shallow=decoding.ShallowConfig(beta=beta))
         table.append((beta, evaluation.decode_bleu(dev, bc, nmt=nmt, lm=lm)))
     for beta, bleu_score in table:
         print(f"{beta:.6f}\t{bleu_score:.4f}")

@@ -1,9 +1,10 @@
-"""Optimizers, gradient clipping, and the three training loops: LM
-pretraining, NMT training, and deep-fusion finetuning with parameter
-freezing."""
+"""Optimizers, gradient clipping, and one update loop behind the three
+training entry points: LM pretraining, NMT training, and deep-fusion
+finetuning with parameter freezing."""
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,7 +19,6 @@ from .checkpoint import (
     checkpoint_from_lm,
     checkpoint_from_nmt,
     param_digests,
-    restore_params,
     snapshot_params,
 )
 from .data import (
@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("clip_threshold must be > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.eval_interval < 1:
+            raise ValueError("eval_interval must be >= 1")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.weight_noise_std < 0.0:
@@ -257,46 +259,64 @@ class TrainingHistory:
                 f.write(line + "\n")
 
 
-def _training_loop(params: ParameterSet, batch_iter: BatchIterator,
-                   loss_fn: Callable, eval_fn: Callable[[], float],
-                   mode: str, cfg: TrainConfig, start_update: int = 0,
-                   ) -> tuple[EarlyStopState, TrainingHistory]:
+def _train(model, data: Sequence, loss_fn: Callable,
+           eval_fn: Callable[[], float], mode: str, metric: str,
+           to_checkpoint: Callable, cfg: TrainConfig, start_update: int,
+           ) -> tuple[Checkpoint, TrainingHistory]:
+    """The update loop behind all three entry points: seeded minibatches of
+    ``data``, dev early stopping on ``eval_fn`` (``mode`` "max" or "min"),
+    then the best snapshot wrapped by ``to_checkpoint`` with the best dev
+    value stored under ``metric``.  Frozen parameters must come out
+    byte-identical."""
+    params = model.params
+    frozen = param_digests(params, lambda p: not p.trainable)
+    batch_iter = BatchIterator(list(data), cfg.batch_size, seed=cfg.seed)
     opt = make_optimizer(cfg.optimizer, cfg.learning_rate)
     noise_rng = np.random.default_rng(cfg.seed + 1)
     dropout_rng = np.random.default_rng(cfg.seed + 2)
     stop = EarlyStopState(mode=mode)
     history = TrainingHistory()
     stop.update(eval_fn(), params, start_update)
-    n_update = start_update
-    while n_update < cfg.max_updates:
-        for raw in batch_iter.epoch_batches():
-            n_update += 1
-            p_drop, w_std = cfg.regularization_at(n_update)
-            noise = NoiseConfig(dropout_p=p_drop, weight_noise_std=w_std)
-            saved = perturb_parameters(params, w_std, noise_rng)
-            params.zero_grads()
-            with Tape() as tape:
-                loss = loss_fn(raw, noise, dropout_rng)
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                raise NumericError(
-                    f"training diverged: loss {loss_value} at update {n_update}")
-            tape.backward(loss, params)
-            restore_parameters(params, saved)
-            gnorm = clip_gradients(params, cfg.clip_threshold)
-            opt.step(params, scale=cfg.update_scale)
-            dev_metric = None
-            if n_update % cfg.eval_interval == 0:
-                dev_metric = eval_fn()
-                stop.update(dev_metric, params, n_update)
-            history.log(n_update, loss_value, gnorm, dev_metric)
-            reached = (cfg.stop_metric is not None and dev_metric is not None
-                       and (dev_metric >= cfg.stop_metric if mode == "max"
-                            else dev_metric <= cfg.stop_metric))
-            if (n_update >= cfg.max_updates or stop.exhausted(cfg.patience)
-                    or reached):
-                return stop, history
-    return stop, history
+    batches = itertools.chain.from_iterable(
+        batch_iter.epoch_batches() for _ in itertools.count())
+    for n_update, raw in zip(range(start_update + 1, cfg.max_updates + 1),
+                             batches):
+        p_drop, w_std = cfg.regularization_at(n_update)
+        noise = NoiseConfig(dropout_p=p_drop, weight_noise_std=w_std)
+        saved = perturb_parameters(params, w_std, noise_rng)
+        params.zero_grads()
+        with Tape() as tape:
+            loss = loss_fn(raw, noise, dropout_rng)
+        loss_value = loss.item()
+        if not math.isfinite(loss_value):
+            raise NumericError(
+                f"training diverged: loss {loss_value} at update {n_update}")
+        tape.backward(loss, params)
+        restore_parameters(params, saved)
+        gnorm = clip_gradients(params, cfg.clip_threshold)
+        opt.step(params, scale=cfg.update_scale)
+        dev_metric = None
+        if n_update % cfg.eval_interval == 0:
+            dev_metric = eval_fn()
+            stop.update(dev_metric, params, n_update)
+        history.log(n_update, loss_value, gnorm, dev_metric)
+        reached = (cfg.stop_metric is not None and dev_metric is not None
+                   and (dev_metric >= cfg.stop_metric if mode == "max"
+                        else dev_metric <= cfg.stop_metric))
+        if stop.exhausted(cfg.patience) or reached:
+            break
+    # only trainable blocks come from the early-stop snapshot; frozen blocks
+    # are asserted unchanged
+    for p in params.trainable():
+        p.value.data[...] = stop.best_params[p.id]
+    after = param_digests(params, lambda p: not p.trainable)
+    if after != frozen:
+        changed = sorted(k for k in frozen if after.get(k) != frozen[k])
+        raise AssertionError(
+            f"frozen parameters changed during training: {changed[:5]}")
+    ckpt = to_checkpoint(model, meta={
+        "updates": stop.best_update, metric: stop.best_metric, "seed": cfg.seed})
+    return ckpt, history
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +338,11 @@ def train_lm(lm: RnnLm, mono: Sequence[Sequence[int]],
              dev: Sequence[Sequence[int]], cfg: TrainConfig,
              start_update: int = 0) -> tuple[Checkpoint, TrainingHistory]:
     """Next-token training, early-stopped on dev perplexity."""
-    corpus = oov_filter(mono)
-    batch_iter = BatchIterator(corpus, cfg.batch_size, seed=cfg.seed)
-
-    def loss_fn(raw, noise, rng):
-        return lm_batch_loss(lm, pad_mono_batch(raw))
-
-    def eval_fn():
-        return evaluation.perplexity(lm, dev).perplexity
-
-    stop, history = _training_loop(lm.params, batch_iter, loss_fn, eval_fn,
-                                   "min", cfg, start_update)
-    restore_params(lm.params, stop.best_params)
-    ckpt = checkpoint_from_lm(lm, meta={
-        "updates": stop.best_update, "best_dev_perplexity": stop.best_metric,
-        "seed": cfg.seed})
-    return ckpt, history
+    return _train(
+        lm, oov_filter(mono),
+        lambda raw, noise, rng: lm_batch_loss(lm, pad_mono_batch(raw)),
+        lambda: evaluation.perplexity(lm, dev).perplexity,
+        "min", "best_dev_perplexity", checkpoint_from_lm, cfg, start_update)
 
 
 def train_nmt(model: NmtModel, bitext, dev, cfg: TrainConfig,
@@ -342,22 +351,13 @@ def train_nmt(model: NmtModel, bitext, dev, cfg: TrainConfig,
     early-stopped on dev BLEU (beam decode of the dev set)."""
     if not dev:
         raise DataError("dev set must be non-empty")
-    batch_iter = BatchIterator(list(bitext), cfg.batch_size, seed=cfg.seed)
     beam_cfg = decoding.BeamConfig(beam_width=cfg.dev_beam_width)
-
-    def loss_fn(raw, noise, rng):
-        return nmt_batch_loss(model, pad_batch(raw), noise=noise, rng=rng)
-
-    def eval_fn():
-        return evaluation.decode_bleu(dev, beam_cfg, nmt=model)
-
-    stop, history = _training_loop(model.params, batch_iter, loss_fn, eval_fn,
-                                   "max", cfg, start_update)
-    restore_params(model.params, stop.best_params)
-    ckpt = checkpoint_from_nmt(model, meta={
-        "updates": stop.best_update, "best_dev_bleu": stop.best_metric,
-        "seed": cfg.seed})
-    return ckpt, history
+    return _train(
+        model, bitext,
+        lambda raw, noise, rng: nmt_batch_loss(model, pad_batch(raw),
+                                               noise=noise, rng=rng),
+        lambda: evaluation.decode_bleu(dev, beam_cfg, nmt=model),
+        "max", "best_dev_bleu", checkpoint_from_nmt, cfg, start_update)
 
 
 def finetune_deep_fusion(fm: FusedModel, bitext, dev, cfg: FinetuneConfig,
@@ -367,28 +367,10 @@ def finetune_deep_fusion(fm: FusedModel, bitext, dev, cfg: FinetuneConfig,
     parameter blocks must be byte-identical afterwards."""
     if not dev:
         raise DataError("dev set must be non-empty")
-    frozen = param_digests(fm.params, lambda p: not p.trainable)
-    batch_iter = BatchIterator(list(bitext), cfg.batch_size, seed=cfg.seed)
     beam_cfg = decoding.BeamConfig(beam_width=cfg.dev_beam_width, fusion="deep")
-
-    def loss_fn(raw, noise, rng):
-        return fused_batch_loss(fm, pad_batch(raw), noise=noise, rng=rng)
-
-    def eval_fn():
-        return evaluation.decode_bleu(dev, beam_cfg, fused=fm)
-
-    stop, history = _training_loop(fm.params, batch_iter, loss_fn, eval_fn,
-                                   "max", cfg, start_update)
-    # only trainable blocks come from the early-stop snapshot; frozen blocks
-    # are asserted unchanged below
-    for p in fm.params.trainable():
-        p.value.data[...] = stop.best_params[p.id]
-    after = param_digests(fm.params, lambda p: not p.trainable)
-    if after != frozen:
-        changed = sorted(k for k in frozen if after.get(k) != frozen[k])
-        raise AssertionError(
-            f"frozen parameters changed during finetuning: {changed[:5]}")
-    ckpt = checkpoint_from_fused(fm, meta={
-        "updates": stop.best_update, "best_dev_bleu": stop.best_metric,
-        "seed": cfg.seed})
-    return ckpt, history
+    return _train(
+        fm, bitext,
+        lambda raw, noise, rng: fused_batch_loss(fm, pad_batch(raw),
+                                                 noise=noise, rng=rng),
+        lambda: evaluation.decode_bleu(dev, beam_cfg, fused=fm),
+        "max", "best_dev_bleu", checkpoint_from_fused, cfg, start_update)

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fusionmt import cli
 from fusionmt.checkpoint import (
@@ -23,6 +24,17 @@ def run(argv, capsys=None):
     if capsys is None:
         return code, None
     return code, capsys.readouterr()
+
+
+def untrained_checkpoints(toy_dir):
+    """NMT, LM and fused checkpoints of untrained models over the toy vocab."""
+    vocab = len(Vocabulary.load(toy_dir / "vocab.txt"))
+    rng = np.random.default_rng(0)
+    nmt = NmtModel(NmtConfig(src_vocab=vocab, tgt_vocab=vocab,
+                             embed_dim=8, hidden=12), rng)
+    lm = RnnLm(LmConfig(vocab=vocab, embed_dim=6, hidden=8), rng)
+    return {"nmt": checkpoint_from_nmt(nmt), "lm": checkpoint_from_lm(lm),
+            "fused": checkpoint_from_fused(FusedModel(nmt, lm, rng))}
 
 
 @pytest.fixture()
@@ -98,6 +110,53 @@ class TestConfig:
         assert cfg["train"]["seed"] == 99
         assert cfg["finetune"]["seed"] == 99
 
+    def test_schema_pinned(self):
+        # every section, key, default and type a config file can set; a new
+        # dataclass field must not become a config key unnoticed
+        want = {
+            "data": {
+                "src_train": "", "tgt_train": "", "src_dev": "", "tgt_dev": "",
+                "mono_train": "", "mono_dev": "",
+                "src_vocab": "", "tgt_vocab": "",
+                "lowercase": True, "char_mode": False,
+                "filter": True, "max_len": 80, "ratio_bound": 3.0,
+            },
+            "model": {"embed_dim": 620, "hidden": 1000, "deep_output_width": 0},
+            "lm": {"embed_dim": 620, "hidden": 2400},
+            "train": {
+                "batch_size": 80, "clip_threshold": 5.0, "optimizer": "adadelta",
+                "learning_rate": 1e-3, "dropout_p": 0.0, "weight_noise_std": 0.0,
+                "max_updates": 10000, "eval_interval": 100, "patience": 5,
+                "seed": 0, "update_scale": 1.0, "dev_beam_width": 2,
+            },
+            "finetune": {
+                "batch_size": 80, "clip_threshold": 5.0, "optimizer": "adam",
+                "learning_rate": 1e-3, "dropout_p": 0.56, "weight_noise_std": 0.005,
+                "reg_reduce_after": 10000, "reg_reduce_factor": 0.5,
+                "max_updates": 10000, "eval_interval": 100, "patience": 5,
+                "seed": 0, "update_scale": 1.0, "dev_beam_width": 2,
+            },
+            "decode": {
+                "beam_width": 10, "fusion": "none", "beta": 0.0,
+                "replace_unk": False, "length_normalize": False,
+            },
+        }
+        got = load_config(None)
+        assert got == want
+        assert {(s, k): type(v) for s in got for k, v in got[s].items()} == \
+            {(s, k): type(v) for s in want for k, v in want[s].items()}
+
+    @pytest.mark.parametrize("text", [
+        "batch_size = 3\n",                       # no section header
+        "[train]\nseed = 1\nseed = 2\n",           # duplicate key
+        "[train]\noptimizer = 50%\n",             # '%' read as interpolation
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
     def test_bool_parsing(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("[data]\nlowercase = false\nfilter = 1\n")
@@ -130,6 +189,8 @@ class TestExitCodes:
         (["train-lm"], "[train]\ndropout_p = 1.0\n", "dropout_p"),
         (["finetune", "--nmt", "no.ckpt", "--lm", "no.ckpt"],
          "[finetune]\nreg_reduce_factor = 2.0\n", "reg_reduce_factor"),
+        (["train-nmt"], "[train]\neval_interval = 0\n", "eval_interval"),
+        (["train-lm"], "[train]\neval_interval = 0\n", "eval_interval"),
     ])
     def test_bad_training_value_exits_2_first(self, tmp_path, capsys, argv,
                                               setting, key):
@@ -144,6 +205,63 @@ class TestExitCodes:
         assert key in out.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["translate", "sweep-beta"])
+    def test_beam_zero_exits_2(self, toy_dir, capsys, command):
+        argv = [command, "--config", str(toy_dir / "exp.cfg"), "--beam", "0"]
+        for kind, ckpt in untrained_checkpoints(toy_dir).items():
+            save_checkpoint(toy_dir / f"{kind}.ckpt", ckpt)
+            if kind != "fused":
+                argv += [f"--{kind}", str(toy_dir / f"{kind}.ckpt")]
+        if command == "translate":
+            argv += ["--input", str(toy_dir / "toy" / "test.src")]
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert out.out == ""
+        assert "beam width must be >= 1" in out.err
+
+
+_TRAIN_DEFAULTS = load_config(None)["train"]
+
+
+def _train_value(key):
+    """Values for one [train] key: its own type at and beyond the valid
+    range, non-finite floats, or arbitrary one-line text."""
+    default = _TRAIN_DEFAULTS[key]
+    if key == "max_updates":
+        typed = st.integers(-2, 3)
+    elif isinstance(default, int):
+        typed = st.integers(-3, 40)
+    elif isinstance(default, float):
+        typed = st.one_of(st.floats(-10, 10), st.sampled_from(
+            [1e300, -1e300, float("nan"), float("inf"), float("-inf")]))
+    else:
+        typed = st.sampled_from(["adam", "adadelta", "rmsprop", "sgd"])
+    text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                   max_size=6)
+    return st.one_of(typed.map(str), text)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_random_training_value_exits_cleanly(toy_dir, capsys, data):
+    # the corpus is only read; each example writes its own config and
+    # removes the checkpoint of the one before
+    key = data.draw(st.sampled_from(sorted(_TRAIN_DEFAULTS)))
+    train = {"batch_size": "16", "optimizer": "adam", "max_updates": "3",
+             "eval_interval": "2", "seed": "0"}
+    train[key] = data.draw(_train_value(key))
+    head = (toy_dir / "exp.cfg").read_text().split("[train]")[0]
+    cfg = toy_dir / "random.cfg"
+    cfg.write_text(head + "[train]\n" + "".join(
+        f"{k} = {v}\n" for k, v in train.items()))
+    out_path = toy_dir / "random.ckpt"
+    out_path.unlink(missing_ok=True)
+    code, _ = run(["train-nmt", "--config", str(cfg),
+                   "--output", str(out_path)], capsys)
+    assert code in (0, 2, 3)
+    assert out_path.exists() == (code == 0)
+
 
 class TestNumericFailure:
     @pytest.mark.parametrize("mode, poisoned", [
@@ -152,13 +270,7 @@ class TestNumericFailure:
         ("deep", "fuse.ctrl.b_g"),
     ])
     def test_nan_parameter_exits_3(self, toy_dir, capsys, mode, poisoned):
-        vocab = len(Vocabulary.load(toy_dir / "vocab.txt"))
-        rng = np.random.default_rng(0)
-        nmt = NmtModel(NmtConfig(src_vocab=vocab, tgt_vocab=vocab,
-                                 embed_dim=8, hidden=12), rng)
-        lm = RnnLm(LmConfig(vocab=vocab, embed_dim=6, hidden=8), rng)
-        ckpts = {"nmt": checkpoint_from_nmt(nmt), "lm": checkpoint_from_lm(lm)}
-        ckpts["fused"] = checkpoint_from_fused(FusedModel(nmt, lm, rng))
+        ckpts = untrained_checkpoints(toy_dir)
         argv = ["translate", "--config", str(toy_dir / "exp.cfg"),
                 "--mode", mode, "--beam", "3",
                 "--input", str(toy_dir / "toy" / "test.src")]
@@ -172,6 +284,23 @@ class TestNumericFailure:
         assert out.out == ""
         assert len(out.err.splitlines()) == 1
         assert out.err.startswith("numeric failure: non-finite")
+
+    def test_failure_on_a_later_line_writes_nothing(self, toy_dir, capsys):
+        # "c" occurs only on the second line, so the first decodes cleanly
+        ckpt = untrained_checkpoints(toy_dir)["nmt"]
+        c_id = Vocabulary.load(toy_dir / "vocab.txt").encode(["c"])[0]
+        ckpt.params["nmt.src_emb.table"][c_id] = np.nan
+        save_checkpoint(toy_dir / "nmt.ckpt", ckpt)
+        src = toy_dir / "two.src"
+        write_lines(src, ["a b", "b c a"])
+        att, gates = toy_dir / "out.att", toy_dir / "out.gates"
+        code, out = run(["translate", "--config", str(toy_dir / "exp.cfg"),
+                         "--nmt", str(toy_dir / "nmt.ckpt"), "--beam", "2",
+                         "--input", str(src), "--dump-attention", str(att),
+                         "--dump-gates", str(gates)], capsys)
+        assert code == 3
+        assert out.out == ""
+        assert not att.exists() and not gates.exists()
 
 
 class TestBuildVocab:
@@ -301,7 +430,7 @@ class TestPipeline:
         assert att == att1 + "\n" + att2  # an empty attention block
         assert gates == gates1 + "\n" + gates2
 
-    @pytest.mark.parametrize("command", ["train-nmt", "finetune"])
+    @pytest.mark.parametrize("command", ["train-lm", "train-nmt", "finetune"])
     def test_warns_when_start_snapshot_kept(self, toy_dir, capsys, command):
         ckpt, _ = self.train(toy_dir, capsys)
         mono = toy_dir / "toy" / "train.tgt"

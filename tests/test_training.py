@@ -208,7 +208,7 @@ class TestOovFilter:
     {"batch_size": 0}, {"clip_threshold": 0.0}, {"patience": 0},
     {"dropout_p": 1.0}, {"dropout_p": -0.1}, {"weight_noise_std": -0.1},
     {"reg_reduce_factor": 2.0, "reg_reduce_after": 3},
-    {"reg_reduce_factor": -0.5},
+    {"reg_reduce_factor": -0.5}, {"eval_interval": 0}, {"eval_interval": -2},
 ])
 def test_config_rejects_bad_values(config_cls, bad):
     # TrainConfig has no reg_reduce_* fields, so it rejects them as keywords
