@@ -10,7 +10,7 @@ input byte-for-byte.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,41 +148,41 @@ def restore_params(params: ParameterSet, values: dict[str, np.ndarray]) -> None:
         p.value.data[...] = values[p.id]
 
 
-def _nmt_arch(cfg: NmtConfig) -> dict:
-    return {"src_vocab": cfg.src_vocab, "tgt_vocab": cfg.tgt_vocab,
-            "embed_dim": cfg.embed_dim, "hidden": cfg.hidden,
-            "deep_output_width": cfg.deep_output_width}
+def _arch(cfg, prefix: str = "") -> dict:
+    """The [arch] entries of a model config: each field, under ``prefix``."""
+    return {prefix + k: v for k, v in asdict(cfg).items()}
 
 
-def _nmt_config(arch: dict) -> NmtConfig:
-    return NmtConfig(src_vocab=arch["src_vocab"], tgt_vocab=arch["tgt_vocab"],
-                     embed_dim=arch["embed_dim"], hidden=arch["hidden"],
-                     deep_output_width=arch["deep_output_width"])
+def _config(cls, arch: dict, prefix: str = ""):
+    """``cls`` rebuilt from the ``prefix``-ed integer keys of ``arch``."""
+    values = {}
+    for f in fields(cls):
+        value = arch.get(prefix + f.name)
+        if type(value) is not int:
+            raise CheckpointError(f"checkpoint [arch] {prefix + f.name}: "
+                                  f"expected an integer, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def checkpoint_from_nmt(model: NmtModel, meta: Optional[dict] = None) -> Checkpoint:
-    return Checkpoint("nmt", _nmt_arch(model.cfg), snapshot_params(model.params),
+    return Checkpoint("nmt", _arch(model.cfg), snapshot_params(model.params),
                       meta or {})
 
 
 def checkpoint_from_lm(lm: RnnLm, meta: Optional[dict] = None) -> Checkpoint:
-    cfg = lm.cfg
-    arch = {"vocab": cfg.vocab, "embed_dim": cfg.embed_dim, "hidden": cfg.hidden}
-    return Checkpoint("lm", arch, snapshot_params(lm.params), meta or {})
+    return Checkpoint("lm", _arch(lm.cfg), snapshot_params(lm.params), meta or {})
 
 
 def checkpoint_from_fused(fm: FusedModel, meta: Optional[dict] = None) -> Checkpoint:
-    arch = {**_nmt_arch(fm.nmt.cfg),
-            "lm_vocab": fm.lm.cfg.vocab,
-            "lm_embed_dim": fm.lm.cfg.embed_dim,
-            "lm_hidden": fm.lm.cfg.hidden}
+    arch = {**_arch(fm.nmt.cfg), **_arch(fm.lm.cfg, "lm_")}
     return Checkpoint("fused", arch, snapshot_params(fm.params), meta or {})
 
 
 def build_nmt(ckpt: Checkpoint) -> NmtModel:
     if ckpt.kind != "nmt":
         raise CheckpointError(f"expected an nmt checkpoint, got {ckpt.kind!r}")
-    model = NmtModel(_nmt_config(ckpt.arch), np.random.default_rng(0))
+    model = NmtModel(_config(NmtConfig, ckpt.arch), np.random.default_rng(0))
     restore_params(model.params, ckpt.params)
     return model
 
@@ -190,9 +190,7 @@ def build_nmt(ckpt: Checkpoint) -> NmtModel:
 def build_lm(ckpt: Checkpoint) -> RnnLm:
     if ckpt.kind != "lm":
         raise CheckpointError(f"expected an lm checkpoint, got {ckpt.kind!r}")
-    a = ckpt.arch
-    cfg = LmConfig(vocab=a["vocab"], embed_dim=a["embed_dim"], hidden=a["hidden"])
-    lm = RnnLm(cfg, np.random.default_rng(0))
+    lm = RnnLm(_config(LmConfig, ckpt.arch), np.random.default_rng(0))
     restore_params(lm.params, ckpt.params)
     return lm
 
@@ -200,10 +198,8 @@ def build_lm(ckpt: Checkpoint) -> RnnLm:
 def build_fused(ckpt: Checkpoint) -> FusedModel:
     if ckpt.kind != "fused":
         raise CheckpointError(f"expected a fused checkpoint, got {ckpt.kind!r}")
-    a = ckpt.arch
-    nmt = NmtModel(_nmt_config(a), np.random.default_rng(0))
-    lm = RnnLm(LmConfig(vocab=a["lm_vocab"], embed_dim=a["lm_embed_dim"],
-                        hidden=a["lm_hidden"]), np.random.default_rng(0))
+    nmt = NmtModel(_config(NmtConfig, ckpt.arch), np.random.default_rng(0))
+    lm = RnnLm(_config(LmConfig, ckpt.arch, "lm_"), np.random.default_rng(0))
     fm = FusedModel(nmt, lm, np.random.default_rng(0))
     restore_params(fm.params, ckpt.params)
     return fm

@@ -106,25 +106,27 @@ def _read_tokens(cfg: dict, path: str) -> list[list[str]]:
                             char_mode=cfg["data"]["char_mode"])
 
 
-def _load_vocab(path: str) -> D.Vocabulary:
+def _load_vocab(cfg: dict, side: str) -> D.Vocabulary:
+    """The vocabulary at [data] ``side``_vocab ("src" or "tgt")."""
+    path = cfg["data"][f"{side}_vocab"]
     if not path:
         raise ConfigError("missing vocabulary path in [data]")
     return D.Vocabulary.load(path)
 
 
-def _load_bitext(cfg: dict, src_key: str, tgt_key: str,
-                 src_vocab: D.Vocabulary, tgt_vocab: D.Vocabulary,
-                 apply_filter: bool) -> list[D.SentencePair]:
-    src = _read_tokens(cfg, cfg["data"][src_key])
-    tgt = _read_tokens(cfg, cfg["data"][tgt_key])
+def _bitext(cfg: dict, split: str, vocabs) -> list[D.SentencePair]:
+    """The ``split`` ("train" or "dev") pairs encoded with the (source,
+    target) ``vocabs``; training pairs pass the [data] length filter."""
+    src, tgt = (_read_tokens(cfg, cfg["data"][f"{side}_{split}"])
+                for side in ("src", "tgt"))
     if len(src) != len(tgt):
         raise ConfigError(
-            f"{src_key}/{tgt_key}: {len(src)} vs {len(tgt)} lines")
+            f"src_{split}/tgt_{split}: {len(src)} vs {len(tgt)} lines")
     pairs = list(zip(src, tgt))
-    if apply_filter and cfg["data"]["filter"]:
+    if split == "train" and cfg["data"]["filter"]:
         pairs, _, _ = D.filter_pairs(pairs, max_len=cfg["data"]["max_len"],
                                      ratio_bound=cfg["data"]["ratio_bound"])
-    return D.encode_pairs(pairs, src_vocab, tgt_vocab)
+    return D.encode_pairs(pairs, *vocabs)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def _train(args, train_fn, model, start: int, data, dev, tcfg,
 def cmd_train_lm(args) -> int:
     cfg = load_config(args.config)
     tcfg = training.TrainConfig(**cfg["train"])
-    vocab = _load_vocab(cfg["data"]["tgt_vocab"])
+    vocab = _load_vocab(cfg, "tgt")
     mono = [vocab.encode(s) for s in _read_tokens(cfg, cfg["data"]["mono_train"])]
     dev = [vocab.encode(s) for s in _read_tokens(cfg, cfg["data"]["mono_dev"])]
     lm, start = _resume_or(args, ckpt_io.build_lm, lambda: RnnLm(
@@ -200,13 +202,10 @@ def cmd_train_lm(args) -> int:
 def cmd_train_nmt(args) -> int:
     cfg = load_config(args.config)
     tcfg = training.TrainConfig(**cfg["train"])
-    src_vocab = _load_vocab(cfg["data"]["src_vocab"])
-    tgt_vocab = _load_vocab(cfg["data"]["tgt_vocab"])
-    train = _load_bitext(cfg, "src_train", "tgt_train", src_vocab, tgt_vocab, True)
-    dev = _load_bitext(cfg, "src_dev", "tgt_dev", src_vocab, tgt_vocab, False)
+    vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
+    train, dev = _bitext(cfg, "train", vocabs), _bitext(cfg, "dev", vocabs)
     model, start = _resume_or(args, ckpt_io.build_nmt, lambda: NmtModel(
-        NmtConfig(src_vocab=len(src_vocab), tgt_vocab=len(tgt_vocab),
-                  **cfg["model"]),
+        NmtConfig(*map(len, vocabs), **cfg["model"]),
         np.random.default_rng(tcfg.seed)))
     return _train(args, training.train_nmt, model, start, train, dev, tcfg,
                   "best dev BLEU {best_dev_bleu:.2f} at update {updates}")
@@ -215,13 +214,11 @@ def cmd_train_nmt(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     fcfg = training.FinetuneConfig(**cfg["finetune"])
-    src_vocab = _load_vocab(cfg["data"]["src_vocab"])
-    tgt_vocab = _load_vocab(cfg["data"]["tgt_vocab"])
+    vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
     nmt = ckpt_io.build_nmt(ckpt_io.load_checkpoint(args.nmt))
     lm = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
     fm = FusedModel(nmt, lm, np.random.default_rng(fcfg.seed))
-    train = _load_bitext(cfg, "src_train", "tgt_train", src_vocab, tgt_vocab, True)
-    dev = _load_bitext(cfg, "src_dev", "tgt_dev", src_vocab, tgt_vocab, False)
+    train, dev = _bitext(cfg, "train", vocabs), _bitext(cfg, "dev", vocabs)
     return _train(args, training.finetune_deep_fusion, fm, 0, train, dev, fcfg,
                   "best dev BLEU {best_dev_bleu:.2f} at update {updates}")
 
@@ -236,24 +233,30 @@ def _beam_config(args, cfg) -> decoding.BeamConfig:
         length_normalize=dec["length_normalize"])
 
 
+def _decode_setup(args, cfg, fusion: str):
+    """The models that ``fusion`` decodes with, as ``translate`` keywords,
+    and the (source, target) vocabularies, checked against the NMT model."""
+    models = {}
+    if fusion == "deep":
+        models["fused"] = ckpt_io.build_fused(ckpt_io.load_checkpoint(args.fused))
+    else:
+        models["nmt"] = ckpt_io.build_nmt(ckpt_io.load_checkpoint(args.nmt))
+        if fusion == "shallow":
+            models["lm"] = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
+    nmt_cfg = (models["fused"].nmt if fusion == "deep" else models["nmt"]).cfg
+    vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
+    for side, vocab, size in zip(("source", "target"), vocabs,
+                                 (nmt_cfg.src_vocab, nmt_cfg.tgt_vocab)):
+        if len(vocab) != size:
+            raise ConfigError(f"{side} vocab file has {len(vocab)} ids, "
+                              f"model expects {size}")
+    return models, vocabs
+
+
 def cmd_translate(args) -> int:
     cfg = load_config(args.config)
     beam_cfg = _beam_config(args, cfg)
-    nmt = lm = fused = None
-    if beam_cfg.fusion == "deep":
-        fused = ckpt_io.build_fused(ckpt_io.load_checkpoint(args.fused))
-        tgt_vocab_size = fused.nmt.cfg.tgt_vocab
-    else:
-        nmt = ckpt_io.build_nmt(ckpt_io.load_checkpoint(args.nmt))
-        tgt_vocab_size = nmt.cfg.tgt_vocab
-        if beam_cfg.fusion == "shallow":
-            lm = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
-    src_vocab = _load_vocab(cfg["data"]["src_vocab"])
-    tgt_vocab = _load_vocab(cfg["data"]["tgt_vocab"])
-    if len(tgt_vocab) != tgt_vocab_size:
-        raise ConfigError(
-            f"target vocab file has {len(tgt_vocab)} ids, model expects "
-            f"{tgt_vocab_size}")
+    models, (src_vocab, tgt_vocab) = _decode_setup(args, cfg, beam_cfg.fusion)
     lines = D.read_lines(args.input) if args.input else sys.stdin.read().splitlines()
     replace = args.replace_unk or cfg["decode"]["replace_unk"]
     # decode every line before writing anything, so a failure on a later
@@ -264,8 +267,7 @@ def cmd_translate(args) -> int:
                                 char_mode=cfg["data"]["char_mode"])
         src_ids = src_vocab.encode(src_tokens)
         if src_ids:
-            res = decoding.translate(src_ids, beam_cfg, nmt=nmt, lm=lm,
-                                     fused=fused)
+            res = decoding.translate(src_ids, beam_cfg, **models)
         else:  # a blank line gives blank output, keeping line alignment
             res = decoding.TranslationResult([], 0.0, np.zeros((0, 1)), [], True)
         out_tokens = tgt_vocab.decode(res.tokens)
@@ -297,7 +299,7 @@ def cmd_evaluate(args) -> int:
         refs = _read_tokens(cfg, ref_path)
         print(evaluation.bleu(cands, refs))
     elif args.perplexity:
-        vocab = _load_vocab(cfg["data"]["tgt_vocab"])
+        vocab = _load_vocab(cfg, "tgt")
         lm = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
         corpus = [vocab.encode(s) for s in _read_tokens(cfg, args.perplexity)]
         print(evaluation.perplexity(lm, corpus))
@@ -314,20 +316,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     cfg = load_config(args.config)
-    src_vocab = _load_vocab(cfg["data"]["src_vocab"])
-    tgt_vocab = _load_vocab(cfg["data"]["tgt_vocab"])
-    nmt = ckpt_io.build_nmt(ckpt_io.load_checkpoint(args.nmt))
-    lm = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
-    dev = _load_bitext(cfg, "src_dev", "tgt_dev", src_vocab, tgt_vocab, False)
+    beam_cfg = _beam_config(args, cfg)  # shallow: the subcommand's mode
+    models, vocabs = _decode_setup(args, cfg, beam_cfg.fusion)
+    dev = _bitext(cfg, "dev", vocabs)
     betas = ([float(b) for b in args.betas.split(",")] if args.betas
              else decoding.default_beta_grid())
-
-    width = cfg["decode"]["beam_width"] if args.beam is None else args.beam
     table = []
     for beta in betas:
-        bc = decoding.BeamConfig(beam_width=width, fusion="shallow",
+        bc = dataclasses.replace(beam_cfg,
                                  shallow=decoding.ShallowConfig(beta=beta))
-        table.append((beta, evaluation.decode_bleu(dev, bc, nmt=nmt, lm=lm)))
+        table.append((beta, evaluation.decode_bleu(dev, bc, **models)))
     for beta, bleu_score in table:
         print(f"{beta:.6f}\t{bleu_score:.4f}")
     best = max(table, key=lambda row: row[1])
@@ -415,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--betas", help="comma-separated grid (default log-spaced)")
     p.add_argument("--beam", type=int)
-    p.set_defaults(fn=cmd_sweep_beta)
+    p.set_defaults(fn=cmd_sweep_beta, mode="shallow", beta=None)
     return parser
 
 

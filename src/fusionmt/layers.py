@@ -9,7 +9,6 @@ row per sentence of a training batch or per live hypothesis of a beam step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,22 +28,6 @@ def orthonormal(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def gaussian(rng: np.random.Generator, shape, std: float = 0.01) -> np.ndarray:
     return rng.standard_normal(shape) * std
-
-
-@dataclass
-class NoiseConfig:
-    """Training-time regularization: inverted dropout + additive weight noise.
-
-    Only the training losses take one, so both are off at inference.
-    """
-    dropout_p: float = 0.0
-    weight_noise_std: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.dropout_p < 1.0):
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.weight_noise_std < 0.0:
-            raise ValueError("weight_noise_std must be >= 0")
 
 
 class GruCell:

@@ -21,7 +21,6 @@ from .layers import (
     Embedding,
     GruCell,
     LstmCell,
-    NoiseConfig,
     Parameter,
     deep_output,
     gaussian,
@@ -189,15 +188,15 @@ def _recur(model: NmtModel, s_prev: Tensor, y_prev, ann: AnnotationMatrix,
 
 
 def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
-                ann: AnnotationMatrix, noise: Optional[NoiseConfig] = None,
+                ann: AnnotationMatrix, dropout_p: float = 0.0,
                 rng: Optional[np.random.Generator] = None,
                 ) -> tuple[Tensor, Tensor, AttentionScores]:
     """One decoder step: attend, recur, deep output, log-softmax.
 
     Returns (new state, log-probs over the target vocab, attention)."""
     s_new, y_emb, ctx, scores = _recur(model, s_prev, y_prev, ann)
-    p = noise.dropout_p if noise else 0.0
-    logits = deep_output(model.out, s_new, y_emb, ctx, dropout_p=p, rng=rng)
+    logits = deep_output(model.out, s_new, y_emb, ctx, dropout_p=dropout_p,
+                         rng=rng)
     return s_new, T.log_softmax(logits), scores
 
 
@@ -214,13 +213,13 @@ def _teacher_forced_nll(step, state, batch) -> Tensor:
     return T.scale(total, -1.0 / b)
 
 
-def nmt_batch_loss(model: NmtModel, batch, noise: Optional[NoiseConfig] = None,
+def nmt_batch_loss(model: NmtModel, batch, dropout_p: float = 0.0,
                    rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean (over sentences) of the summed negative log-likelihood."""
     ann = encode(model, batch.src, batch.src_mask, append_eos=False)
 
     def step(s, y_prev):
-        s, logp, _ = decode_step(model, s, y_prev, ann, noise=noise, rng=rng)
+        s, logp, _ = decode_step(model, s, y_prev, ann, dropout_p, rng)
         return s, logp
 
     return _teacher_forced_nll(step, initial_state(model, ann), batch)
@@ -332,7 +331,7 @@ class FusedModel:
 
 
 def fused_step(fm: FusedModel, s_tm_prev: Tensor, lm_state_prev, y_prev,
-               ann: AnnotationMatrix, noise: Optional[NoiseConfig] = None,
+               ann: AnnotationMatrix, dropout_p: float = 0.0,
                rng: Optional[np.random.Generator] = None):
     """Advance decoder and LM in lockstep on the same previous token.
 
@@ -342,20 +341,19 @@ def fused_step(fm: FusedModel, s_tm_prev: Tensor, lm_state_prev, y_prev,
     h_lm, c_lm = lstm_step(fm.lm.lstm, lm_state_prev, x_lm)
     g = controller_gate(fm.controller, h_lm)
     gated = T.mul_colvec(h_lm, g)
-    p = noise.dropout_p if noise else 0.0
     logits = deep_output(fm.out, s_tm, y_emb, ctx, s_lm_gated=gated,
-                         dropout_p=p, rng=rng)
+                         dropout_p=dropout_p, rng=rng)
     return s_tm, (h_lm, c_lm), T.log_softmax(logits), scores, g
 
 
-def fused_batch_loss(fm: FusedModel, batch, noise: Optional[NoiseConfig] = None,
+def fused_batch_loss(fm: FusedModel, batch, dropout_p: float = 0.0,
                      rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean summed NLL under the fused output distribution."""
     ann = encode(fm.nmt, batch.src, batch.src_mask, append_eos=False)
 
     def step(state, y_prev):
         s, lm_state, logp, _, _ = fused_step(fm, *state, y_prev, ann,
-                                             noise=noise, rng=rng)
+                                             dropout_p, rng)
         return (s, lm_state), logp
 
     state = (initial_state(fm.nmt, ann), fm.lm.initial_state(batch.size))

@@ -28,7 +28,7 @@ from .data import (
     pad_batch,
     pad_mono_batch,
 )
-from .layers import NoiseConfig, perturb_parameters, restore_parameters
+from .layers import perturb_parameters, restore_parameters
 from .models import (
     FusedModel,
     NmtModel,
@@ -63,9 +63,10 @@ class TrainConfig:
     stop_metric: Optional[float] = None  # halt once the dev metric reaches this
 
     def __post_init__(self):
+        # each float check is written so that NaN fails it
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.clip_threshold <= 0:
+        if not self.clip_threshold > 0:
             raise ValueError("clip_threshold must be > 0")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
@@ -73,8 +74,14 @@ class TrainConfig:
             raise ValueError("eval_interval must be >= 1")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.weight_noise_std < 0.0:
+        if not self.weight_noise_std >= 0.0:
             raise ValueError("weight_noise_std must be >= 0")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.dev_beam_width < 1:
+            raise ValueError("dev_beam_width must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def regularization_at(self, update: int) -> tuple[float, float]:
         """(dropout_p, weight_noise_std) active at a given update index."""
@@ -197,14 +204,17 @@ class Adam(Optimizer):
         return -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+OPTIMIZERS: dict[str, Callable[[float], Optimizer]] = {
+    "adadelta": lambda lr: Adadelta(),
+    "rmsprop": lambda lr: RmsProp(lr=lr),
+    "adam": lambda lr: Adam(lr=lr),
+}
+
+
 def make_optimizer(name: str, learning_rate: float = 1e-3) -> Optimizer:
-    if name == "adadelta":
-        return Adadelta()
-    if name == "rmsprop":
-        return RmsProp(lr=learning_rate)
-    if name == "adam":
-        return Adam(lr=learning_rate)
-    raise ValueError(f"unknown optimizer {name!r}")
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name](learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +292,10 @@ def _train(model, data: Sequence, loss_fn: Callable,
     for n_update, raw in zip(range(start_update + 1, cfg.max_updates + 1),
                              batches):
         p_drop, w_std = cfg.regularization_at(n_update)
-        noise = NoiseConfig(dropout_p=p_drop, weight_noise_std=w_std)
         saved = perturb_parameters(params, w_std, noise_rng)
         params.zero_grads()
         with Tape() as tape:
-            loss = loss_fn(raw, noise, dropout_rng)
+            loss = loss_fn(raw, p_drop, dropout_rng)
         loss_value = loss.item()
         if not math.isfinite(loss_value):
             raise NumericError(
@@ -340,7 +349,7 @@ def train_lm(lm: RnnLm, mono: Sequence[Sequence[int]],
     """Next-token training, early-stopped on dev perplexity."""
     return _train(
         lm, oov_filter(mono),
-        lambda raw, noise, rng: lm_batch_loss(lm, pad_mono_batch(raw)),
+        lambda raw, p_drop, rng: lm_batch_loss(lm, pad_mono_batch(raw)),
         lambda: evaluation.perplexity(lm, dev).perplexity,
         "min", "best_dev_perplexity", checkpoint_from_lm, cfg, start_update)
 
@@ -354,8 +363,8 @@ def train_nmt(model: NmtModel, bitext, dev, cfg: TrainConfig,
     beam_cfg = decoding.BeamConfig(beam_width=cfg.dev_beam_width)
     return _train(
         model, bitext,
-        lambda raw, noise, rng: nmt_batch_loss(model, pad_batch(raw),
-                                               noise=noise, rng=rng),
+        lambda raw, p_drop, rng: nmt_batch_loss(model, pad_batch(raw),
+                                                p_drop, rng),
         lambda: evaluation.decode_bleu(dev, beam_cfg, nmt=model),
         "max", "best_dev_bleu", checkpoint_from_nmt, cfg, start_update)
 
@@ -370,7 +379,7 @@ def finetune_deep_fusion(fm: FusedModel, bitext, dev, cfg: FinetuneConfig,
     beam_cfg = decoding.BeamConfig(beam_width=cfg.dev_beam_width, fusion="deep")
     return _train(
         fm, bitext,
-        lambda raw, noise, rng: fused_batch_loss(fm, pad_batch(raw),
-                                                 noise=noise, rng=rng),
+        lambda raw, p_drop, rng: fused_batch_loss(fm, pad_batch(raw),
+                                                  p_drop, rng),
         lambda: evaluation.decode_bleu(dev, beam_cfg, fused=fm),
         "max", "best_dev_bleu", checkpoint_from_fused, cfg, start_update)

@@ -1,10 +1,13 @@
 """Checkpoint container: canonical serialization, corruption detection, and
 model reconstruction."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fusionmt.checkpoint import (
+    MAGIC,
     Checkpoint,
     CheckpointError,
     build_fused,
@@ -30,6 +33,16 @@ def tiny_nmt(seed=0):
 def tiny_lm(seed=0):
     return RnnLm(LmConfig(vocab=5, embed_dim=3, hidden=4),
                  np.random.default_rng(seed))
+
+
+def tiny_checkpoints():
+    fm = FusedModel(tiny_nmt(), tiny_lm(), np.random.default_rng(0))
+    return {"nmt": checkpoint_from_nmt(fm.nmt), "lm": checkpoint_from_lm(fm.lm),
+            "fused": checkpoint_from_fused(fm)}
+
+
+BUILD = {"nmt": build_nmt, "lm": build_lm, "fused": build_fused}
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 
 class TestContainer:
@@ -128,6 +141,53 @@ class TestModelReconstruction:
         del values["nmt.W_init"]
         with pytest.raises(CheckpointError):
             restore_params(model.params, values)
+
+
+class TestArchSection:
+    def test_arch_lines_pinned(self, tmp_path):
+        # checkpoint format v1: a new config field must not add an [arch] key
+        # unnoticed
+        want = {
+            "nmt": ["deep_output_width=8", "embed_dim=3", "hidden=4",
+                    "src_vocab=6", "tgt_vocab=5"],
+            "lm": ["embed_dim=3", "hidden=4", "vocab=5"],
+            "fused": ["deep_output_width=8", "embed_dim=3", "hidden=4",
+                      "lm_embed_dim=3", "lm_hidden=4", "lm_vocab=5",
+                      "src_vocab=6", "tgt_vocab=5"],
+        }
+        for kind, ckpt in tiny_checkpoints().items():
+            path = tmp_path / f"{kind}.ckpt"
+            save_checkpoint(path, ckpt)
+            header = path.read_bytes()[len(MAGIC):].split(b"\nend\n")[0]
+            lines = header.decode("utf-8").split("\n")
+            assert lines[lines.index("[arch]") + 1:lines.index("[meta]")] \
+                == want[kind], kind
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, ckpt in tiny_checkpoints().items()
+        for key in sorted(ckpt.arch)])
+    @pytest.mark.parametrize("value", [None, "ten", 2.5, True])
+    def test_missing_or_non_integer_key(self, tmp_path, kind, key, value):
+        # None removes the key; the others are re-signed in its place
+        ckpt = tiny_checkpoints()[kind]
+        if value is None:
+            del ckpt.arch[key]
+        else:
+            ckpt.arch[key] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CheckpointError, match=rf"\[arch\] {key}\b"):
+            BUILD[kind](load_checkpoint(path))
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_fixture_roundtrip(self, tmp_path, kind):
+        path = FIXTURES / f"{kind}.ckpt"
+        ckpt = load_checkpoint(path)
+        to_checkpoint = {"nmt": checkpoint_from_nmt, "lm": checkpoint_from_lm,
+                         "fused": checkpoint_from_fused}[kind]
+        save_checkpoint(tmp_path / "m.ckpt",
+                        to_checkpoint(BUILD[kind](ckpt), meta=ckpt.meta))
+        assert (tmp_path / "m.ckpt").read_bytes() == path.read_bytes()
 
 
 class TestParamDigests:

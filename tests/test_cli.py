@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fusionmt import cli
+from fusionmt import cli, evaluation
 from fusionmt.checkpoint import (
     checkpoint_from_fused,
     checkpoint_from_lm,
@@ -191,6 +191,12 @@ class TestExitCodes:
          "[finetune]\nreg_reduce_factor = 2.0\n", "reg_reduce_factor"),
         (["train-nmt"], "[train]\neval_interval = 0\n", "eval_interval"),
         (["train-lm"], "[train]\neval_interval = 0\n", "eval_interval"),
+        (["train-nmt"], "[train]\nclip_threshold = nan\n", "clip_threshold"),
+        (["train-lm"], "[train]\nweight_noise_std = nan\n", "weight_noise_std"),
+        (["train-nmt"], "[train]\noptimizer = sgd\n", "optimizer"),
+        (["train-lm"], "[train]\ndev_beam_width = 0\n", "dev_beam_width"),
+        (["finetune", "--nmt", "no.ckpt", "--lm", "no.ckpt"],
+         "[finetune]\nseed = -1\n", "seed"),
     ])
     def test_bad_training_value_exits_2_first(self, tmp_path, capsys, argv,
                                               setting, key):
@@ -301,6 +307,85 @@ class TestNumericFailure:
         assert code == 3
         assert out.out == ""
         assert not att.exists() and not gates.exists()
+
+
+class TestDecodeSetup:
+    """translate and sweep-beta load models and vocabularies and read
+    [decode] the same way."""
+
+    def save(self, toy_dir, ckpts, argv):
+        for kind, ckpt in ckpts.items():
+            save_checkpoint(toy_dir / f"{kind}.ckpt", ckpt)
+            argv += [f"--{kind}", str(toy_dir / f"{kind}.ckpt")]
+        return argv
+
+    def test_sweep_beta_reads_decode_section(self, toy_dir, capsys,
+                                             monkeypatch):
+        cfg = toy_dir / "exp.cfg"
+        cfg.write_text(cfg.read_text()
+                       + "[decode]\nbeam_width = 3\nlength_normalize = true\n")
+        seen = []
+
+        def decode_bleu(pairs, beam_cfg, **models):
+            seen.append(beam_cfg)
+            return 0.0
+
+        monkeypatch.setattr(evaluation, "decode_bleu", decode_bleu)
+        ckpts = untrained_checkpoints(toy_dir)
+        del ckpts["fused"]
+        argv = self.save(toy_dir, ckpts, ["sweep-beta", "--config", str(cfg),
+                                          "--betas", "0,0.5"])
+        code, _ = run(argv, capsys)
+        assert code == 0
+        assert [(c.beam_width, c.fusion, c.length_normalize, c.shallow.beta)
+                for c in seen] == [(3, "shallow", True, 0.0),
+                                   (3, "shallow", True, 0.5)]
+
+    @pytest.mark.parametrize("command, side", [
+        ("sweep-beta", "tgt"), ("sweep-beta", "src"), ("translate", "src"),
+    ])
+    def test_vocab_mismatch_exits_2(self, toy_dir, capsys, command, side):
+        # the vocab files have 12 ids; the models expect 20 on one side
+        sizes = {"src": len(Vocabulary.load(toy_dir / "vocab.txt"))}
+        sizes["tgt"] = sizes["src"]
+        sizes[side] = 20
+        rng = np.random.default_rng(0)
+        nmt = NmtModel(NmtConfig(src_vocab=sizes["src"], tgt_vocab=sizes["tgt"],
+                                 embed_dim=8, hidden=12), rng)
+        lm = RnnLm(LmConfig(vocab=sizes["tgt"], embed_dim=6, hidden=8), rng)
+        argv = [command, "--config", str(toy_dir / "exp.cfg"), "--beam", "2"]
+        if command == "translate":
+            argv += ["--mode", "shallow",
+                     "--input", str(toy_dir / "toy" / "test.src")]
+        else:
+            argv += ["--betas", "0"]
+        argv = self.save(toy_dir, {"nmt": checkpoint_from_nmt(nmt),
+                                   "lm": checkpoint_from_lm(lm)}, argv)
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert "vocab file has 12 ids, model expects 20" in out.err
+
+    @pytest.mark.parametrize("kind, key", [
+        ("nmt", "hidden"), ("lm", "vocab"), ("fused", "lm_hidden"),
+    ])
+    @pytest.mark.parametrize("value", [None, "ten"])
+    def test_corrupt_arch_exits_2(self, toy_dir, capsys, kind, key, value):
+        ckpts = untrained_checkpoints(toy_dir)
+        if value is None:
+            del ckpts[kind].arch[key]
+        else:
+            ckpts[kind].arch[key] = value
+        mode = {"nmt": "none", "lm": "shallow", "fused": "deep"}[kind]
+        argv = self.save(toy_dir, ckpts, [
+            "translate", "--config", str(toy_dir / "exp.cfg"), "--mode", mode,
+            "--input", str(toy_dir / "toy" / "test.src")])
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert f"[arch] {key}" in out.err
 
 
 class TestBuildVocab:

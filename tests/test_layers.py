@@ -15,7 +15,6 @@ from fusionmt.layers import (
     Embedding,
     GruCell,
     LstmCell,
-    NoiseConfig,
     deep_output,
     dropout_mask,
     gaussian,
@@ -312,12 +311,6 @@ class TestDeepOutput:
 # ---------------------------------------------------------------------------
 
 class TestNoise:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(dropout_p=1.0)
-        with pytest.raises(ValueError):
-            NoiseConfig(weight_noise_std=-0.1)
-
     def test_inverted_dropout_preserves_mean(self):
         mask = dropout_mask(np.random.default_rng(0), (100_000,), 0.5)
         assert abs(mask.mean() - 1.0) < 0.01

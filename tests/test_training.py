@@ -209,6 +209,8 @@ class TestOovFilter:
     {"dropout_p": 1.0}, {"dropout_p": -0.1}, {"weight_noise_std": -0.1},
     {"reg_reduce_factor": 2.0, "reg_reduce_after": 3},
     {"reg_reduce_factor": -0.5}, {"eval_interval": 0}, {"eval_interval": -2},
+    {"clip_threshold": float("nan")}, {"weight_noise_std": float("nan")},
+    {"optimizer": "sgd"}, {"dev_beam_width": 0}, {"seed": -1},
 ])
 def test_config_rejects_bad_values(config_cls, bad):
     # TrainConfig has no reg_reduce_* fields, so it rejects them as keywords
