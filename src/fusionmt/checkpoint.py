@@ -90,7 +90,10 @@ def load_checkpoint(path) -> Checkpoint:
     end = body.find(end_marker, text_start)
     if end < 0:
         raise CheckpointError(f"{path}: missing header terminator")
-    header = body[text_start:end].decode("utf-8").split("\n")
+    try:
+        header = body[text_start:end].decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: header is not UTF-8") from None
     binary = body[end + len(end_marker):]
 
     kind = ""
@@ -103,8 +106,11 @@ def load_checkpoint(path) -> Checkpoint:
             section = line[1:-1]
         elif section == "blocks":
             name, _, shape = line.partition(" ")
-            dims = tuple(int(d) for d in shape.split(",")) if shape else ()
-            blocks.append((name, dims))
+            dims = shape.split(",") if shape else []
+            if not all(d.isdecimal() for d in dims):
+                raise CheckpointError(
+                    f"{path}: block {name!r} has shape {shape!r}")
+            blocks.append((name, tuple(int(d) for d in dims)))
         elif "=" in line:
             k, _, v = line.partition("=")
             if section == "arch":

@@ -12,8 +12,9 @@ Three scoring modes share one beam loop:
                   per emitted token.
 
 Each beam step runs the models once, on the live hypotheses stacked into
-rows.  Decoding is forward-only (no tape) and read-only with respect to the
-models; a NaN or infinite score raises NumericError.
+rows; a hypothesis holds the index of its row.  Decoding is forward-only
+(no tape) and read-only with respect to the models; a NaN or infinite score
+raises NumericError.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .models import (
     initial_state,
     lm_step,
 )
-from .tensor import NumericError, Tensor
+from .tensor import NumericError
 
 
 @dataclass
@@ -74,8 +75,7 @@ class BeamConfig:
 class Hypothesis:
     tokens: list[int]
     score: float
-    s_tm: object  # decoder state, a (d,) row of its step's stacked states
-    lm_state: object = None  # (h, c) rows when fusing
+    row: int = 0  # row of the scorer's last-step states that continues it
     attention: list = field(default_factory=list)  # one alpha row per token
     gates: list = field(default_factory=list)  # deep fusion only
     finished: bool = False
@@ -121,11 +121,6 @@ def shallow_score(tm_logp: np.ndarray, lm_logp_renorm: np.ndarray,
     return out
 
 
-def _stack(rows) -> Tensor:
-    # a single row is viewed, not copied
-    return T.constant(rows[0][None] if len(rows) == 1 else np.stack(rows))
-
-
 class BeamScorer:
     """Binds the models and the source annotations for one beam decode."""
 
@@ -154,19 +149,18 @@ class BeamScorer:
                         f"{nmt.cfg.tgt_vocab}")
         self.ann: Optional[AnnotationMatrix] = None
         self._anns: dict = {}  # rows -> annotations broadcast to that many
-        self._rows: dict = {}  # id of each scored hypothesis -> its row
-        self._scored: Sequence[Hypothesis] = ()  # keeps those ids valid
-        self._step: tuple = ()  # the scored rows, stacked
+        # the last step's stacked states, one row per hypothesis: the
+        # decoder state, plus the LM (h, c) when fusing
+        self._states: tuple = ()
+        self._step: tuple = ()  # the last score's rows, stacked
 
     def start(self, source_ids) -> Hypothesis:
         self.ann = encode(self.nmt, source_ids)
         self._anns = {1: self.ann}
-        self._rows, self._scored = {}, ()
-        s0 = initial_state(self.nmt, self.ann).data[0]
-        lm_state = None
-        if self.cfg.fusion in ("shallow", "deep"):
-            lm_state = tuple(x.data[0] for x in self.lm.initial_state(1))
-        return Hypothesis(tokens=[], score=0.0, s_tm=s0, lm_state=lm_state)
+        self._states = (initial_state(self.nmt, self.ann).data,)
+        if self.cfg.fusion != "none":
+            self._states += tuple(x.data for x in self.lm.initial_state(1))
+        return Hypothesis(tokens=[], score=0.0)
 
     def _annotations(self, n: int) -> AnnotationMatrix:
         """The sentence's annotations repeated for n rows, as zero-copy
@@ -188,25 +182,22 @@ class BeamScorer:
 
         Returns the (n, V) selection and final log-probs.  Raises
         NumericError if any final score is NaN or infinite."""
-        s_prev = _stack([h.s_tm for h in hyps])
+        rows = [h.row for h in hyps]
+        s_prev, *lm_prev = (T.constant(x[rows]) for x in self._states)
         y_prev = [h.tokens[-1] if h.tokens else BOS_ID for h in hyps]
         ann = self._annotations(len(hyps))
-        gates = lm_rows = None
-        if self.cfg.fusion != "none":
-            lm_prev = (_stack([h.lm_state[0] for h in hyps]),
-                       _stack([h.lm_state[1] for h in hyps]))
+        gates = None
         if self.cfg.fusion == "deep":
-            s_tm, (h_lm, c_lm), logp, scores, g = fused_step(
+            s_tm, lm_state, logp, scores, g = fused_step(
                 self.fused, s_prev, lm_prev, y_prev, ann)
             sel = final = logp.data
-            lm_rows = (h_lm.data, c_lm.data)
             gates = g.data[:, 0].tolist()
         else:
             s_tm, logp, scores = decode_step(self.nmt, s_prev, y_prev, ann)
             sel = final = logp.data
+            lm_state = ()
             if self.cfg.fusion == "shallow":
-                (h_lm, c_lm), lm_logp = lm_step(self.lm, lm_prev, y_prev)
-                lm_rows = (h_lm.data, c_lm.data)
+                lm_state, lm_logp = lm_step(self.lm, lm_prev, y_prev)
                 sc = self.cfg.shallow
                 renorm = lm_renormalize(lm_logp.data, sc.exclusion)
                 final = shallow_score(sel, renorm, sc.beta, sc.exclusion)
@@ -215,24 +206,16 @@ class BeamScorer:
             raise NumericError(
                 f"non-finite {self.cfg.fusion!r}-mode decoding scores at "
                 f"output position {len(hyps[0].tokens) + 1}")
-        self._rows = {id(h): i for i, h in enumerate(hyps)}
-        self._scored = hyps
-        self._step = (sel, final, s_tm.data, lm_rows, scores.alpha.data, gates)
+        self._states = tuple(x.data for x in (s_tm, *lm_state))
+        self._step = (sel, final, scores.alpha.data, gates)
         return sel, final
 
-    def expand(self, hyp: Hypothesis):
-        """One hypothesis's row of the last ``score``; a hypothesis outside
-        it is scored on its own.
-
-        Returns (selection log-probs, final log-probs, successor fields)."""
-        i = self._rows.get(id(hyp))
-        if i is None:
-            self.score([hyp])
-            i = 0
-        sel, final, s_tm, lm, alpha, gates = self._step
-        return (sel[i], final[i], s_tm[i],
-                None if lm is None else (lm[0][i], lm[1][i]), alpha[i],
-                None if gates is None else gates[i])
+    def expand(self, i: int):
+        """Row ``i`` of the last ``score``: (selection log-probs, final
+        log-probs, attention, gate or None).  A successor of that
+        hypothesis continues from ``row=i``."""
+        sel, final, alpha, gates = self._step
+        return sel[i], final[i], alpha[i], None if gates is None else gates[i]
 
 
 def beam_step(hyps: Sequence[Hypothesis], scorer: BeamScorer,
@@ -244,8 +227,8 @@ def beam_step(hyps: Sequence[Hypothesis], scorer: BeamScorer,
     if not live:
         return list(hyps)
     sel, final = scorer.score(live)
-    expansions = [scorer.expand(h) for h in live]
     n = len(live)
+    expansions = [scorer.expand(i) for i in range(n)]
     prior = [h.score for h in live]
     # preselection: TM-based scores for shallow fusion, final scores
     # otherwise.  Flattened token-major, a stable sort breaks ties by token
@@ -256,12 +239,11 @@ def beam_step(hyps: Sequence[Hypothesis], scorer: BeamScorer,
     for j in order.tolist():
         k, i = divmod(j, n)
         h = live[i]
-        _, _, s_tm, lm_state, alpha, gate = expansions[i]
+        _, _, alpha, gate = expansions[i]
         new.append(Hypothesis(
             tokens=h.tokens + [k],
             score=prior[i] + final[i, k],
-            s_tm=s_tm,
-            lm_state=lm_state,
+            row=i,
             attention=h.attention + [alpha],
             gates=h.gates + [gate] if gate is not None else h.gates,
             finished=(k == EOS_ID),

@@ -35,8 +35,6 @@ class GruCell:
 
     def __init__(self, prefix: str, input_size: int, hidden_size: int,
                  params: ParameterSet, rng: np.random.Generator):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
         d = hidden_size
         self.p = {}
         for gate in ("z", "r", "h"):
@@ -50,12 +48,6 @@ class GruCell:
 
 def gru_step(cell: GruCell, s_prev: Tensor, x: Tensor) -> Tensor:
     """One GRU step: s = (1 - z) * s_prev + z * candidate."""
-    if s_prev.shape[1] != cell.hidden_size:
-        raise T.ShapeError(
-            f"gru_step: state width {s_prev.shape} != {cell.hidden_size}")
-    if x.shape[1] != cell.input_size:
-        raise T.ShapeError(
-            f"gru_step: input width {x.shape} != {cell.input_size}")
     p = cell.p
     z = T.sigmoid(T.add_rowvec(
         T.add(T.matmul(x, p["W_z"].value), T.matmul(s_prev, p["U_z"].value)),
@@ -77,8 +69,6 @@ class LstmCell:
     def __init__(self, prefix: str, input_size: int, hidden_size: int,
                  params: ParameterSet, rng: np.random.Generator,
                  forget_bias: float = 1.0):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
         d = hidden_size
         self.p = {}
         for gate in ("i", "f", "o", "g"):
@@ -94,13 +84,6 @@ def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],
               x: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step; returns (h, c)."""
     h_prev, c_prev = state
-    if h_prev.shape[1] != cell.hidden_size or c_prev.shape[1] != cell.hidden_size:
-        raise T.ShapeError(
-            f"lstm_step: state widths {h_prev.shape}/{c_prev.shape} "
-            f"!= {cell.hidden_size}")
-    if x.shape[1] != cell.input_size:
-        raise T.ShapeError(
-            f"lstm_step: input width {x.shape} != {cell.input_size}")
     p = cell.p
 
     def gate(name, fn):
@@ -144,7 +127,6 @@ class DeepOutputLayer:
                  params: ParameterSet, rng: np.random.Generator,
                  lm_state_size: Optional[int] = None):
         self.pool_width = pool_width
-        self.lm_state_size = lm_state_size
         in_dim = state_size + embed_size + context_size
         if lm_state_size is not None:
             in_dim += lm_state_size
@@ -155,22 +137,15 @@ class DeepOutputLayer:
             f"{prefix}.W_o", gaussian(rng, (vocab_size, pool_width))))
         self.b_o = params.add(Parameter(f"{prefix}.b_o", np.zeros(vocab_size)))
 
-    @property
-    def fused(self) -> bool:
-        return self.lm_state_size is not None
-
 
 def deep_output(layer: DeepOutputLayer, s_tm: Tensor, y_prev_embed: Tensor,
                 c: Tensor, s_lm_gated: Optional[Tensor] = None,
                 dropout_p: float = 0.0,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Vocabulary logits for one decode step (batched over rows)."""
-    if layer.fused and s_lm_gated is None:
-        raise ValueError("fused deep output layer requires an LM state")
-    if not layer.fused and s_lm_gated is not None:
-        raise ValueError("non-fused deep output layer got an LM state")
+    """Vocabulary logits for one decode step (batched over rows).  A fused
+    layer needs ``s_lm_gated``; the wrong arity fails the matmul below."""
     blocks = [s_tm, y_prev_embed, c]
-    if layer.fused:
+    if s_lm_gated is not None:
         blocks.insert(0, s_lm_gated)
     x = T.concat(blocks, axis=1)
     pre = T.add_rowvec(T.matmul(x, layer.W_h.value), layer.b_h.value)

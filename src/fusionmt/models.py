@@ -287,10 +287,6 @@ class Controller:
 
 def controller_gate(ctrl: Controller, s_lm: Tensor) -> Tensor:
     """Per-row scalar gate in (0, 1), shape (B, 1)."""
-    if s_lm.shape[1] != ctrl.v_g.value.shape[0]:
-        raise T.ShapeError(
-            f"controller_gate: state width {s_lm.shape} vs "
-            f"{ctrl.v_g.value.shape}")
     return T.sigmoid(T.add_rowvec(T.matmul(s_lm, ctrl.v_g.value),
                                   ctrl.b_g.value))
 

@@ -74,8 +74,9 @@ class TrainConfig:
             raise ValueError("eval_interval must be >= 1")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if not self.weight_noise_std >= 0.0:
-            raise ValueError("weight_noise_std must be >= 0")
+        for key in ("weight_noise_std", "learning_rate", "update_scale"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"{key} must be >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.dev_beam_width < 1:

@@ -1,6 +1,8 @@
 """Checkpoint container: canonical serialization, corruption detection, and
 model reconstruction."""
 
+import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,20 @@ class TestContainer:
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"something else entirely, long enough to parse ok")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"nmt.W_init 4,4\n", b"nmt.W_init 4,x\n"),
+        (b"kind=nmt", b"kind=\xffnmt"),
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, old, new):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, checkpoint_from_nmt(tiny_nmt()))
+        body = path.read_bytes()[:-32]
+        assert old in body
+        body = body.replace(old, new, 1)
+        path.write_bytes(body + hashlib.sha256(body).digest())  # re-signed
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: config validation, subcommands, exit codes, and
 a miniature end-to-end pipeline."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -197,6 +198,10 @@ class TestExitCodes:
         (["train-lm"], "[train]\ndev_beam_width = 0\n", "dev_beam_width"),
         (["finetune", "--nmt", "no.ckpt", "--lm", "no.ckpt"],
          "[finetune]\nseed = -1\n", "seed"),
+        (["train-nmt"], "[train]\nlearning_rate = -0.01\n", "learning_rate"),
+        (["train-lm"], "[train]\nupdate_scale = -1\n", "update_scale"),
+        (["finetune", "--nmt", "no.ckpt", "--lm", "no.ckpt"],
+         "[finetune]\nlearning_rate = nan\n", "learning_rate"),
     ])
     def test_bad_training_value_exits_2_first(self, tmp_path, capsys, argv,
                                               setting, key):
@@ -386,6 +391,24 @@ class TestDecodeSetup:
         assert out.out == ""
         assert len(out.err.splitlines()) == 1
         assert f"[arch] {key}" in out.err
+
+    @pytest.mark.parametrize("old, new", [
+        (b"nmt.W_init 12,12\n", b"nmt.W_init 12,x\n"),
+        (b"kind=nmt", b"kind=\xffnmt"),
+    ])
+    def test_malformed_header_exits_2(self, toy_dir, capsys, old, new):
+        ckpts = untrained_checkpoints(toy_dir)
+        argv = self.save(toy_dir, {"nmt": ckpts["nmt"]}, [
+            "translate", "--config", str(toy_dir / "exp.cfg"),
+            "--input", str(toy_dir / "toy" / "test.src")])
+        path = toy_dir / "nmt.ckpt"
+        body = path.read_bytes()[:-32].replace(old, new, 1)
+        path.write_bytes(body + hashlib.sha256(body).digest())  # re-signed
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert str(path) in out.err
 
 
 class TestBuildVocab:

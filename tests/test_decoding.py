@@ -7,6 +7,7 @@ per-hypothesis beam (one B = 1 model call per hypothesis) is the reference
 for the batched one.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionmt import tensor as T
+from fusionmt import decoding, tensor as T
 from fusionmt.data import BOS_ID, EOS_ID, UNK_ID, RESERVED, SentencePair
 from fusionmt.decoding import (
     BeamConfig,
@@ -304,9 +305,9 @@ class TestBeamMechanics:
         nmt, _, _ = small_models()
         scorer = BeamScorer(BeamConfig(beam_width=2), nmt=nmt)
         scorer.start([3])
-        done = [Hypothesis(tokens=[3, EOS_ID], score=-1.0, s_tm=None,
+        done = [Hypothesis(tokens=[3, EOS_ID], score=-1.0, row=1,
                            finished=True),
-                Hypothesis(tokens=[EOS_ID], score=-2.0, s_tm=None,
+                Hypothesis(tokens=[EOS_ID], score=-2.0, row=0,
                            finished=True)]
         out = beam_step(done, scorer, BeamConfig(beam_width=2))
         assert out == done
@@ -326,11 +327,9 @@ class TestBeamMechanics:
             hyp = scorer.start([3, 4])
             total = 0.0
             for y in seq:
-                _, fin = scorer.expand(hyp)[:2]
-                total += fin[y]
-                exp = scorer.expand(hyp)
-                hyp = Hypothesis(tokens=hyp.tokens + [y], score=0.0,
-                                 s_tm=exp[2], lm_state=exp[3])
+                _, fin = scorer.score([hyp])
+                total += fin[0, y]
+                hyp = Hypothesis(tokens=hyp.tokens + [y], score=0.0, row=0)
             assert res.score == pytest.approx(total, abs=1e-10), cfg.fusion
 
     def test_shallow_beta_zero_identical_to_baseline(self):
@@ -383,18 +382,34 @@ def jittered_models(vocab=7, seed=0, scale=0.6):
     return nmt, lm, fused
 
 
+@dataclasses.dataclass
+class RefHypothesis:
+    """A reference beam entry that carries its own (1, d) states."""
+    tokens: list
+    score: float
+    s_tm: object
+    lm_state: object
+    attention: list = dataclasses.field(default_factory=list)
+    gates: list = dataclasses.field(default_factory=list)
+    finished: bool = False
+
+    def sort_key(self, length_normalize):
+        n = max(1, len(self.tokens)) if length_normalize else 1
+        return (-self.score / n, tuple(self.tokens))
+
+
 def reference_translate(src, cfg, nmt=None, lm=None, fused=None):
     """Plain per-hypothesis beam search: the models run once per live
     hypothesis with B = 1, and the K*V candidates are sorted as Python
     tuples by (-score, token id), stably in hypothesis order.  Returns the
-    best Hypothesis (decoder states are (1, d) tensors here)."""
+    best RefHypothesis."""
     deep = cfg.fusion == "deep"
     if deep:
         nmt, lm = fused.nmt, fused.lm
     ann = encode(nmt, list(src))
     lm0 = lm.initial_state(1) if cfg.fusion != "none" else None
-    hyps = [Hypothesis(tokens=[], score=0.0, s_tm=initial_state(nmt, ann),
-                       lm_state=lm0)]
+    hyps = [RefHypothesis(tokens=[], score=0.0, s_tm=initial_state(nmt, ann),
+                          lm_state=lm0)]
 
     def expand(h):
         y_prev = h.tokens[-1] if h.tokens else BOS_ID
@@ -427,7 +442,7 @@ def reference_translate(src, cfg, nmt=None, lm=None, fused=None):
         for _, i, k, fin in candidates[:cfg.beam_width]:
             h = live[i]
             _, _, s, lm_state, alpha, gate = expansions[i]
-            new.append(Hypothesis(
+            new.append(RefHypothesis(
                 tokens=h.tokens + [k], score=fin, s_tm=s, lm_state=lm_state,
                 attention=h.attention + [alpha],
                 gates=h.gates + ([] if gate is None else [gate]),
@@ -471,10 +486,10 @@ class TestBatchedBeam:
         nmt.out.W_o.value.data[[t1, t2]] = 0.0
         nmt.out.b_o.value.data[[t1, t2]] = 5.0
         scorer = BeamScorer(BeamConfig(), nmt=nmt)
-        start = scorer.start([3, 4])
-        # same state, same last word and same score: the rows tie exactly
-        a = Hypothesis(tokens=[4, 3], score=-1.5, s_tm=start.s_tm)
-        b = Hypothesis(tokens=[5, 3], score=-1.5, s_tm=start.s_tm)
+        scorer.start([3, 4])
+        # same state row, same last word and same score: the rows tie exactly
+        a = Hypothesis(tokens=[4, 3], score=-1.5, row=0)
+        b = Hypothesis(tokens=[5, 3], score=-1.5, row=0)
         sel, _ = scorer.score([a, b])
         np.testing.assert_array_equal(sel[0], sel[1])
         assert sel[0, t1] == sel[0, t2]
@@ -487,23 +502,53 @@ class TestBatchedBeam:
             out = beam_step([a, b], scorer, BeamConfig(beam_width=width))
             assert [h.tokens for h in out] == want, width
 
-    def test_expand_reads_the_step_without_rerunning_models(self, monkeypatch):
-        nmt, lm, _ = small_models(vocab=6, seed=8)
-        cfg = BeamConfig(beam_width=3, fusion="shallow",
-                         shallow=ShallowConfig(beta=0.3))
-        scorer = BeamScorer(cfg, nmt=nmt, lm=lm)
-        hyps = beam_step([scorer.start([3, 4])], scorer, cfg)
-        alone = [scorer.expand(h) for h in hyps]  # scored one at a time
-        sel, final = scorer.score(hyps)
-        monkeypatch.setattr("fusionmt.decoding.decode_step", None)
-        monkeypatch.setattr("fusionmt.decoding.lm_step", None)
-        for i, h in enumerate(hyps):
-            row = scorer.expand(h)
-            assert row[5] is None  # no gate outside deep fusion
-            np.testing.assert_array_equal(row[0], sel[i])
-            np.testing.assert_array_equal(row[1], final[i])
-            for got, want in zip(row[:5], alone[i][:5]):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    def test_expand_reads_rows_and_translate_runs_models_once_per_step(
+            self, monkeypatch):
+        nmt, lm, fused = small_models(vocab=6, seed=8)
+        models = ("decode_step", "lm_step", "fused_step")
+        for cfg, kwargs in [
+            (BeamConfig(beam_width=3), {"nmt": nmt}),
+            (BeamConfig(beam_width=3, fusion="shallow",
+                        shallow=ShallowConfig(beta=0.3)),
+             {"nmt": nmt, "lm": lm}),
+            (BeamConfig(beam_width=3, fusion="deep"), {"fused": fused}),
+        ]:
+            deep = cfg.fusion == "deep"
+            calls, returned = {}, {}
+
+            def recorded(name, fn):
+                def wrapper(*args, **kw):
+                    calls[name] = calls.get(name, 0) + 1
+                    returned[name] = out = fn(*args, **kw)
+                    return out
+                return wrapper
+
+            with monkeypatch.context() as m:
+                for name in ("beam_step",) + models:
+                    m.setattr(f"fusionmt.decoding.{name}",
+                              recorded(name, getattr(decoding, name)))
+                translate([3, 4, 2], cfg, **kwargs)
+                steps = calls.pop("beam_step")
+                assert steps > 1
+                want = {"none": ["decode_step"],
+                        "shallow": ["decode_step", "lm_step"],
+                        "deep": ["fused_step"]}[cfg.fusion]
+                assert calls == dict.fromkeys(want, steps), cfg.fusion
+                scorer = BeamScorer(cfg, **kwargs)
+                hyps = beam_step([scorer.start([3, 4])], scorer, cfg)
+                sel, final = scorer.score(hyps)
+            step = returned[want[0]]
+            alpha = (step[3] if deep else step[2]).alpha.data
+            with monkeypatch.context() as m:
+                for name in models:
+                    m.setattr(f"fusionmt.decoding.{name}", None)
+                assert len(hyps) == 3
+                for i in range(len(hyps)):
+                    got_sel, got_final, got_alpha, gate = scorer.expand(i)
+                    np.testing.assert_array_equal(got_sel, sel[i])
+                    np.testing.assert_array_equal(got_final, final[i])
+                    np.testing.assert_array_equal(got_alpha, alpha[i])
+                    assert gate == (step[4].data[i, 0] if deep else None)
 
 
 @settings(max_examples=40, deadline=None)

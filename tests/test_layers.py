@@ -201,6 +201,15 @@ class TestLstm:
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-6
 
+    @pytest.mark.parametrize("x_width, h_width, c_width", [
+        (5, 3, 3), (2, 4, 3), (2, 3, 4)])
+    def test_shape_checks(self, x_width, h_width, c_width):
+        cell, _ = self.make()
+        state = (T.constant(np.zeros((1, h_width))),
+                 T.constant(np.zeros((1, c_width))))
+        with pytest.raises(T.ShapeError):
+            lstm_step(cell, state, T.constant(np.zeros((1, x_width))))
+
 
 # ---------------------------------------------------------------------------
 # embedding

@@ -211,6 +211,8 @@ class TestOovFilter:
     {"reg_reduce_factor": -0.5}, {"eval_interval": 0}, {"eval_interval": -2},
     {"clip_threshold": float("nan")}, {"weight_noise_std": float("nan")},
     {"optimizer": "sgd"}, {"dev_beam_width": 0}, {"seed": -1},
+    {"learning_rate": -0.01}, {"learning_rate": float("nan")},
+    {"update_scale": -1.0}, {"update_scale": float("nan")},
 ])
 def test_config_rejects_bad_values(config_cls, bad):
     # TrainConfig has no reg_reduce_* fields, so it rejects them as keywords
