@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .models import FusedModel, LmConfig, NmtConfig, NmtModel, RnnLm
-from .tensor import ParameterSet
+from .tensor import Parameter, ParameterSet
 
 MAGIC = b"FUSEMT01"
 
@@ -139,7 +139,7 @@ def load_checkpoint(path) -> Checkpoint:
 # model <-> checkpoint
 # ---------------------------------------------------------------------------
 
-def snapshot_params(params: ParameterSet) -> dict[str, np.ndarray]:
+def snapshot_params(params: Iterable[Parameter]) -> dict[str, np.ndarray]:
     return {p.id: p.value.data.copy() for p in params}
 
 

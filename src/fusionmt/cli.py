@@ -215,9 +215,8 @@ def cmd_finetune(args) -> int:
     cfg = load_config(args.config)
     fcfg = training.FinetuneConfig(**cfg["finetune"])
     vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
-    nmt = ckpt_io.build_nmt(ckpt_io.load_checkpoint(args.nmt))
-    lm = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
-    fm = FusedModel(nmt, lm, np.random.default_rng(fcfg.seed))
+    fm = FusedModel(_model(args, "nmt"), _model(args, "lm"),
+                    np.random.default_rng(fcfg.seed))
     train, dev = _bitext(cfg, "train", vocabs), _bitext(cfg, "dev", vocabs)
     return _train(args, training.finetune_deep_fusion, fm, 0, train, dev, fcfg,
                   "best dev BLEU {best_dev_bleu:.2f} at update {updates}")
@@ -233,16 +232,22 @@ def _beam_config(args, cfg) -> decoding.BeamConfig:
         length_normalize=dec["length_normalize"])
 
 
+_BUILD = {"nmt": ckpt_io.build_nmt, "lm": ckpt_io.build_lm,
+          "fused": ckpt_io.build_fused}
+
+
+def _model(args, kind: str):
+    """The model in the ``--kind`` checkpoint, which this command needs."""
+    if getattr(args, kind) is None:
+        raise ConfigError(f"missing --{kind} checkpoint")
+    return _BUILD[kind](ckpt_io.load_checkpoint(getattr(args, kind)))
+
+
 def _decode_setup(args, cfg, fusion: str):
     """The models that ``fusion`` decodes with, as ``translate`` keywords,
     and the (source, target) vocabularies, checked against the NMT model."""
-    models = {}
-    if fusion == "deep":
-        models["fused"] = ckpt_io.build_fused(ckpt_io.load_checkpoint(args.fused))
-    else:
-        models["nmt"] = ckpt_io.build_nmt(ckpt_io.load_checkpoint(args.nmt))
-        if fusion == "shallow":
-            models["lm"] = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
+    kinds = {"none": ("nmt",), "shallow": ("nmt", "lm"), "deep": ("fused",)}
+    models = {kind: _model(args, kind) for kind in kinds[fusion]}
     nmt_cfg = (models["fused"].nmt if fusion == "deep" else models["nmt"]).cfg
     vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
     for side, vocab, size in zip(("source", "target"), vocabs,
@@ -300,7 +305,7 @@ def cmd_evaluate(args) -> int:
         print(evaluation.bleu(cands, refs))
     elif args.perplexity:
         vocab = _load_vocab(cfg, "tgt")
-        lm = ckpt_io.build_lm(ckpt_io.load_checkpoint(args.lm))
+        lm = _model(args, "lm")
         corpus = [vocab.encode(s) for s in _read_tokens(cfg, args.perplexity)]
         print(evaluation.perplexity(lm, corpus))
     elif args.gate_stats:
@@ -425,7 +430,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, ConfigurationError, D.DataError,
-            ckpt_io.CheckpointError, FileNotFoundError, ValueError) as exc:
+            ckpt_io.CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except training.NumericError as exc:

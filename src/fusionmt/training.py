@@ -133,89 +133,64 @@ def clip_gradients(params: ParameterSet, threshold: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Per-parameter accumulator state plus an update rule."""
-
-    def __init__(self):
-        self._state: dict[str, dict[str, np.ndarray]] = {}
-
-    def _slot(self, p, names) -> dict:
-        st = self._state.get(p.id)
-        if st is None:
-            st = {n: np.zeros_like(p.value.data) for n in names}
-            st["_t"] = 0
-            self._state[p.id] = st
-        for n in names:
-            if st[n].shape != p.value.shape:
-                raise StateError(
-                    f"optimizer state for {p.id!r} has shape "
-                    f"{st[n].shape}, parameter has {p.value.shape}")
-        return st
-
-    def step(self, params: ParameterSet, scale: float = 1.0) -> None:
-        for p in params.trainable():
-            delta = self._update(p)
-            p.value.data += scale * delta
-
-    def _update(self, p) -> np.ndarray:
-        raise NotImplementedError
+def _adadelta(st, g, lr, t):
+    """Adadelta (Zeiler 2012, arXiv 1212.5701); ignores ``lr``."""
+    rho, eps = 0.95, 1e-6
+    st["eg2"] = rho * st.get("eg2", 0.0) + (1 - rho) * g * g
+    dx = -np.sqrt(st.get("edx2", 0.0) + eps) / np.sqrt(st["eg2"] + eps) * g
+    st["edx2"] = rho * st.get("edx2", 0.0) + (1 - rho) * dx * dx
+    return dx
 
 
-class Adadelta(Optimizer):
-    def __init__(self, rho: float = 0.95, eps: float = 1e-6):
-        super().__init__()
-        self.rho, self.eps = rho, eps
-
-    def _update(self, p):
-        st = self._slot(p, ("eg2", "edx2"))
-        g = p.grad.data
-        st["eg2"] = self.rho * st["eg2"] + (1 - self.rho) * g * g
-        dx = -np.sqrt(st["edx2"] + self.eps) / np.sqrt(st["eg2"] + self.eps) * g
-        st["edx2"] = self.rho * st["edx2"] + (1 - self.rho) * dx * dx
-        return dx
+def _rmsprop(st, g, lr, t):
+    """RMSProp (Tieleman & Hinton 2012)."""
+    decay, eps = 0.9, 1e-6
+    st["eg2"] = decay * st.get("eg2", 0.0) + (1 - decay) * g * g
+    return -lr * g / np.sqrt(st["eg2"] + eps)
 
 
-class RmsProp(Optimizer):
-    def __init__(self, lr: float = 1e-3, decay: float = 0.9, eps: float = 1e-6):
-        super().__init__()
-        self.lr, self.decay, self.eps = lr, decay, eps
-
-    def _update(self, p):
-        st = self._slot(p, ("eg2",))
-        g = p.grad.data
-        st["eg2"] = self.decay * st["eg2"] + (1 - self.decay) * g * g
-        return -self.lr * g / np.sqrt(st["eg2"] + self.eps)
+def _adam(st, g, lr, t):
+    """Adam (Kingma & Ba 2014, arXiv 1412.6980), bias-corrected at ``t``."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    st["m"] = beta1 * st.get("m", 0.0) + (1 - beta1) * g
+    st["v"] = beta2 * st.get("v", 0.0) + (1 - beta2) * g * g
+    m_hat = st["m"] / (1 - beta1 ** t)
+    v_hat = st["v"] / (1 - beta2 ** t)
+    return -lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-class Adam(Optimizer):
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__()
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-
-    def _update(self, p):
-        st = self._slot(p, ("m", "v"))
-        st["_t"] += 1
-        t = st["_t"]
-        g = p.grad.data
-        st["m"] = self.beta1 * st["m"] + (1 - self.beta1) * g
-        st["v"] = self.beta2 * st["v"] + (1 - self.beta2) * g * g
-        m_hat = st["m"] / (1 - self.beta1 ** t)
-        v_hat = st["v"] / (1 - self.beta2 ** t)
-        return -self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-OPTIMIZERS: dict[str, Callable[[float], Optimizer]] = {
-    "adadelta": lambda lr: Adadelta(),
-    "rmsprop": lambda lr: RmsProp(lr=lr),
-    "adam": lambda lr: Adam(lr=lr),
+# config name -> rule (state, grad, learning rate, step) -> delta; a rule
+# reads a state slot it has not yet written as 0.0
+OPTIMIZERS: dict[str, Callable[[dict, np.ndarray, float, int], np.ndarray]] = {
+    "adadelta": _adadelta,
+    "rmsprop": _rmsprop,
+    "adam": _adam,
 }
 
 
-def make_optimizer(name: str, learning_rate: float = 1e-3) -> Optimizer:
-    if name not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {name!r}")
-    return OPTIMIZERS[name](learning_rate)
+class Optimizer:
+    """An ``OPTIMIZERS`` rule with its state: the step count ``t`` and the
+    ``state[param id][slot]`` arrays."""
+
+    def __init__(self, name: str, learning_rate=TrainConfig.learning_rate):
+        if name not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {name!r}")
+        self.rule = OPTIMIZERS[name]
+        self.learning_rate = learning_rate
+        self.t = 0
+        self.state: dict[str, dict[str, np.ndarray]] = {}
+
+    def step(self, params: ParameterSet, scale: float = 1.0) -> None:
+        self.t += 1
+        for p in params.trainable():
+            st = self.state.setdefault(p.id, {})
+            for slot in st.values():
+                if slot.shape != p.value.shape:
+                    raise StateError(
+                        f"optimizer state for {p.id!r} has shape "
+                        f"{slot.shape}, parameter has {p.value.shape}")
+            delta = self.rule(st, p.grad.data, self.learning_rate, self.t)
+            p.value.data += scale * delta
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +211,7 @@ class EarlyStopState:
                       else metric < self.best_metric))
         if better:
             self.best_metric = metric
-            self.best_params = snapshot_params(params)
+            self.best_params = snapshot_params(params.trainable())
             self.best_update = n_update
             self.evals_since_improvement = 0
         else:
@@ -282,7 +257,7 @@ def _train(model, data: Sequence, loss_fn: Callable,
     params = model.params
     frozen = param_digests(params, lambda p: not p.trainable)
     batch_iter = BatchIterator(list(data), cfg.batch_size, seed=cfg.seed)
-    opt = make_optimizer(cfg.optimizer, cfg.learning_rate)
+    opt = Optimizer(cfg.optimizer, cfg.learning_rate)
     noise_rng = np.random.default_rng(cfg.seed + 1)
     dropout_rng = np.random.default_rng(cfg.seed + 2)
     stop = EarlyStopState(mode=mode)

@@ -175,13 +175,44 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in out.err
 
-    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "ok.cfg"
-        cfg.write_text("")
-        code, out = run(["translate", "--config", str(cfg),
-                         "--nmt", str(tmp_path / "missing.ckpt"),
-                         "--input", str(cfg)], capsys)
+    def test_missing_checkpoint_exits_2(self, toy_dir, capsys):
+        cfg, src = str(toy_dir / "exp.cfg"), str(toy_dir / "toy" / "test.src")
+        code, out = run(["translate", "--config", cfg,
+                         "--nmt", str(toy_dir / "missing.ckpt"),
+                         "--input", src], capsys)
         assert code == 2
+        # a flag the mode needs but was not given names that flag
+        nmt = toy_dir / "nmt.ckpt"
+        save_checkpoint(nmt, untrained_checkpoints(toy_dir)["nmt"])
+        translate = ["translate", "--config", cfg, "--input", src]
+        for argv, flag in [
+            (translate, "--nmt"),
+            (translate + ["--mode", "shallow", "--lm", str(nmt)], "--nmt"),
+            (translate + ["--mode", "shallow", "--nmt", str(nmt)], "--lm"),
+            (translate + ["--mode", "deep", "--nmt", str(nmt)], "--fused"),
+            (["evaluate", "--config", cfg, "--perplexity", src], "--lm"),
+        ]:
+            code, out = run(argv, capsys)
+            assert code == 2, argv
+            assert out.out == ""
+            assert len(out.err.splitlines()) == 1
+            assert f"missing {flag} " in out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["translate", "--nmt", "{dir}", "--input", "{src}"],
+        ["translate", "--nmt", "{nmt}", "--input", "{dir}"],
+        ["evaluate", "--bleu", "{dir}", "{dir}"],
+    ])
+    def test_directory_for_file_exits_2(self, toy_dir, capsys, argv):
+        nmt = toy_dir / "nmt.ckpt"
+        save_checkpoint(nmt, untrained_checkpoints(toy_dir)["nmt"])
+        paths = {"dir": toy_dir, "nmt": nmt, "src": toy_dir / "toy" / "test.src"}
+        code, out = run(argv[:1] + ["--config", str(toy_dir / "exp.cfg")]
+                        + [a.format(**paths) for a in argv[1:]], capsys)
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert "Is a directory" in out.err
 
     @pytest.mark.parametrize("argv, setting, key", [
         (["finetune", "--nmt", "no.ckpt", "--lm", "no.ckpt"],

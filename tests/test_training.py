@@ -19,16 +19,14 @@ from fusionmt.models import (
 from fusionmt.tensor import Parameter, ParameterSet, Tape
 from fusionmt import tensor as T
 from fusionmt.training import (
-    Adadelta,
-    Adam,
     EarlyStopState,
     FinetuneConfig,
     NumericError,
-    RmsProp,
+    Optimizer,
+    StateError,
     TrainConfig,
     clip_gradients,
     finetune_deep_fusion,
-    make_optimizer,
     oov_filter,
     train_lm,
     train_nmt,
@@ -40,6 +38,14 @@ def cyclic_corpus(n=200, period=("a", "b", "c"), length=9):
     ids = {sym: 3 + i for i, sym in enumerate(period)}
     sent = [ids[period[i % len(period)]] for i in range(length)]
     return [list(sent) for _ in range(n)]
+
+
+def tiny_fused():
+    nmt = NmtModel(NmtConfig(src_vocab=6, tgt_vocab=6, embed_dim=4,
+                             hidden=6), np.random.default_rng(5))
+    lm = RnnLm(LmConfig(vocab=6, embed_dim=4, hidden=6),
+               np.random.default_rng(6))
+    return FusedModel(nmt, lm, np.random.default_rng(7))
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +100,45 @@ class TestClipGradients:
 # optimizers
 # ---------------------------------------------------------------------------
 
+REFERENCE_SLOTS = {"adadelta": ("eg2", "edx2"), "rmsprop": ("eg2",),
+                   "adam": ("m", "v")}
+
+
+def reference_step(name, state, params, lr, scale):
+    """The three update rules in plain NumPy, one parameter at a time: each
+    slot starts as a zero array and each parameter keeps its own Adam step
+    count."""
+    for p in params.trainable():
+        g = p.grad.data
+        st = state.setdefault(p.id, {
+            "slots": {k: np.zeros_like(g) for k in REFERENCE_SLOTS[name]},
+            "t": 0})
+        sl = st["slots"]
+        if name == "adadelta":
+            sl["eg2"] = 0.95 * sl["eg2"] + (1 - 0.95) * g * g
+            delta = (-np.sqrt(sl["edx2"] + 1e-6) / np.sqrt(sl["eg2"] + 1e-6)
+                     * g)
+            sl["edx2"] = 0.95 * sl["edx2"] + (1 - 0.95) * delta * delta
+        elif name == "rmsprop":
+            sl["eg2"] = 0.9 * sl["eg2"] + (1 - 0.9) * g * g
+            delta = -lr * g / np.sqrt(sl["eg2"] + 1e-6)
+        else:
+            st["t"] += 1
+            sl["m"] = 0.9 * sl["m"] + (1 - 0.9) * g
+            sl["v"] = 0.999 * sl["v"] + (1 - 0.999) * g * g
+            m_hat = sl["m"] / (1 - 0.9 ** st["t"])
+            v_hat = sl["v"] / (1 - 0.999 ** st["t"])
+            delta = -lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        p.value.data += scale * delta
+
+
 class TestOptimizers:
     def one_param(self, value=1.0):
         params = ParameterSet([Parameter("w", np.array([value]))])
         return params, params.get("w")
 
-    @pytest.mark.parametrize("opt", [Adadelta(), RmsProp(), Adam()])
+    @pytest.mark.parametrize("opt", [Optimizer("adadelta"),
+                                     Optimizer("rmsprop"), Optimizer("adam")])
     def test_zero_gradient_no_move(self, opt):
         params, w = self.one_param()
         opt.step(params)
@@ -107,7 +146,7 @@ class TestOptimizers:
 
     def test_adadelta_minimizes_quadratic(self):
         params, w = self.one_param(1.0)
-        opt = Adadelta()
+        opt = Optimizer("adadelta")
         for _ in range(200):
             w.zero_grad()
             w.grad.data[0] = 2.0 * w.value.data[0]  # d/dw of w^2
@@ -119,31 +158,61 @@ class TestOptimizers:
         results = {}
         for scale in (1.0, 0.01):
             params, w = self.one_param(1.0)
-            opt = make_optimizer(name)
+            opt = Optimizer(name)
             w.grad.data[0] = 0.7
             opt.step(params, scale=scale)
             results[scale] = w.value.data[0] - 1.0
         assert results[0.01] == pytest.approx(0.01 * results[1.0], abs=1e-15)
 
+    @pytest.mark.parametrize("name", ["adadelta", "rmsprop", "adam"])
+    def test_matches_reference_rules(self, name):
+        rng = np.random.default_rng(13)
+        shapes = {"a": (3, 2), "b": (4,), "frozen": (2,)}
+        values = {k: rng.standard_normal(s) for k, s in shapes.items()}
+
+        def make():
+            return ParameterSet([Parameter(k, v.copy(), trainable=k != "frozen")
+                                 for k, v in values.items()])
+
+        params, ref_params, ref_state = make(), make(), {}
+        opt = Optimizer(name, learning_rate=3e-3)
+        for _ in range(20):
+            for k, shape in shapes.items():
+                g = rng.standard_normal(shape)
+                params.get(k).grad.data[...] = g
+                ref_params.get(k).grad.data[...] = g
+            opt.step(params, scale=0.7)
+            reference_step(name, ref_state, ref_params, 3e-3, 0.7)
+        assert opt.t == 20
+        assert opt.state.keys() == ref_state.keys() == {"a", "b"}
+        for k in shapes:
+            np.testing.assert_array_equal(params.get(k).value.data,
+                                          ref_params.get(k).value.data)
+        np.testing.assert_array_equal(params.get("frozen").value.data,
+                                      values["frozen"])
+        for k, st in opt.state.items():
+            assert st.keys() == ref_state[k]["slots"].keys()
+            for slot, want in ref_state[k]["slots"].items():
+                np.testing.assert_array_equal(st[slot], want)
+
     def test_frozen_params_not_stepped(self):
         params = ParameterSet([Parameter("f", np.array([1.0]),
                                          trainable=False)])
         params.get("f").grad.data[0] = 5.0
-        Adam().step(params)
+        Optimizer("adam").step(params)
         assert params.get("f").value.data[0] == 1.0
 
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
-            make_optimizer("sgd-with-extras")
+            Optimizer("sgd-with-extras")
 
     def test_state_shape_guard(self):
         params, w = self.one_param()
-        opt = Adam()
+        opt = Optimizer("adam")
         w.grad.data[0] = 1.0
         opt.step(params)
         bad = ParameterSet([Parameter("w", np.zeros(3))])
         bad.get("w").grad.data[...] = 1.0
-        from fusionmt.training import StateError
         with pytest.raises(StateError):
             opt.step(bad)
 
@@ -174,6 +243,14 @@ class TestEarlyStop:
     def test_best_snapshot_restorable(self):
         stop, _ = self.run([1.0, 3.0, 2.0])
         assert stop.best_params["w"][0] == 1.0
+
+    def test_snapshot_holds_only_trainable(self):
+        fm = tiny_fused()
+        stop = EarlyStopState(mode="max")
+        stop.update(1.0, fm.params, 0)
+        trainable = {p.id for p in fm.params.trainable()}
+        assert trainable and trainable != {p.id for p in fm.params}
+        assert stop.best_params.keys() == trainable
 
     def test_min_mode(self):
         stop, halted = self.run([10.0, 8.0, 9.0, 9.5, 9.9], mode="min",
@@ -286,7 +363,7 @@ class TestTrainNmt:
         model = NmtModel(NmtConfig(src_vocab=6, tgt_vocab=6, embed_dim=4,
                                    hidden=6), np.random.default_rng(3))
         pair = SentencePair([3, 4, 5], [3, 4, 5])
-        opt = Adadelta()
+        opt = Optimizer("adadelta")
         losses = []
         for _ in range(50):
             model.params.zero_grads()
@@ -324,11 +401,7 @@ class TestTrainNmt:
 
 class TestFinetune:
     def test_freezing_contract_and_snapshot(self):
-        nmt = NmtModel(NmtConfig(src_vocab=6, tgt_vocab=6, embed_dim=4,
-                                 hidden=6), np.random.default_rng(5))
-        lm = RnnLm(LmConfig(vocab=6, embed_dim=4, hidden=6),
-                   np.random.default_rng(6))
-        fm = FusedModel(nmt, lm, np.random.default_rng(7))
+        fm = tiny_fused()
         before = param_digests(fm.params, lambda p: not p.trainable)
         bitext = [SentencePair([3, 4], [3, 4]), SentencePair([5], [5]),
                   SentencePair([4, 4, 3], [4, 4, 3])]
