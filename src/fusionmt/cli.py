@@ -322,15 +322,14 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep_beta(args) -> int:
     cfg = load_config(args.config)
     beam_cfg = _beam_config(args, cfg)  # shallow: the subcommand's mode
+    grid = [decoding.ShallowConfig(beta=float(b)) for b in (  # before loading
+        args.betas.split(",") if args.betas else decoding.default_beta_grid())]
     models, vocabs = _decode_setup(args, cfg, beam_cfg.fusion)
     dev = _bitext(cfg, "dev", vocabs)
-    betas = ([float(b) for b in args.betas.split(",")] if args.betas
-             else decoding.default_beta_grid())
     table = []
-    for beta in betas:
-        bc = dataclasses.replace(beam_cfg,
-                                 shallow=decoding.ShallowConfig(beta=beta))
-        table.append((beta, evaluation.decode_bleu(dev, bc, **models)))
+    for shallow in grid:
+        bc = dataclasses.replace(beam_cfg, shallow=shallow)
+        table.append((shallow.beta, evaluation.decode_bleu(dev, bc, **models)))
     for beta, bleu_score in table:
         print(f"{beta:.6f}\t{bleu_score:.4f}")
     best = max(table, key=lambda row: row[1])

@@ -236,8 +236,8 @@ class ToyCorpus:
 def make_toy_corpus(kind: str, n_train: int, n_dev: int, n_test: int,
                     seed: int = 0, n_mono: int = 0,
                     min_len: int = 1, max_len: int = 8) -> ToyCorpus:
-    """Deterministic synthetic bitext (plus monolingual data for the
-    constrained-target kind).  Pairs are (source tokens, target tokens)."""
+    """Deterministic synthetic bitext plus ``n_mono`` monolingual target
+    sentences.  Pairs are (source tokens, target tokens)."""
     if min(n_train, n_dev, n_test) < 1:
         raise ValueError("corpus sizes must be positive")
     rng = np.random.default_rng(seed)
@@ -255,6 +255,9 @@ def make_toy_corpus(kind: str, n_train: int, n_dev: int, n_test: int,
                 tgt = src[::-1] if kind == "reverse" else list(src)
                 pairs.append((src, tgt))
             setattr(corpus, split, pairs)
+        # drawn after the splits, so they do not depend on n_mono
+        corpus.mono = [sample_seq(COPY_SYMBOLS, min_len, max_len)
+                       for _ in range(n_mono)]
     elif kind == "constrained-target":
         def translate(src):
             out = []

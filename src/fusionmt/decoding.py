@@ -48,8 +48,8 @@ class ShallowConfig:
     exclusion: frozenset = frozenset({EOS_ID, UNK_ID})
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.beta < math.inf:  # written so that NaN fails
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass

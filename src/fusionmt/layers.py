@@ -30,37 +30,35 @@ def gaussian(rng: np.random.Generator, shape, std: float = 0.01) -> np.ndarray:
     return rng.standard_normal(shape) * std
 
 
+def _gate_weights(prefix: str, gates: str, input_size: int, d: int,
+                  params: ParameterSet, rng: np.random.Generator,
+                  forget_bias: float = 0.0) -> tuple[Tensor, ...]:
+    """Create W, U and b for each gate, in the order the fused cell ops take
+    them.  Recurrent matrices U opt out of weight noise."""
+    weights = []
+    for gate in gates:
+        bias = np.full(d, forget_bias) if gate == "f" else np.zeros(d)
+        for kind, value in (("W", gaussian(rng, (input_size, d))),
+                            ("U", orthonormal(rng, d)), ("b", bias)):
+            weights.append(params.add(Parameter(
+                f"{prefix}.{kind}_{gate}", value, noisy=kind != "U")).value)
+    return tuple(weights)
+
+
 class GruCell:
     """Gated recurrent unit: z/r gates plus a tanh candidate state."""
 
     def __init__(self, prefix: str, input_size: int, hidden_size: int,
                  params: ParameterSet, rng: np.random.Generator):
-        d = hidden_size
-        self.p = {}
-        for gate in ("z", "r", "h"):
-            self.p["W_" + gate] = params.add(Parameter(
-                f"{prefix}.W_{gate}", gaussian(rng, (input_size, d))))
-            self.p["U_" + gate] = params.add(Parameter(
-                f"{prefix}.U_{gate}", orthonormal(rng, d), noisy=False))
-            self.p["b_" + gate] = params.add(Parameter(
-                f"{prefix}.b_{gate}", np.zeros(d)))
+        self.weights = _gate_weights(prefix, "zrh", input_size, hidden_size,
+                                     params, rng)
 
 
-def gru_step(cell: GruCell, s_prev: Tensor, x: Tensor) -> Tensor:
-    """One GRU step: s = (1 - z) * s_prev + z * candidate."""
-    p = cell.p
-    z = T.sigmoid(T.add_rowvec(
-        T.add(T.matmul(x, p["W_z"].value), T.matmul(s_prev, p["U_z"].value)),
-        p["b_z"].value))
-    r = T.sigmoid(T.add_rowvec(
-        T.add(T.matmul(x, p["W_r"].value), T.matmul(s_prev, p["U_r"].value)),
-        p["b_r"].value))
-    cand = T.tanh(T.add_rowvec(
-        T.add(T.matmul(x, p["W_h"].value),
-              T.matmul(T.mul(r, s_prev), p["U_h"].value)),
-        p["b_h"].value))
-    one_minus_z = T.add_scalar(T.scale(z, -1.0), 1.0)
-    return T.add(T.mul(one_minus_z, s_prev), T.mul(z, cand))
+def gru_step(cell: GruCell, s_prev: Tensor, x: Tensor,
+             keep: Optional[np.ndarray] = None) -> Tensor:
+    """One GRU step: s = (1 - z) * s_prev + z * candidate.  Rows where the
+    optional (B, 1) 0/1 ``keep`` mask is 0 keep ``s_prev``."""
+    return T.gru(s_prev, x, cell.weights, keep)
 
 
 class LstmCell:
@@ -69,36 +67,14 @@ class LstmCell:
     def __init__(self, prefix: str, input_size: int, hidden_size: int,
                  params: ParameterSet, rng: np.random.Generator,
                  forget_bias: float = 1.0):
-        d = hidden_size
-        self.p = {}
-        for gate in ("i", "f", "o", "g"):
-            self.p["W_" + gate] = params.add(Parameter(
-                f"{prefix}.W_{gate}", gaussian(rng, (input_size, d))))
-            self.p["U_" + gate] = params.add(Parameter(
-                f"{prefix}.U_{gate}", orthonormal(rng, d), noisy=False))
-            bias = np.full(d, forget_bias) if gate == "f" else np.zeros(d)
-            self.p["b_" + gate] = params.add(Parameter(f"{prefix}.b_{gate}", bias))
+        self.weights = _gate_weights(prefix, "ifog", input_size, hidden_size,
+                                     params, rng, forget_bias)
 
 
 def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],
               x: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step; returns (h, c)."""
-    h_prev, c_prev = state
-    p = cell.p
-
-    def gate(name, fn):
-        return fn(T.add_rowvec(
-            T.add(T.matmul(x, p["W_" + name].value),
-                  T.matmul(h_prev, p["U_" + name].value)),
-            p["b_" + name].value))
-
-    i = gate("i", T.sigmoid)
-    f = gate("f", T.sigmoid)
-    o = gate("o", T.sigmoid)
-    g = gate("g", T.tanh)
-    c = T.add(T.mul(f, c_prev), T.mul(i, g))
-    h = T.mul(o, T.tanh(c))
-    return h, c
+    return T.lstm(*state, x, cell.weights)
 
 
 class Embedding:

@@ -131,15 +131,8 @@ def encode(model: NmtModel, source, src_mask: Optional[np.ndarray] = None,
     def run(cell, order):
         states = [None] * t_len
         s = T.constant(np.zeros((b, d)))
-        for j in order:
-            s_new = gru_step(cell, s, embeds[j])
-            m = src_mask[:, j : j + 1]
-            if m.all():
-                s = s_new
-            else:  # padded rows keep their previous (zero) state
-                s = T.add(T.mul_colvec(s_new, T.constant(m)),
-                          T.mul_colvec(s, T.constant(1.0 - m)))
-            states[j] = s
+        for j in order:  # padded rows keep their previous (zero) state
+            s = states[j] = gru_step(cell, s, embeds[j], src_mask[:, j : j + 1])
         return states
 
     fwd = run(model.enc_fwd, range(t_len))

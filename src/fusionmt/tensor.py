@@ -170,6 +170,7 @@ class Tape:
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        owned: set[int] = set()  # keys whose sum buffer backward allocated
         for node in reversed(self._nodes):
             g_out = grads.pop(id(node.out), None)
             if g_out is None:
@@ -179,7 +180,13 @@ class Tape:
                 if g is None:
                     continue
                 acc = grads.get(id(t))
-                grads[id(t)] = g if acc is None else acc + g
+                if acc is None:
+                    grads[id(t)] = g
+                elif id(t) in owned:
+                    acc += g
+                else:  # acc may be a closure's own array: sum into a new one
+                    grads[id(t)] = acc + g
+                    owned.add(id(t))
         for p in params:
             if not p.trainable:
                 continue
@@ -220,12 +227,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c)
     return _record((a,), out, lambda g: (g * c,))
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data + c)
-    return _record((a,), out, lambda g: (g,))
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
@@ -276,13 +277,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |x|
-    pos = x >= 0
-    y = np.empty_like(x)
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    # exp of -|x| cannot overflow; min(x, -x) is -|x| that keeps a NaN's sign
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -413,6 +410,84 @@ def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
                 u.reshape(-1, d).T @ g_e.reshape(-1, 1))
 
     return Tensor(alpha), _record((query, proj, h, v_a), ctx, backward)
+
+
+def _check_cell(op: str, x: Tensor, states: Sequence[Tensor],
+                w_in: Tensor) -> None:
+    b = x.shape[0] if x.data.ndim == 2 else -1
+    shapes = [t.shape for t in (x, *states)]
+    if shapes != [(b, w_in.shape[0])] + [(b, w_in.shape[1])] * len(states):
+        raise ShapeError(f"{op}: input and states {shapes}, W {w_in.shape}")
+
+
+def _affine_grads(da: np.ndarray, x: np.ndarray, s: np.ndarray, w, u):
+    """Gradients of x @ w + s @ u + b for x, s, w, u and b."""
+    return da @ w.T, da @ u.T, x.T @ da, s.T @ da, da.sum(axis=0)
+
+
+def gru(s_prev: Tensor, x: Tensor, weights: Sequence[Tensor],
+        keep: Optional[np.ndarray] = None) -> Tensor:
+    """One GRU step as one tape node: s = (1 - z) s_prev + z h, with gates
+    z, r = sigmoid(x W + s_prev U + b) and h = tanh(x W_h + (r s_prev) U_h
+    + b_h); ``weights`` is (W, U, b) for each of z, r and h.  Rows where the
+    optional (B, 1) 0/1 ``keep`` mask is 0 carry ``s_prev`` through."""
+    _check_cell("gru", x, (s_prev,), weights[0])
+    xs, s = x.data, s_prev.data
+    w = [t.data for t in weights]
+    z = _sigmoid(xs @ w[0] + s @ w[1] + w[2])
+    r = _sigmoid(xs @ w[3] + s @ w[4] + w[5])
+    rs = r * s
+    h = np.tanh(xs @ w[6] + rs @ w[7] + w[8])
+    new = (1.0 - z) * s + z * h
+    out = Tensor(new if keep is None else np.where(keep != 0, new, s))
+
+    def backward(g):
+        g_new, g_carry = (g, 0.0) if keep is None else (g * keep,
+                                                        g * (1.0 - keep))
+        da_z = g_new * (h - s) * z * (1.0 - z)
+        da_h = g_new * z * (1.0 - h * h)
+        dx_h, d_rs, *dw_h = _affine_grads(da_h, xs, rs, w[6], w[7])
+        da_r = d_rs * s * r * (1.0 - r)
+        dx_z, ds_z, *dw_z = _affine_grads(da_z, xs, s, w[0], w[1])
+        dx_r, ds_r, *dw_r = _affine_grads(da_r, xs, s, w[3], w[4])
+        ds = g_new * (1.0 - z) + d_rs * r + ds_z + ds_r + g_carry
+        return (ds, dx_z + dx_r + dx_h, *dw_z, *dw_r, *dw_h)
+
+    return _record((s_prev, x, *weights), out, backward)
+
+
+def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
+         weights: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+    """One LSTM step, c = f c_prev + i g and h = o tanh(c), with gates i, f,
+    o = sigmoid(x W + h_prev U + b) and g = tanh(x W_g + h_prev U_g + b_g);
+    ``weights`` is (W, U, b) for each of i, f, o and g.  Returns (h, c), one
+    tape node each."""
+    _check_cell("lstm", x, (h_prev, c_prev), weights[0])
+    xs, hp, cp = x.data, h_prev.data, c_prev.data
+    w = [t.data for t in weights]
+    i, f, o = (_sigmoid(xs @ w[k] + hp @ w[k + 1] + w[k + 2])
+               for k in (0, 3, 6))
+    g = np.tanh(xs @ w[9] + hp @ w[10] + w[11])
+    c = Tensor(f * cp + i * g)
+    tc = np.tanh(c.data)
+
+    def c_backward(gc):
+        da = (gc * g * i * (1.0 - i), gc * cp * f * (1.0 - f),
+              gc * i * (1.0 - g * g))
+        (dx_i, dh_i, *dw_i), (dx_f, dh_f, *dw_f), (dx_g, dh_g, *dw_g) = (
+            _affine_grads(da_k, xs, hp, w[k], w[k + 1])
+            for da_k, k in zip(da, (0, 3, 9)))
+        return (dh_i + dh_f + dh_g, gc * f, dx_i + dx_f + dx_g,
+                *dw_i, *dw_f, *dw_g)
+
+    def h_backward(gh):
+        da_o = gh * tc * o * (1.0 - o)
+        dx, dh, *dw = _affine_grads(da_o, xs, hp, w[6], w[7])
+        return (gh * o * (1.0 - tc * tc), dh, dx, *dw)
+
+    c = _record((h_prev, c_prev, x, *weights[:6], *weights[9:]), c, c_backward)
+    h = _record((c, h_prev, x, *weights[6:9]), Tensor(o * tc), h_backward)
+    return h, c
 
 
 # ---------------------------------------------------------------------------

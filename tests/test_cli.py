@@ -261,6 +261,27 @@ class TestExitCodes:
         assert out.out == ""
         assert "beam width must be >= 1" in out.err
 
+    @pytest.mark.parametrize("argv", [
+        ["translate", "--mode", "shallow", "--beta", "nan"],
+        ["translate", "--mode", "shallow", "--beta", "inf"],
+        ["sweep-beta", "--betas", "0.01,nan"],
+    ])
+    def test_non_finite_beta_exits_2(self, toy_dir, capsys, argv):
+        argv = argv[:1] + ["--config", str(toy_dir / "exp.cfg")] + argv[1:]
+        for kind in ("nmt", "lm"):
+            save_checkpoint(toy_dir / f"{kind}.ckpt",
+                            untrained_checkpoints(toy_dir)[kind])
+            argv += [f"--{kind}", str(toy_dir / f"{kind}.ckpt")]
+        dump = toy_dir / "attn.txt"
+        if argv[0] == "translate":
+            argv += ["--input", str(toy_dir / "toy" / "test.src"),
+                     "--dump-attention", str(dump)]
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert out.out == ""
+        assert "beta must be finite" in out.err
+        assert not dump.exists()
+
 
 _TRAIN_DEFAULTS = load_config(None)["train"]
 
@@ -476,6 +497,20 @@ class TestMakeToy:
                      "test.src", "test.tgt", "mono.txt"):
             assert (out / name).exists()
         assert len(read_lines(out / "mono.txt")) == 20
+
+    @pytest.mark.parametrize("kind", ["copy", "reverse", "constrained-target"])
+    def test_mono_leaves_splits_unchanged(self, tmp_path, capsys, kind):
+        for n_mono in ("0", "20"):
+            code, _ = run(["make-toy", "--kind", kind, "--train", "10",
+                           "--dev", "4", "--test", "4", "--mono", n_mono,
+                           "--output", str(tmp_path / n_mono)], capsys)
+            assert code == 0
+        assert len(read_lines(tmp_path / "20" / "mono.txt")) == 20
+        assert not (tmp_path / "0" / "mono.txt").exists()
+        for name in ("train.src", "train.tgt", "dev.src", "dev.tgt",
+                     "test.src", "test.tgt"):
+            assert ((tmp_path / "0" / name).read_bytes()
+                    == (tmp_path / "20" / name).read_bytes())
 
     def test_copy_kind_sources_equal_targets(self, tmp_path, capsys):
         out = tmp_path / "toy"

@@ -1,9 +1,9 @@
 """Recurrent cells, embeddings, dropout/weight noise, and the maxout deep
 output layer.
 
-Cell correctness is pinned by scalar (d = 1) hand evaluations and by
-finite-difference gradient checks; the deep output layer is compared to a
-straight-line numpy reimplementation.
+Cell correctness is pinned by scalar (d = 1) hand evaluations, by
+plain-NumPy reference cells and by finite-difference gradient checks; the
+deep output layer is compared to a straight-line numpy reimplementation.
 """
 
 import numpy as np
@@ -56,6 +56,47 @@ class TestInitializers:
     def test_gaussian_scale(self):
         draw = gaussian(np.random.default_rng(0), (200, 200), std=0.01)
         assert abs(draw.std() - 0.01) < 0.001
+
+
+# ---------------------------------------------------------------------------
+# plain-NumPy reference cells for the fused tensor.gru / tensor.lstm ops
+# ---------------------------------------------------------------------------
+
+def sig(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def reference_gru(weights, s, x, keep=None):
+    """A GRU step written gate by gate; ``keep`` blends in the old state."""
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (w.data for w in weights)
+    z = sig(x @ W_z + s @ U_z + b_z)
+    r = sig(x @ W_r + s @ U_r + b_r)
+    cand = np.tanh(x @ W_h + (r * s) @ U_h + b_h)
+    new = (1.0 - z) * s + z * cand
+    return new if keep is None else keep * new + (1.0 - keep) * s
+
+
+def reference_lstm(weights, h, c, x):
+    """An LSTM step written gate by gate; returns (h, c)."""
+    W_i, U_i, b_i, W_f, U_f, b_f, W_o, U_o, b_o, W_g, U_g, b_g = (
+        w.data for w in weights)
+    i = sig(x @ W_i + h @ U_i + b_i)
+    f = sig(x @ W_f + h @ U_f + b_f)
+    o = sig(x @ W_o + h @ U_o + b_o)
+    g = np.tanh(x @ W_g + h @ U_g + b_g)
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
+
+
+KEEP = np.array([[1.0], [0.0], [1.0], [0.0]])  # rows 1 and 3 are padding
+
+
+def trainable_inputs(params, *states):
+    """The named (4, 3) states and a (4, 2) input as parameters next to the
+    cell's weights, so gradient checks cover every input of the op."""
+    shapes = [(name, (4, 3)) for name in states] + [("x", (4, 2))]
+    return [params.add(T.Parameter(name, RNG.standard_normal(shape))).value
+            for name, shape in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +162,31 @@ class TestGru:
         with pytest.raises(T.ShapeError):
             gru_step(cell, T.constant(np.zeros((1, 3))),
                      T.constant(np.zeros((1, 5))))
+
+    @pytest.mark.parametrize("keep", [None, KEEP])
+    def test_matches_reference(self, keep):
+        cell, _ = self.make()
+        s, x = RNG.standard_normal((4, 3)), RNG.standard_normal((4, 2))
+        got = gru_step(cell, T.constant(s), T.constant(x), keep).data
+        np.testing.assert_allclose(got, reference_gru(cell.weights, s, x, keep),
+                                   rtol=0, atol=1e-12)
+        if keep is not None:
+            np.testing.assert_array_equal(got[[1, 3]], s[[1, 3]])
+
+    def test_gradients_of_every_input(self):
+        cell, params = self.make()
+        s, x = trainable_inputs(params, "s_prev")
+        w = T.constant(RNG.standard_normal((4, 3)))
+        errors = finite_difference_check(
+            lambda: T.sum_all(T.mul(gru_step(cell, s, x, KEEP), w)), params)
+        assert max(errors.values()) < 1e-4, errors
+
+    def test_one_tape_node_per_step(self):
+        cell, _ = self.make()
+        with Tape() as tape:
+            gru_step(cell, T.constant(np.zeros((4, 3))),
+                     T.constant(np.ones((4, 2))), KEEP)
+        assert len(tape) == 1
 
     def test_recurrent_matrices_not_noisy(self):
         _, params = self.make()
@@ -200,6 +266,33 @@ class TestLstm:
 
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-6
+
+    def test_matches_reference(self):
+        cell, _ = self.make()
+        h, c, x = (RNG.standard_normal(shape) for shape in
+                   ((4, 3), (4, 3), (4, 2)))
+        got = lstm_step(cell, (T.constant(h), T.constant(c)), T.constant(x))
+        for g, want in zip(got, reference_lstm(cell.weights, h, c, x)):
+            np.testing.assert_allclose(g.data, want, rtol=0, atol=1e-12)
+
+    def test_gradients_of_every_input(self):
+        cell, params = self.make()
+        h0, c0, x = trainable_inputs(params, "h_prev", "c_prev")
+        w_h, w_c = (T.constant(RNG.standard_normal((4, 3))) for _ in range(2))
+
+        def loss():
+            h, c = lstm_step(cell, (h0, c0), x)
+            return T.add(T.sum_all(T.mul(h, w_h)), T.sum_all(T.mul(c, w_c)))
+
+        errors = finite_difference_check(loss, params)
+        assert max(errors.values()) < 1e-4, errors
+
+    def test_two_tape_nodes_per_step(self):
+        cell, _ = self.make()
+        with Tape() as tape:
+            lstm_step(cell, (T.constant(np.zeros((4, 3))),) * 2,
+                      T.constant(np.ones((4, 2))))
+        assert len(tape) == 2
 
     @pytest.mark.parametrize("x_width, h_width, c_width", [
         (5, 3, 3), (2, 4, 3), (2, 3, 4)])

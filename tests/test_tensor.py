@@ -117,6 +117,27 @@ class TestSigmoidForward:
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-300)
 
+    def test_bits_equal_piecewise_form(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.concatenate([
+            [0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan, -np.nan,
+             tiny, -tiny, 1e-310, -1e-310],
+            np.random.default_rng(0).standard_normal(10_000) * 50])
+        got = T.sigmoid(T.constant(x)).data
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      piecewise_sigmoid(x).view(np.uint64))
+
+
+def piecewise_sigmoid(x):
+    """The boolean-indexed form ``tensor._sigmoid`` replaced: each branch
+    calls exp only on inputs where it cannot overflow."""
+    pos = x >= 0
+    y = np.empty_like(x)
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
 
 class TestStructuralOps:
     def test_concat_1d(self):
@@ -215,11 +236,11 @@ class TestOpGradients:
         b = params.add(make_param("b", (3, 2)))
         check_op(lambda: T.sum_all(T.matmul(a.value, b.value)), params)
 
-    def test_scale_add_scalar(self):
+    def test_scale(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
-        check_op(lambda: T.sum_all(T.add_scalar(T.scale(a.value, -2.5), 0.7)),
-                 params)
+        w = T.constant(RNG.standard_normal((2, 3)))
+        check_op(lambda: T.sum_all(T.mul(T.scale(a.value, -2.5), w)), params)
 
     def test_add_rowvec(self):
         params = ParameterSet()
@@ -430,6 +451,34 @@ class TestTape:
                                    2.0 * (1 - np.tanh(a.value.data) ** 2),
                                    atol=1e-12)
 
+    def test_in_place_sums_match_out_of_place_and_spare_closure_arrays(self):
+        # add(s, s) returns one array for both inputs, transpose and concat
+        # return views, and a and w feed every step
+        params = ParameterSet([make_param("a", (2, 3)),
+                               make_param("w", (9, 3))])
+        a, w = params.get("a").value, params.get("w").value
+        params.zero_grads()
+        with Tape() as tape:
+            s = a
+            for _ in range(3):
+                y = T.transpose(T.transpose(T.add(s, s)))
+                s = T.tanh(T.matmul(T.concat([y, s, a], axis=1), w))
+            loss = T.sum_all(T.add(s, s))
+        returned = []
+        for node in tape._nodes:
+            def spy(g, fn=node.backward_fn):
+                grads = fn(g)
+                returned.extend((x, x.copy()) for x in grads if x is not None)
+                return grads
+            node.backward_fn = spy
+        tape.backward(loss, params)
+        for arr, snapshot in returned:
+            np.testing.assert_array_equal(arr, snapshot)
+        want = out_of_place_backward(tape, loss)
+        for p in params:
+            np.testing.assert_allclose(p.grad.data, want[id(p.value)],
+                                       rtol=0, atol=1e-15)
+
     def test_constant_subgraphs_not_recorded(self):
         params = ParameterSet([make_param("a", (2, 2))])
         a = params.get("a")
@@ -455,6 +504,19 @@ class TestTape:
     def test_forward_works_without_tape(self):
         out = T.tanh(T.constant([1.0]))
         assert np.isfinite(out.data).all()
+
+
+def out_of_place_backward(tape, loss):
+    """Reference gradient sums: every extra contribution makes a new array."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(tape._nodes):
+        g_out = grads.pop(id(node.out), None)
+        if g_out is None:
+            continue
+        for t, g in zip(node.inputs, node.backward_fn(g_out)):
+            if g is not None:
+                grads[id(t)] = g if id(t) not in grads else grads[id(t)] + g
+    return grads
 
 
 class TestParameterSet:
