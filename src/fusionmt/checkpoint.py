@@ -31,6 +31,7 @@ class Checkpoint:
     arch: dict
     params: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
+    source: str = "checkpoint"  # the file it was read from, for messages
 
 
 def _format_value(v) -> str:
@@ -132,7 +133,7 @@ def load_checkpoint(path) -> Checkpoint:
         offset += 8 * n
     if offset != len(binary):
         raise CheckpointError(f"{path}: trailing bytes after blocks")
-    return Checkpoint(kind=kind, arch=arch, params=params, meta=meta)
+    return Checkpoint(kind, arch, params, meta, str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +160,30 @@ def _arch(cfg, prefix: str = "") -> dict:
     return {prefix + k: v for k, v in asdict(cfg).items()}
 
 
-def _config(cls, arch: dict, prefix: str = ""):
-    """``cls`` rebuilt from the ``prefix``-ed integer keys of ``arch``."""
+# the block axis each [arch] size fixes, checked before a model is allocated
+_SIZED_BY = {
+    NmtConfig: {"src_vocab": ("nmt.src_emb.table", 0),
+                "embed_dim": ("nmt.src_emb.table", 1),
+                "tgt_vocab": ("nmt.tgt_emb.table", 0), "hidden": ("nmt.W_init", 0),
+                "deep_output_width": ("nmt.out.b_h", 0)},
+    LmConfig: {"vocab": ("lm.emb.table", 0), "embed_dim": ("lm.emb.table", 1),
+               "hidden": ("lm.W_out", 1)},
+}
+
+
+def _config(cls, ckpt: Checkpoint, prefix: str = ""):
+    """``cls`` rebuilt from the ``prefix``-ed [arch] keys of ``ckpt``, each a
+    positive integer that matches the block axis it sizes."""
     values = {}
     for f in fields(cls):
-        value = arch.get(prefix + f.name)
-        if type(value) is not int:
-            raise CheckpointError(f"checkpoint [arch] {prefix + f.name}: "
-                                  f"expected an integer, got {value!r}")
+        key, even = prefix + f.name, f.name == "deep_output_width"
+        value, (block, axis) = ckpt.arch.get(key), _SIZED_BY[cls][f.name]
+        size = ckpt.params.get(block, np.empty(0)).shape[axis:axis + 1]
+        if type(value) is not int or value < 1 or even and value % 2 or size != (value,):
+            raise CheckpointError(
+                f"{ckpt.source}: [arch] {key}={value!r}: expected a positive"
+                f"{' even' * even} integer, the length of axis {axis} of block "
+                f"{block!r}")
         values[f.name] = value
     return cls(**values)
 
@@ -188,7 +205,7 @@ def checkpoint_from_fused(fm: FusedModel, meta: Optional[dict] = None) -> Checkp
 def build_nmt(ckpt: Checkpoint) -> NmtModel:
     if ckpt.kind != "nmt":
         raise CheckpointError(f"expected an nmt checkpoint, got {ckpt.kind!r}")
-    model = NmtModel(_config(NmtConfig, ckpt.arch), np.random.default_rng(0))
+    model = NmtModel(_config(NmtConfig, ckpt), np.random.default_rng(0))
     restore_params(model.params, ckpt.params)
     return model
 
@@ -196,7 +213,7 @@ def build_nmt(ckpt: Checkpoint) -> NmtModel:
 def build_lm(ckpt: Checkpoint) -> RnnLm:
     if ckpt.kind != "lm":
         raise CheckpointError(f"expected an lm checkpoint, got {ckpt.kind!r}")
-    lm = RnnLm(_config(LmConfig, ckpt.arch), np.random.default_rng(0))
+    lm = RnnLm(_config(LmConfig, ckpt), np.random.default_rng(0))
     restore_params(lm.params, ckpt.params)
     return lm
 
@@ -204,9 +221,10 @@ def build_lm(ckpt: Checkpoint) -> RnnLm:
 def build_fused(ckpt: Checkpoint) -> FusedModel:
     if ckpt.kind != "fused":
         raise CheckpointError(f"expected a fused checkpoint, got {ckpt.kind!r}")
-    nmt = NmtModel(_config(NmtConfig, ckpt.arch), np.random.default_rng(0))
-    lm = RnnLm(_config(LmConfig, ckpt.arch, "lm_"), np.random.default_rng(0))
-    fm = FusedModel(nmt, lm, np.random.default_rng(0))
+    lm_cfg = _config(LmConfig, ckpt, "lm_")  # checked before anything is built
+    nmt = NmtModel(_config(NmtConfig, ckpt), np.random.default_rng(0))
+    fm = FusedModel(nmt, RnnLm(lm_cfg, np.random.default_rng(0)),
+                    np.random.default_rng(0))
     restore_params(fm.params, ckpt.params)
     return fm
 

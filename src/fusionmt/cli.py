@@ -166,7 +166,11 @@ def _resume_or(args, build, fresh):
     if not args.resume:
         return fresh(), 0
     prev = ckpt_io.load_checkpoint(args.resume)
-    return build(prev), int(prev.meta.get("updates", 0))
+    updates = prev.meta.get("updates", 0)
+    if type(updates) is not int or updates < 0:
+        raise ckpt_io.CheckpointError(f"{args.resume}: [meta] updates: expected "
+                                      f"an integer >= 0, got {updates!r}")
+    return build(prev), updates
 
 
 def _train(args, train_fn, model, start: int, data, dev, tcfg,

@@ -33,8 +33,8 @@ def _ngrams(tokens: Sequence, n: int) -> Counter:
 
 
 def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
-         max_n: int = 4, smooth: bool = False) -> BleuReport:
-    """Corpus-level BLEU with clipped n-gram counts and brevity penalty.
+         smooth: bool = False) -> BleuReport:
+    """Corpus-level BLEU-4 with clipped n-gram counts and brevity penalty.
 
     ``references`` holds either one reference per candidate or a list of
     references per candidate.  Orders whose candidate n-gram count is zero
@@ -44,10 +44,8 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
     if len(candidates) != len(references):
         raise ValueError(
             f"{len(candidates)} candidates vs {len(references)} references")
-    matched = [0] * max_n
-    total = [0] * max_n
-    cand_len = 0
-    ref_len = 0
+    matched, total = [0] * 4, [0] * 4
+    cand_len = ref_len = 0
     for cand, refs in zip(candidates, references):
         if refs and not isinstance(refs[0], (list, tuple)):
             refs = [refs]
@@ -55,7 +53,7 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
         cand_len += len(cand)
         # closest reference length, shorter wins ties (multi-bleu behaviour)
         ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
-        for n in range(1, max_n + 1):
+        for n in range(1, 5):
             counts = _ngrams(cand, n)
             if not counts:
                 continue
@@ -71,7 +69,7 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
     log_sum = 0.0
     used = 0
     zero = False
-    for n in range(max_n):
+    for n in range(4):
         if total[n] == 0:
             precisions.append(0.0)
             continue

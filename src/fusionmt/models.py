@@ -4,7 +4,9 @@ controller gate.
 
 All forward procedures are batched: states are (B, d) matrices and token
 inputs are length-B id vectors.  Beam decoding stacks the live hypotheses
-of a step into the B rows.
+of a step into the B rows.  Each model is a recurrence plus an output head
+for any number of rows: a decode step runs both, and a teacher-forced loss
+runs the recurrence step by step, then the head once over all T*B rows.
 """
 
 from __future__ import annotations
@@ -193,29 +195,24 @@ def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
     return s_new, T.log_softmax(logits), scores
 
 
-def _teacher_forced_nll(step, state, batch) -> Tensor:
-    """Teacher-forced mean (over sentences) summed NLL of ``batch.tgt_out``;
-    ``step(state, y_prev)`` returns (new state, (B, V) log-probs)."""
-    b, t_len = batch.tgt_in.shape
-    total = None
-    for t in range(t_len):
-        state, logp = step(state, batch.tgt_in[:, t])
-        nll = T.take_per_row(logp, batch.tgt_out[:, t])
-        nll = T.sum_all(T.mul(nll, T.constant(batch.tgt_mask[:, t])))
-        total = nll if total is None else T.add(total, nll)
-    return T.scale(total, -1.0 / b)
+def _nll(logits: Tensor, batch) -> Tensor:
+    """Mean (over sentences) summed NLL under step-major (T*B, V) logits."""
+    nll = T.take_per_row(T.log_softmax(logits), batch.tgt_out.T.ravel())
+    nll = T.sum_all(T.mul(nll, T.constant(batch.tgt_mask.T.ravel())))
+    return T.scale(nll, -1.0 / batch.tgt_in.shape[0])
 
 
 def nmt_batch_loss(model: NmtModel, batch, dropout_p: float = 0.0,
                    rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean (over sentences) of the summed negative log-likelihood."""
     ann = encode(model, batch.src, batch.src_mask, append_eos=False)
-
-    def step(s, y_prev):
-        s, logp, _ = decode_step(model, s, y_prev, ann, dropout_p, rng)
-        return s, logp
-
-    return _teacher_forced_nll(step, initial_state(model, ann), batch)
+    s, steps = initial_state(model, ann), []
+    for y_prev in batch.tgt_in.T:
+        s, y_emb, ctx, _ = _recur(model, s, y_prev, ann)
+        steps.append((s, y_emb, ctx))
+    # each head input as the list of its per-step rows
+    return _nll(deep_output(model.out, *map(list, zip(*steps)),
+                            dropout_p=dropout_p, rng=rng), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +243,33 @@ class RnnLm:
         return T.constant(z), T.constant(z.copy())
 
 
+def _lm_recur(lm: RnnLm, state: tuple[Tensor, Tensor],
+              y_prev) -> tuple[Tensor, Tensor]:
+    """Embed the previous word and advance the LSTM; returns (h, c)."""
+    return lstm_step(lm.lstm, state, _embed_prev(lm.tgt_emb, y_prev,
+                                                 state[0].shape[0]))
+
+
+def _lm_logits(lm: RnnLm, h: Tensor) -> Tensor:
+    """The LM's head: its output projection."""
+    return T.add_rowvec(T.matmul(h, T.transpose(lm.W_out.value)),
+                        lm.b_out.value)
+
+
 def lm_step(lm: RnnLm, state: tuple[Tensor, Tensor], y_prev,
             ) -> tuple[tuple[Tensor, Tensor], Tensor]:
     """Advance the LM one token; returns (new state, log-probs)."""
-    b = state[0].shape[0]
-    x = _embed_prev(lm.tgt_emb, y_prev, b)
-    h, c = lstm_step(lm.lstm, state, x)
-    logits = T.add_rowvec(T.matmul(h, T.transpose(lm.W_out.value)),
-                          lm.b_out.value)
-    return (h, c), T.log_softmax(logits)
+    h, c = _lm_recur(lm, state, y_prev)
+    return (h, c), T.log_softmax(_lm_logits(lm, h))
 
 
 def lm_batch_loss(lm: RnnLm, batch) -> Tensor:
     """Mean (over sentences) summed NLL of a monolingual padded batch."""
-    return _teacher_forced_nll(lambda state, y_prev: lm_step(lm, state, y_prev),
-                               lm.initial_state(batch.size), batch)
+    state, hs = lm.initial_state(batch.size), []
+    for y_prev in batch.tgt_in.T:
+        state = _lm_recur(lm, state, y_prev)
+        hs.append(state[0])
+    return _nll(_lm_logits(lm, T.concat(hs)), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +328,16 @@ class FusedModel:
         self.out.b_o.value.data[...] = nmt.out.b_o.value.data
 
 
+def _fused_logits(fm: FusedModel, h_lm: Tensor, s_tm, y_emb, ctx,
+                  dropout_p: float, rng) -> tuple[Tensor, Tensor]:
+    """The fused head: the gated LM state into the fused output layer."""
+    g = controller_gate(fm.controller, h_lm)
+    logits = deep_output(fm.out, s_tm, y_emb, ctx,
+                         s_lm_gated=T.mul_colvec(h_lm, g),
+                         dropout_p=dropout_p, rng=rng)
+    return logits, g
+
+
 def fused_step(fm: FusedModel, s_tm_prev: Tensor, lm_state_prev, y_prev,
                ann: AnnotationMatrix, dropout_p: float = 0.0,
                rng: Optional[np.random.Generator] = None):
@@ -326,12 +345,8 @@ def fused_step(fm: FusedModel, s_tm_prev: Tensor, lm_state_prev, y_prev,
 
     Returns (s_tm, lm_state, log-probs, attention, gate)."""
     s_tm, y_emb, ctx, scores = _recur(fm.nmt, s_tm_prev, y_prev, ann)
-    x_lm = _embed_prev(fm.lm.tgt_emb, y_prev, s_tm_prev.shape[0])
-    h_lm, c_lm = lstm_step(fm.lm.lstm, lm_state_prev, x_lm)
-    g = controller_gate(fm.controller, h_lm)
-    gated = T.mul_colvec(h_lm, g)
-    logits = deep_output(fm.out, s_tm, y_emb, ctx, s_lm_gated=gated,
-                         dropout_p=dropout_p, rng=rng)
+    h_lm, c_lm = _lm_recur(fm.lm, lm_state_prev, y_prev)
+    logits, g = _fused_logits(fm, h_lm, s_tm, y_emb, ctx, dropout_p, rng)
     return s_tm, (h_lm, c_lm), T.log_softmax(logits), scores, g
 
 
@@ -339,11 +354,13 @@ def fused_batch_loss(fm: FusedModel, batch, dropout_p: float = 0.0,
                      rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean summed NLL under the fused output distribution."""
     ann = encode(fm.nmt, batch.src, batch.src_mask, append_eos=False)
-
-    def step(state, y_prev):
-        s, lm_state, logp, _, _ = fused_step(fm, *state, y_prev, ann,
-                                             dropout_p, rng)
-        return (s, lm_state), logp
-
-    state = (initial_state(fm.nmt, ann), fm.lm.initial_state(batch.size))
-    return _teacher_forced_nll(step, state, batch)
+    s, lm_state = initial_state(fm.nmt, ann), fm.lm.initial_state(batch.size)
+    hs, steps = [], []
+    for y_prev in batch.tgt_in.T:
+        s, y_emb, ctx, _ = _recur(fm.nmt, s, y_prev, ann)
+        lm_state = _lm_recur(fm.lm, lm_state, y_prev)
+        hs.append(lm_state[0])
+        steps.append((s, y_emb, ctx))
+    logits, _ = _fused_logits(fm, T.concat(hs), *map(list, zip(*steps)),
+                              dropout_p, rng)
+    return _nll(logits, batch)

@@ -300,17 +300,26 @@ def log_softmax(a: Tensor) -> Tensor:
     return _record((a,), out, backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+    """Join tensors along ``axis``.  An entry may instead be a list of
+    tensors, the rows of one block step by step: it is joined along axis 0
+    into that block, and only the joined output is kept."""
     if not tensors:
         raise DomainError("concat of no tensors")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    groups = [t if isinstance(t, list) else [t] for t in tensors]
+    blocks = [grp[0].data if len(grp) == 1
+              else np.concatenate([t.data for t in grp]) for grp in groups]
+    out = Tensor(np.concatenate(blocks, axis=axis))
+    splits = np.cumsum([b.shape[axis] for b in blocks])[:-1]
 
     def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
+        grads = []
+        for part, grp in zip(np.split(g, splits, axis=axis), groups):
+            grads += [part] if len(grp) == 1 else np.split(
+                part, np.cumsum([t.shape[0] for t in grp[:-1]]))
+        return grads
 
-    return _record(tuple(tensors), out, backward)
+    return _record([t for grp in groups for t in grp], out, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -488,49 +497,3 @@ def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
     c = _record((h_prev, c_prev, x, *weights[:6], *weights[9:]), c, c_backward)
     h = _record((c, h_prev, x, *weights[6:9]), Tensor(o * tc), h_backward)
     return h, c
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-def finite_difference_check(
-    loss_fn: Callable[[], float],
-    params: ParameterSet,
-    step: float = 1e-5,
-    floor: float = 1e-3,
-) -> dict[str, float]:
-    """Compare tape gradients of ``loss_fn`` against central differences.
-
-    ``loss_fn`` must recompute the loss from the current parameter values
-    (forward only).  Returns the max relative error per trainable
-    parameter id.  ``floor`` bounds the denominator from below: central
-    differences carry O(eps / step) roundoff, so gradients far below the
-    floor can only be compared absolutely.
-    """
-    params.zero_grads()
-    with Tape() as tape:
-        loss = loss_fn()
-    tape.backward(loss if isinstance(loss, Tensor) else Tensor(loss), params)
-
-    errors: dict[str, float] = {}
-    for p in params.trainable():
-        flat = p.value.data.reshape(-1)
-        analytic = p.grad.data.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = _as_float(loss_fn())
-            flat[i] = orig - step
-            f_minus = _as_float(loss_fn())
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            denom = max(abs(analytic[i]), abs(numeric), floor)
-            worst = max(worst, abs(analytic[i] - numeric) / denom)
-        errors[p.id] = worst
-    return errors
-
-
-def _as_float(x) -> float:
-    return x.item() if isinstance(x, Tensor) else float(x)

@@ -55,7 +55,6 @@ from fusionmt.models import (
     nmt_batch_loss,
 )
 from fusionmt import tensor as T
-from fusionmt.tensor import finite_difference_check
 from fusionmt.training import (
     FinetuneConfig,
     TrainConfig,
@@ -63,6 +62,8 @@ from fusionmt.training import (
     train_lm,
     train_nmt,
 )
+
+from gradcheck import finite_difference_check
 
 GATE_AT_INIT = 1.0 / (1.0 + math.e)  # sigmoid(-1), the fresh controller gate
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fusionmt import checkpoint
 from fusionmt.checkpoint import (
     MAGIC,
     Checkpoint,
@@ -44,6 +45,8 @@ def tiny_checkpoints():
 
 
 BUILD = {"nmt": build_nmt, "lm": build_lm, "fused": build_fused}
+ARCH_KEYS = [(kind, key) for kind, ckpt in tiny_checkpoints().items()
+             for key in sorted(ckpt.arch)]
 FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 
@@ -179,9 +182,7 @@ class TestArchSection:
             assert lines[lines.index("[arch]") + 1:lines.index("[meta]")] \
                 == want[kind], kind
 
-    @pytest.mark.parametrize("kind, key", [
-        (kind, key) for kind, ckpt in tiny_checkpoints().items()
-        for key in sorted(ckpt.arch)])
+    @pytest.mark.parametrize("kind, key", ARCH_KEYS)
     @pytest.mark.parametrize("value", [None, "ten", 2.5, True])
     def test_missing_or_non_integer_key(self, tmp_path, kind, key, value):
         # None removes the key; the others are re-signed in its place
@@ -193,6 +194,49 @@ class TestArchSection:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, ckpt)
         with pytest.raises(CheckpointError, match=rf"\[arch\] {key}\b"):
+            BUILD[kind](load_checkpoint(path))
+
+    @pytest.mark.parametrize("kind, key", ARCH_KEYS)
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_size_below_one(self, tmp_path, kind, key, value):
+        ckpt = tiny_checkpoints()[kind]
+        ckpt.arch[key] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: [arch] {key}={value}: expected a positive")):
+            BUILD[kind](load_checkpoint(path))
+
+    @pytest.mark.parametrize("kind", ["nmt", "fused"])
+    def test_odd_deep_output_width(self, tmp_path, kind):
+        # the block agrees, so only the parity check can refuse it
+        ckpt = tiny_checkpoints()[kind]
+        ckpt.arch["deep_output_width"] = 7
+        ckpt.params["nmt.out.b_h"] = np.zeros(7)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: [arch] deep_output_width=7: expected a positive even "
+                "integer")):
+            BUILD[kind](load_checkpoint(path))
+
+    @pytest.mark.parametrize("kind, key", ARCH_KEYS)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_size_off_by_one_refused_before_allocation(
+            self, tmp_path, monkeypatch, kind, key, delta):
+        ckpt = tiny_checkpoints()[kind]
+        ckpt.arch[key] += 2 * delta if key == "deep_output_width" else delta
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+
+        def refuse(*args):
+            raise AssertionError("a model was allocated before the check")
+
+        monkeypatch.setattr(checkpoint, "NmtModel", refuse)
+        monkeypatch.setattr(checkpoint, "RnnLm", refuse)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: [arch] {key}={ckpt.arch[key]}: expected a positive")
+                + r".*integer, the length of axis \d of block"):
             BUILD[kind](load_checkpoint(path))
 
     @pytest.mark.parametrize("kind", sorted(BUILD))

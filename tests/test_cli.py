@@ -659,6 +659,20 @@ eval_interval = 2
         assert code == 0
         assert (toy_dir / "resumed.ckpt").exists()
 
+    @pytest.mark.parametrize("updates", ["1e400", -7, 2.5])
+    def test_resume_needs_a_count_of_updates(self, toy_dir, capsys, updates):
+        prev, out_path = toy_dir / "prev.ckpt", toy_dir / "out.ckpt"
+        ckpt = untrained_checkpoints(toy_dir)["nmt"]
+        ckpt.meta["updates"] = updates  # "1e400" is written as is: inf
+        save_checkpoint(prev, ckpt)
+        code, out = run(["train-nmt", "--config", str(toy_dir / "exp.cfg"),
+                         "--output", str(out_path), "--resume", str(prev)],
+                        capsys)
+        assert code == 2
+        assert out.out == ""
+        assert f"{prev}: [meta] updates: expected an integer >= 0" in out.err
+        assert not out_path.exists()
+
     def test_shallow_beta_zero_matches_baseline(self, toy_dir, capsys):
         ckpt, _ = self.train(toy_dir, capsys)
         # a tiny LM over the same vocabulary

@@ -24,7 +24,9 @@ from fusionmt.layers import (
     perturb_parameters,
     restore_parameters,
 )
-from fusionmt.tensor import ParameterSet, Tape, finite_difference_check
+from fusionmt.tensor import ParameterSet, Tape
+
+from gradcheck import finite_difference_check
 
 RNG = np.random.default_rng(7)
 

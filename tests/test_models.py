@@ -31,7 +31,9 @@ from fusionmt.models import (
     lm_step,
     nmt_batch_loss,
 )
-from fusionmt.tensor import ParameterSet, Tape, finite_difference_check
+from fusionmt.tensor import ParameterSet, Tape
+
+from gradcheck import finite_difference_check
 
 RNG = np.random.default_rng(99)
 
@@ -478,3 +480,109 @@ class TestFusedModel:
                                  np.zeros((1, fm.lm.cfg.hidden))))
         np.testing.assert_allclose(logp.data, T.log_softmax(logits).data,
                                    atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# two-pass teacher forcing against the stepwise loss
+# ---------------------------------------------------------------------------
+
+def reference_teacher_forced_nll(step, state, batch):
+    """Test-only oracle: the stepwise teacher-forced loss, with the whole
+    output head, log-softmax, take and masked sum run at every target step.
+    ``step(state, y_prev)`` returns (new state, (B, V) log-probs)."""
+    b, t_len = batch.tgt_in.shape
+    total = None
+    for t in range(t_len):
+        state, logp = step(state, batch.tgt_in[:, t])
+        nll = T.take_per_row(logp, batch.tgt_out[:, t])
+        nll = T.sum_all(T.mul(nll, T.constant(batch.tgt_mask[:, t])))
+        total = nll if total is None else T.add(total, nll)
+    return T.scale(total, -1.0 / b)
+
+
+def reference_nmt_loss(model, batch, dropout_p, rng):
+    ann = encode(model, batch.src, batch.src_mask, append_eos=False)
+    return reference_teacher_forced_nll(
+        lambda s, y: decode_step(model, s, y, ann, dropout_p, rng)[:2],
+        initial_state(model, ann), batch)
+
+
+def reference_lm_loss(lm, batch):
+    return reference_teacher_forced_nll(lambda st, y: lm_step(lm, st, y),
+                                        lm.initial_state(batch.size), batch)
+
+
+def reference_fused_loss(fm, batch, dropout_p, rng):
+    ann = encode(fm.nmt, batch.src, batch.src_mask, append_eos=False)
+
+    def step(state, y):
+        s, lm_state, logp, _, _ = fused_step(fm, *state, y, ann, dropout_p, rng)
+        return (s, lm_state), logp
+
+    state = (initial_state(fm.nmt, ann), fm.lm.initial_state(batch.size))
+    return reference_teacher_forced_nll(step, state, batch)
+
+
+class TestTwoPassLoss:
+    """Each loss runs its recurrence step by step, then its output head
+    once over all T*B rows; the stepwise oracle runs the head per step."""
+
+    PAIRS = [SentencePair(list(range(3, 3 + n % 4 + 1)),
+                          [3 + (n * k) % 3 for k in range(n)])
+             for n in (1, 7, 3, 5, 2, 6, 4, 1, 5)]  # B = 9, T from 2 to 8
+
+    def models(self, kind):
+        nmt = tiny_nmt(hidden=5, embed=4, seed=21)
+        lm = tiny_lm(embed=3, hidden=4, seed=22)
+        model = {"nmt": nmt, "lm": lm}.get(kind) or FusedModel(
+            nmt, lm, np.random.default_rng(23))  # freezes nmt and lm
+        jitter_params(model.params, std=0.3, seed=24)
+        return model
+
+    def run(self, model, loss_fn):
+        """Loss value, gradients and the dropout generator's state after."""
+        rng = np.random.default_rng(5)
+        model.params.zero_grads()
+        with Tape() as tape:
+            loss = loss_fn(model, rng)
+        tape.backward(loss, model.params)
+        grads = {p.id: p.grad.data.copy() for p in model.params.trainable()}
+        return loss.item(), grads, rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind, dropout_p", [
+        ("nmt", 0.0), ("nmt", 0.3), ("lm", 0.0), ("fused", 0.0),
+        ("fused", 0.56)])
+    def test_matches_stepwise_reference(self, kind, dropout_p):
+        model = self.models(kind)
+        batch = (pad_mono_batch([p.tgt for p in self.PAIRS]) if kind == "lm"
+                 else pad_batch(self.PAIRS))
+        assert batch.size >= 8 and len(set(batch.tgt_mask.sum(axis=1))) > 3
+        two_pass, reference = {
+            "nmt": (lambda m, r: nmt_batch_loss(m, batch, dropout_p, r),
+                    lambda m, r: reference_nmt_loss(m, batch, dropout_p, r)),
+            "lm": (lambda m, r: lm_batch_loss(m, batch),
+                   lambda m, r: reference_lm_loss(m, batch)),
+            "fused": (lambda m, r: fused_batch_loss(m, batch, dropout_p, r),
+                      lambda m, r: reference_fused_loss(m, batch, dropout_p, r)),
+        }[kind]
+        loss, grads, rng_state = self.run(model, two_pass)
+        want_loss, want_grads, want_rng_state = self.run(model, reference)
+        # one masked sum over T*B rows replaces T per-step sums
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        assert rng_state == want_rng_state
+        assert set(grads) == set(want_grads)
+        for pid, want in want_grads.items():
+            big = np.abs(want) > 1e-12
+            np.testing.assert_allclose(grads[pid][big], want[big], rtol=1e-12,
+                                       atol=0, err_msg=pid)
+
+    def test_fused_head_is_one_set_of_nodes(self):
+        # the frozen recurrences record nothing, so the tape holds the head
+        # alone: gate (3), gating (1), output layer with dropout (8), the
+        # log-softmax, take, mask, sum and scale (5), whatever T is
+        fm = self.models("fused")
+        for pairs in (self.PAIRS[:1], self.PAIRS):
+            with Tape() as tape:
+                fused_batch_loss(fm, pad_batch(pairs), 0.5,
+                                 np.random.default_rng(0))
+            assert len(tape) == 17

@@ -15,8 +15,9 @@ from fusionmt.tensor import (
     ParameterSet,
     Tape,
     Tensor,
-    finite_difference_check,
 )
+
+from gradcheck import finite_difference_check
 
 RNG = np.random.default_rng(12345)
 
@@ -143,6 +144,15 @@ class TestStructuralOps:
     def test_concat_1d(self):
         out = T.concat([T.constant([1.0, 2.0]), T.constant([3.0])])
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+
+    def test_concat_of_row_lists_is_the_nested_concat(self):
+        # [G | S | Y]: G whole, S and Y given as their per-step rows
+        g = T.constant(RNG.standard_normal((6, 2)))
+        s = [T.constant(RNG.standard_normal((2, 3))) for _ in range(3)]
+        y = [T.constant(RNG.standard_normal((2, 1))) for _ in range(3)]
+        want = np.concatenate([g.data, np.concatenate([t.data for t in s]),
+                               np.concatenate([t.data for t in y])], axis=1)
+        np.testing.assert_array_equal(T.concat([g, s, y], axis=1).data, want)
 
     def test_tanh_zero(self):
         assert T.tanh(T.constant([0.0])).data[0] == 0.0
@@ -274,6 +284,23 @@ class TestOpGradients:
             return T.sum_all(T.mul(cat, w))
 
         check_op(loss, params)
+
+    def test_concat_of_row_lists(self):
+        params = ParameterSet()
+        g = params.add(make_param("g", (6, 2)))
+        s = [params.add(make_param(f"s{t}", (2, 3))) for t in range(3)]
+        y = [params.add(make_param(f"y{t}", (2, 1))) for t in range(3)]
+        w = T.constant(RNG.standard_normal((6, 6)))
+
+        def loss():
+            cat = T.concat([g.value, [p.value for p in s], [p.value for p in y]],
+                           axis=1)
+            return T.sum_all(T.mul(cat, w))
+
+        check_op(loss, params)
+        with Tape() as tape:  # one node whose inputs are every listed tensor
+            T.concat([g.value, [p.value for p in s]], axis=1)
+        assert len(tape) == 1
 
     def test_rows(self):
         params = ParameterSet()
