@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .models import FusedModel, LmConfig, NmtConfig, NmtModel, RnnLm
+from .models import SIZED_BY, FusedModel, LmConfig, NmtConfig, NmtModel, RnnLm
 from .tensor import Parameter, ParameterSet
 
 MAGIC = b"FUSEMT01"
@@ -144,31 +144,21 @@ def snapshot_params(params: Iterable[Parameter]) -> dict[str, np.ndarray]:
     return {p.id: p.value.data.copy() for p in params}
 
 
-def restore_params(params: ParameterSet, values: dict[str, np.ndarray]) -> None:
+def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
     for p in params:
-        if p.id not in values:
-            raise CheckpointError(f"checkpoint missing parameter {p.id!r}")
-        if values[p.id].shape != p.value.shape:
+        value = ckpt.params.get(p.id)
+        if value is None:
+            raise CheckpointError(f"{ckpt.source}: missing parameter {p.id!r}")
+        if value.shape != p.value.shape:
             raise CheckpointError(
-                f"parameter {p.id!r}: shape {values[p.id].shape} "
+                f"{ckpt.source}: parameter {p.id!r}: shape {value.shape} "
                 f"!= expected {p.value.shape}")
-        p.value.data[...] = values[p.id]
+        p.value.data[...] = value
 
 
 def _arch(cfg, prefix: str = "") -> dict:
     """The [arch] entries of a model config: each field, under ``prefix``."""
     return {prefix + k: v for k, v in asdict(cfg).items()}
-
-
-# the block axis each [arch] size fixes, checked before a model is allocated
-_SIZED_BY = {
-    NmtConfig: {"src_vocab": ("nmt.src_emb.table", 0),
-                "embed_dim": ("nmt.src_emb.table", 1),
-                "tgt_vocab": ("nmt.tgt_emb.table", 0), "hidden": ("nmt.W_init", 0),
-                "deep_output_width": ("nmt.out.b_h", 0)},
-    LmConfig: {"vocab": ("lm.emb.table", 0), "embed_dim": ("lm.emb.table", 1),
-               "hidden": ("lm.W_out", 1)},
-}
 
 
 def _config(cls, ckpt: Checkpoint, prefix: str = ""):
@@ -177,7 +167,7 @@ def _config(cls, ckpt: Checkpoint, prefix: str = ""):
     values = {}
     for f in fields(cls):
         key, even = prefix + f.name, f.name == "deep_output_width"
-        value, (block, axis) = ckpt.arch.get(key), _SIZED_BY[cls][f.name]
+        value, (block, axis) = ckpt.arch.get(key), SIZED_BY[cls][f.name]
         size = ckpt.params.get(block, np.empty(0)).shape[axis:axis + 1]
         if type(value) is not int or value < 1 or even and value % 2 or size != (value,):
             raise CheckpointError(
@@ -206,7 +196,7 @@ def build_nmt(ckpt: Checkpoint) -> NmtModel:
     if ckpt.kind != "nmt":
         raise CheckpointError(f"expected an nmt checkpoint, got {ckpt.kind!r}")
     model = NmtModel(_config(NmtConfig, ckpt), np.random.default_rng(0))
-    restore_params(model.params, ckpt.params)
+    restore_params(model.params, ckpt)
     return model
 
 
@@ -214,7 +204,7 @@ def build_lm(ckpt: Checkpoint) -> RnnLm:
     if ckpt.kind != "lm":
         raise CheckpointError(f"expected an lm checkpoint, got {ckpt.kind!r}")
     lm = RnnLm(_config(LmConfig, ckpt), np.random.default_rng(0))
-    restore_params(lm.params, ckpt.params)
+    restore_params(lm.params, ckpt)
     return lm
 
 
@@ -225,7 +215,7 @@ def build_fused(ckpt: Checkpoint) -> FusedModel:
     nmt = NmtModel(_config(NmtConfig, ckpt), np.random.default_rng(0))
     fm = FusedModel(nmt, RnnLm(lm_cfg, np.random.default_rng(0)),
                     np.random.default_rng(0))
-    restore_params(fm.params, ckpt.params)
+    restore_params(fm.params, ckpt)
     return fm
 
 

@@ -327,7 +327,7 @@ def cmd_sweep_beta(args) -> int:
     cfg = load_config(args.config)
     beam_cfg = _beam_config(args, cfg)  # shallow: the subcommand's mode
     grid = [decoding.ShallowConfig(beta=float(b)) for b in (  # before loading
-        args.betas.split(",") if args.betas else decoding.default_beta_grid())]
+        args.betas.split(",") if args.betas else decoding.BETA_GRID)]
     models, vocabs = _decode_setup(args, cfg, beam_cfg.fusion)
     dev = _bitext(cfg, "dev", vocabs)
     table = []

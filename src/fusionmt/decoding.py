@@ -41,11 +41,15 @@ from .models import (
 )
 from .tensor import NumericError
 
+# the tokens shallow fusion scores without an LM term
+SHALLOW_EXCLUSION = frozenset({EOS_ID, UNK_ID})
+# the default sweep-beta grid: 7 log-spaced values over the tuning range
+BETA_GRID = tuple(float(x) for x in np.geomspace(0.001, 0.1, 7))
+
 
 @dataclass
 class ShallowConfig:
     beta: float = 0.0
-    exclusion: frozenset = frozenset({EOS_ID, UNK_ID})
 
     def __post_init__(self):
         if not 0.0 <= self.beta < math.inf:  # written so that NaN fails
@@ -106,8 +110,7 @@ def lm_renormalize(lm_logp: np.ndarray, exclusion) -> np.ndarray:
 
 
 def shallow_score(tm_logp: np.ndarray, lm_logp_renorm: np.ndarray,
-                  beta: float, exclusion=frozenset({EOS_ID, UNK_ID}),
-                  ) -> np.ndarray:
+                  beta: float, exclusion=SHALLOW_EXCLUSION) -> np.ndarray:
     """Per-word combined score: tm + beta * lm, tm-only for excluded tokens."""
     tm_logp = np.asarray(tm_logp, dtype=np.float64)
     lm_logp_renorm = np.asarray(lm_logp_renorm, dtype=np.float64)
@@ -198,9 +201,8 @@ class BeamScorer:
             lm_state = ()
             if self.cfg.fusion == "shallow":
                 lm_state, lm_logp = lm_step(self.lm, lm_prev, y_prev)
-                sc = self.cfg.shallow
-                renorm = lm_renormalize(lm_logp.data, sc.exclusion)
-                final = shallow_score(sel, renorm, sc.beta, sc.exclusion)
+                renorm = lm_renormalize(lm_logp.data, SHALLOW_EXCLUSION)
+                final = shallow_score(sel, renorm, self.cfg.shallow.beta)
         # one reduction: a NaN or an infinity anywhere makes the sum one
         if not math.isfinite(final.sum()):
             raise NumericError(
@@ -284,15 +286,14 @@ def translate(source_ids: Sequence[int], cfg: BeamConfig,
 
 
 def replace_unk(target_tokens: Sequence[str], attention: np.ndarray,
-                source_tokens: Sequence[str],
-                unk_token: str = RESERVED[UNK_ID]) -> list[str]:
+                source_tokens: Sequence[str]) -> list[str]:
     """Replace each unknown output token with the source token its attention
     row points at (argmax; leftmost on ties).  The appended source
     end-of-sequence column is ignored."""
     out = list(target_tokens)
     n_src = len(source_tokens)
     for i, tok in enumerate(out):
-        if tok == unk_token and i < attention.shape[0] and n_src > 0:
+        if tok == RESERVED[UNK_ID] and i < attention.shape[0] and n_src > 0:
             j = int(np.argmax(attention[i, :n_src]))
             out[i] = source_tokens[j]
     return out
@@ -314,8 +315,3 @@ def gate_stats(traces: Sequence[Sequence[float]]) -> GateStats:
     arr = np.asarray(values, dtype=np.float64)
     return GateStats(mean=float(arr.mean()), std=float(arr.std()),
                      traces=[list(tr) for tr in traces])
-
-
-def default_beta_grid(n: int = 7, lo: float = 0.001, hi: float = 0.1) -> list[float]:
-    """Log-spaced beta candidates in the tuning range."""
-    return [float(x) for x in np.geomspace(lo, hi, n)]

@@ -32,36 +32,27 @@ def _ngrams(tokens: Sequence, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
-         smooth: bool = False) -> BleuReport:
+def bleu(candidates: Sequence[Sequence],
+         references: Sequence[Sequence]) -> BleuReport:
     """Corpus-level BLEU-4 with clipped n-gram counts and brevity penalty.
 
-    ``references`` holds either one reference per candidate or a list of
-    references per candidate.  Orders whose candidate n-gram count is zero
-    corpus-wide are skipped; a zero precision (with smoothing off) makes the
-    score 0.
+    ``references`` holds one token sequence per candidate; an empty one is a
+    zero-length reference.  Orders whose candidate n-gram count is zero
+    corpus-wide are skipped; a zero precision makes the score 0.
     """
     if len(candidates) != len(references):
         raise ValueError(
             f"{len(candidates)} candidates vs {len(references)} references")
     matched, total = [0] * 4, [0] * 4
     cand_len = ref_len = 0
-    for cand, refs in zip(candidates, references):
-        if refs and not isinstance(refs[0], (list, tuple)):
-            refs = [refs]
-        cand = list(cand)
+    for cand, ref in zip(candidates, references):
         cand_len += len(cand)
-        # closest reference length, shorter wins ties (multi-bleu behaviour)
-        ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+        ref_len += len(ref)
         for n in range(1, 5):
             counts = _ngrams(cand, n)
             if not counts:
                 continue
-            clip: Counter = Counter()
-            for r in refs:
-                rc = _ngrams(r, n)
-                for gram in counts:
-                    clip[gram] = max(clip[gram], rc.get(gram, 0))
+            clip = _ngrams(ref, n)
             total[n - 1] += sum(counts.values())
             matched[n - 1] += sum(min(c, clip[g]) for g, c in counts.items())
 
@@ -73,10 +64,7 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
         if total[n] == 0:
             precisions.append(0.0)
             continue
-        m, t = matched[n], total[n]
-        if smooth:
-            m, t = m + 1, t + 1
-        p = m / t
+        p = matched[n] / total[n]
         precisions.append(p)
         used += 1
         if p == 0.0:
@@ -85,7 +73,7 @@ def bleu(candidates: Sequence[Sequence], references: Sequence[Sequence],
             log_sum += math.log(p)
     bp = 1.0 if cand_len > ref_len else (
         math.exp(1.0 - ref_len / cand_len) if cand_len > 0 else 0.0)
-    if zero or used == 0 or cand_len == 0:
+    if zero or cand_len == 0:  # no candidate token: no order used
         score = 0.0
     else:
         score = bp * math.exp(log_sum / used) * 100.0

@@ -26,18 +26,19 @@ def orthonormal(rng: np.random.Generator, d: int) -> np.ndarray:
     return q
 
 
-def gaussian(rng: np.random.Generator, shape, std: float = 0.01) -> np.ndarray:
-    return rng.standard_normal(shape) * std
+def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) * 0.01
 
 
 def _gate_weights(prefix: str, gates: str, input_size: int, d: int,
                   params: ParameterSet, rng: np.random.Generator,
-                  forget_bias: float = 0.0) -> tuple[Tensor, ...]:
+                  ) -> tuple[Tensor, ...]:
     """Create W, U and b for each gate, in the order the fused cell ops take
-    them.  Recurrent matrices U opt out of weight noise."""
+    them.  Biases start at 0, an LSTM forget gate's at 1.  Recurrent
+    matrices U opt out of weight noise."""
     weights = []
     for gate in gates:
-        bias = np.full(d, forget_bias) if gate == "f" else np.zeros(d)
+        bias = np.full(d, float(gate == "f"))
         for kind, value in (("W", gaussian(rng, (input_size, d))),
                             ("U", orthonormal(rng, d)), ("b", bias)):
             weights.append(params.add(Parameter(
@@ -65,10 +66,9 @@ class LstmCell:
     """LSTM with input/forget/output gates and a carried cell state."""
 
     def __init__(self, prefix: str, input_size: int, hidden_size: int,
-                 params: ParameterSet, rng: np.random.Generator,
-                 forget_bias: float = 1.0):
+                 params: ParameterSet, rng: np.random.Generator):
         self.weights = _gate_weights(prefix, "ifog", input_size, hidden_size,
-                                     params, rng, forget_bias)
+                                     params, rng)
 
 
 def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],

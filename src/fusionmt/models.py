@@ -58,39 +58,50 @@ class LmConfig:
     hidden: int = 2400
 
 
+# the block axis each config size fixes, under the parameter ids the models
+# below create; checkpoint loading checks them before a model is allocated
+SIZED_BY = {
+    NmtConfig: {"src_vocab": ("nmt.src_emb.table", 0),
+                "embed_dim": ("nmt.src_emb.table", 1),
+                "tgt_vocab": ("nmt.tgt_emb.table", 0), "hidden": ("nmt.W_init", 0),
+                "deep_output_width": ("nmt.out.b_h", 0)},
+    LmConfig: {"vocab": ("lm.emb.table", 0), "embed_dim": ("lm.emb.table", 1),
+               "hidden": ("lm.W_out", 1)},
+}
+
+
 class NmtModel:
     """Bidirectional GRU encoder, additive attention, GRU decoder, and a
     maxout deep output layer."""
 
-    def __init__(self, cfg: NmtConfig, rng: np.random.Generator,
-                 prefix: str = "nmt"):
+    def __init__(self, cfg: NmtConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.params = ParameterSet()
         d, e = cfg.hidden, cfg.embed_dim
-        self.src_emb = Embedding(f"{prefix}.src_emb", cfg.src_vocab, e,
+        self.src_emb = Embedding("nmt.src_emb", cfg.src_vocab, e,
                                  self.params, rng)
-        self.tgt_emb = Embedding(f"{prefix}.tgt_emb", cfg.tgt_vocab, e,
+        self.tgt_emb = Embedding("nmt.tgt_emb", cfg.tgt_vocab, e,
                                  self.params, rng)
-        self.enc_fwd = GruCell(f"{prefix}.enc_fwd", e, d, self.params, rng)
-        self.enc_bwd = GruCell(f"{prefix}.enc_bwd", e, d, self.params, rng)
+        self.enc_fwd = GruCell("nmt.enc_fwd", e, d, self.params, rng)
+        self.enc_bwd = GruCell("nmt.enc_bwd", e, d, self.params, rng)
         # additive alignment network: e_j = v_a' tanh(W_a s + U_a h_j + V_a y)
         self.attn = {
-            "W_a": self.params.add(Parameter(f"{prefix}.attn.W_a",
+            "W_a": self.params.add(Parameter("nmt.attn.W_a",
                                              gaussian(rng, (d, d)))),
-            "U_a": self.params.add(Parameter(f"{prefix}.attn.U_a",
+            "U_a": self.params.add(Parameter("nmt.attn.U_a",
                                              gaussian(rng, (2 * d, d)))),
-            "V_a": self.params.add(Parameter(f"{prefix}.attn.V_a",
+            "V_a": self.params.add(Parameter("nmt.attn.V_a",
                                              gaussian(rng, (e, d)))),
-            "b_a": self.params.add(Parameter(f"{prefix}.attn.b_a", np.zeros(d))),
-            "v_a": self.params.add(Parameter(f"{prefix}.attn.v_a",
+            "b_a": self.params.add(Parameter("nmt.attn.b_a", np.zeros(d))),
+            "v_a": self.params.add(Parameter("nmt.attn.v_a",
                                              gaussian(rng, (d, 1)))),
         }
-        self.decoder = GruCell(f"{prefix}.dec", e + 2 * d, d, self.params, rng)
-        self.W_init = self.params.add(Parameter(f"{prefix}.W_init",
+        self.decoder = GruCell("nmt.dec", e + 2 * d, d, self.params, rng)
+        self.W_init = self.params.add(Parameter("nmt.W_init",
                                                 gaussian(rng, (d, d))))
-        self.b_init = self.params.add(Parameter(f"{prefix}.b_init", np.zeros(d)))
+        self.b_init = self.params.add(Parameter("nmt.b_init", np.zeros(d)))
         self.out = DeepOutputLayer(
-            f"{prefix}.out", state_size=d, embed_size=e, context_size=2 * d,
+            "nmt.out", state_size=d, embed_size=e, context_size=2 * d,
             pool_width=cfg.deep_output_width // 2, vocab_size=cfg.tgt_vocab,
             params=self.params, rng=rng)
 
@@ -109,20 +120,19 @@ class AttentionScores:
     alpha: Tensor  # (B, T), rows sum to 1
 
 
-def encode(model: NmtModel, source, src_mask: Optional[np.ndarray] = None,
-           append_eos: bool = True) -> AnnotationMatrix:
+def encode(model: NmtModel, source,
+           src_mask: Optional[np.ndarray] = None) -> AnnotationMatrix:
     """Run both encoder directions; returns the annotations of every source
     position (end-of-sequence included) and their attention projection.
 
-    ``source`` is either a single id sequence or a padded (B, T) id array
-    with an explicit mask (already EOS-terminated)."""
+    ``source`` is either a single id sequence, to which end-of-sequence is
+    appended, or a padded (B, T) id array with an explicit mask (already
+    EOS-terminated)."""
     src = np.asarray(source, dtype=np.intp)
     if src.ndim == 1:
         if src.size == 0:
             raise T.DomainError("cannot encode an empty source sentence")
-        if append_eos:
-            src = np.concatenate([src, [EOS_ID]])
-        src = src[None, :]
+        src = np.concatenate([src, [EOS_ID]])[None, :]
         src_mask = np.ones(src.shape)
     if src_mask is None:
         raise ValueError("batched encode requires a mask")
@@ -202,16 +212,22 @@ def _nll(logits: Tensor, batch) -> Tensor:
     return T.scale(nll, -1.0 / batch.tgt_in.shape[0])
 
 
-def nmt_batch_loss(model: NmtModel, batch, dropout_p: float = 0.0,
-                   rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Mean (over sentences) of the summed negative log-likelihood."""
-    ann = encode(model, batch.src, batch.src_mask, append_eos=False)
+def _nmt_teacher_forced(model: NmtModel, batch) -> list[list[Tensor]]:
+    """The decoder recurrence over a padded batch: the head inputs (states,
+    previous-word embeddings, contexts), each as the list of its per-step
+    rows."""
+    ann = encode(model, batch.src, batch.src_mask)
     s, steps = initial_state(model, ann), []
     for y_prev in batch.tgt_in.T:
         s, y_emb, ctx, _ = _recur(model, s, y_prev, ann)
         steps.append((s, y_emb, ctx))
-    # each head input as the list of its per-step rows
-    return _nll(deep_output(model.out, *map(list, zip(*steps)),
+    return [list(rows) for rows in zip(*steps)]
+
+
+def nmt_batch_loss(model: NmtModel, batch, dropout_p: float = 0.0,
+                   rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Mean (over sentences) of the summed negative log-likelihood."""
+    return _nll(deep_output(model.out, *_nmt_teacher_forced(model, batch),
                             dropout_p=dropout_p, rng=rng), batch)
 
 
@@ -225,17 +241,16 @@ class RnnLm:
     Structurally it never sees a source sentence: there is no context input
     anywhere in its parameterization."""
 
-    def __init__(self, cfg: LmConfig, rng: np.random.Generator,
-                 prefix: str = "lm"):
+    def __init__(self, cfg: LmConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.params = ParameterSet()
-        self.tgt_emb = Embedding(f"{prefix}.emb", cfg.vocab, cfg.embed_dim,
+        self.tgt_emb = Embedding("lm.emb", cfg.vocab, cfg.embed_dim,
                                  self.params, rng)
-        self.lstm = LstmCell(f"{prefix}.lstm", cfg.embed_dim, cfg.hidden,
+        self.lstm = LstmCell("lm.lstm", cfg.embed_dim, cfg.hidden,
                              self.params, rng)
         self.W_out = self.params.add(Parameter(
-            f"{prefix}.W_out", gaussian(rng, (cfg.vocab, cfg.hidden))))
-        self.b_out = self.params.add(Parameter(f"{prefix}.b_out",
+            "lm.W_out", gaussian(rng, (cfg.vocab, cfg.hidden))))
+        self.b_out = self.params.add(Parameter("lm.b_out",
                                                np.zeros(cfg.vocab)))
 
     def initial_state(self, batch: int = 1) -> tuple[Tensor, Tensor]:
@@ -263,13 +278,19 @@ def lm_step(lm: RnnLm, state: tuple[Tensor, Tensor], y_prev,
     return (h, c), T.log_softmax(_lm_logits(lm, h))
 
 
-def lm_batch_loss(lm: RnnLm, batch) -> Tensor:
-    """Mean (over sentences) summed NLL of a monolingual padded batch."""
+def _lm_teacher_forced(lm: RnnLm, batch) -> Tensor:
+    """The LSTM recurrence over a padded batch: its hidden states, step
+    major, as one (T*B, d) head input."""
     state, hs = lm.initial_state(batch.size), []
     for y_prev in batch.tgt_in.T:
         state = _lm_recur(lm, state, y_prev)
         hs.append(state[0])
-    return _nll(_lm_logits(lm, T.concat(hs)), batch)
+    return T.concat(hs)
+
+
+def lm_batch_loss(lm: RnnLm, batch) -> Tensor:
+    """Mean (over sentences) summed NLL of a monolingual padded batch."""
+    return _nll(_lm_logits(lm, _lm_teacher_forced(lm, batch)), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +300,10 @@ def lm_batch_loss(lm: RnnLm, batch) -> Tensor:
 class Controller:
     """Scalar gate g = sigmoid(v_g . s_lm + b_g) scaling the LM state."""
 
-    def __init__(self, lm_hidden: int, params: ParameterSet,
-                 prefix: str = "fuse.ctrl", bias_init: float = -1.0):
-        self.v_g = params.add(Parameter(f"{prefix}.v_g",
+    def __init__(self, lm_hidden: int, params: ParameterSet):
+        self.v_g = params.add(Parameter("fuse.ctrl.v_g",
                                         np.zeros((lm_hidden, 1))))
-        self.b_g = params.add(Parameter(f"{prefix}.b_g",
-                                        np.array([bias_init])))
+        self.b_g = params.add(Parameter("fuse.ctrl.b_g", np.array([-1.0])))
 
 
 def controller_gate(ctrl: Controller, s_lm: Tensor) -> Tensor:
@@ -352,15 +371,9 @@ def fused_step(fm: FusedModel, s_tm_prev: Tensor, lm_state_prev, y_prev,
 
 def fused_batch_loss(fm: FusedModel, batch, dropout_p: float = 0.0,
                      rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Mean summed NLL under the fused output distribution."""
-    ann = encode(fm.nmt, batch.src, batch.src_mask, append_eos=False)
-    s, lm_state = initial_state(fm.nmt, ann), fm.lm.initial_state(batch.size)
-    hs, steps = [], []
-    for y_prev in batch.tgt_in.T:
-        s, y_emb, ctx, _ = _recur(fm.nmt, s, y_prev, ann)
-        lm_state = _lm_recur(fm.lm, lm_state, y_prev)
-        hs.append(lm_state[0])
-        steps.append((s, y_emb, ctx))
-    logits, _ = _fused_logits(fm, T.concat(hs), *map(list, zip(*steps)),
+    """Mean summed NLL under the fused output distribution.  Both
+    recurrences are frozen, so only the fused head is recorded."""
+    logits, _ = _fused_logits(fm, _lm_teacher_forced(fm.lm, batch),
+                              *_nmt_teacher_forced(fm.nmt, batch),
                               dropout_p, rng)
     return _nll(logits, batch)

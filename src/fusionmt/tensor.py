@@ -177,7 +177,8 @@ class Tape:
                 continue
             in_grads = node.backward_fn(g_out)
             for t, g in zip(node.inputs, in_grads):
-                if g is None:
+                # a constant or frozen input: its gradient reaches no parameter
+                if g is None or not t.requires_grad:
                     continue
                 acc = grads.get(id(t))
                 if acc is None:

@@ -308,12 +308,10 @@ def _train(model, data: Sequence, loss_fn: Callable,
 # the three training entry points
 # ---------------------------------------------------------------------------
 
-def oov_filter(sentences: Sequence[Sequence[int]],
-               max_fraction: float = 0.10) -> list:
-    """Drop sentences with strictly more than ``max_fraction`` unknown
-    tokens."""
+def oov_filter(sentences: Sequence[Sequence[int]]) -> list:
+    """Drop sentences with strictly more than 10 % unknown tokens."""
     kept = [s for s in sentences
-            if s and sum(1 for t in s if t == UNK_ID) / len(s) <= max_fraction]
+            if s and sum(1 for t in s if t == UNK_ID) / len(s) <= 0.10]
     if not kept:
         raise DataError("OOV filtering removed every sentence")
     return kept

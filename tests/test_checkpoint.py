@@ -152,14 +152,33 @@ class TestModelReconstruction:
         values = snapshot_params(model.params)
         values["nmt.W_init"] = np.zeros((2, 2))
         with pytest.raises(CheckpointError):
-            restore_params(model.params, values)
+            restore_params(model.params, Checkpoint("nmt", {}, values))
 
     def test_restore_missing_param_guard(self):
         model = tiny_nmt()
         values = snapshot_params(model.params)
         del values["nmt.W_init"]
         with pytest.raises(CheckpointError):
-            restore_params(model.params, values)
+            restore_params(model.params, Checkpoint("nmt", {}, values))
+
+    @pytest.mark.parametrize("kind, block", [
+        ("nmt", "nmt.dec.U_z"), ("lm", "lm.lstm.U_f"), ("fused", "nmt.dec.U_z"),
+        ("fused", "fuse.ctrl.v_g")])
+    @pytest.mark.parametrize("shape", [None, (3, 3)])
+    def test_bad_block_names_the_file(self, tmp_path, kind, block, shape):
+        # a re-signed copy of the benchmark fixture, the block removed
+        # (None) or replaced by one of the wrong shape
+        ckpt = load_checkpoint(FIXTURES / f"{kind}.ckpt")
+        if shape is None:
+            del ckpt.params[block]
+        else:
+            ckpt.params[block] = np.zeros(shape)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+        want = (f"{path}: missing parameter '{block}'" if shape is None
+                else f"{path}: parameter '{block}': shape (3, 3)")
+        with pytest.raises(CheckpointError, match=re.escape(want)):
+            BUILD[kind](load_checkpoint(path))
 
 
 class TestArchSection:

@@ -535,6 +535,16 @@ class TestEvaluateCommand:
         assert code == 0
         assert "BLEU = 71.65" in out.out
 
+    def test_bleu_blank_reference_line(self, tmp_path, capsys):
+        # a blank line is one zero-length reference: p1..p3 = 3/6, 2/4, 1/2
+        cand, ref = tmp_path / "c.txt", tmp_path / "r.txt"
+        write_lines(cand, ["the cat sat", "on the mat"])
+        write_lines(ref, ["the cat sat", ""])
+        code, out = run(["evaluate", "--bleu", str(cand), str(ref)], capsys)
+        assert (code, out.err) == (0, "")
+        assert out.out == ("BLEU = 50.00, 50.0/50.0/50.0/0.0 (BP=1.000, "
+                           "hyp_len=6, ref_len=3)\n")
+
     def test_gate_stats(self, tmp_path, capsys):
         gates = tmp_path / "g.txt"
         write_lines(gates, ["0.25 0.25", "0.25"])

@@ -423,10 +423,10 @@ def reference_translate(src, cfg, nmt=None, lm=None, fused=None):
         lm_state = None
         if cfg.fusion == "shallow":
             lm_state, lm_logp = lm_step(lm, h.lm_state, y_prev)
-            sc = cfg.shallow
+            excl = frozenset({EOS_ID, UNK_ID})
             final = shallow_score(
-                tm, lm_renormalize(lm_logp.data[0], sc.exclusion), sc.beta,
-                sc.exclusion)
+                tm, lm_renormalize(lm_logp.data[0], excl), cfg.shallow.beta,
+                excl)
         return tm, final, s, lm_state, scores.alpha.data[0], None
 
     for _ in range(cfg.max_output_length(len(src))):

@@ -56,7 +56,7 @@ class TestInitializers:
         np.testing.assert_array_equal(a, b)
 
     def test_gaussian_scale(self):
-        draw = gaussian(np.random.default_rng(0), (200, 200), std=0.01)
+        draw = gaussian(np.random.default_rng(0), (200, 200))
         assert abs(draw.std() - 0.01) < 0.001
 
 
@@ -201,10 +201,9 @@ class TestGru:
 # ---------------------------------------------------------------------------
 
 class TestLstm:
-    def make(self, input_size=2, hidden=3, forget_bias=1.0):
+    def make(self, input_size=2, hidden=3):
         params = ParameterSet()
-        cell = LstmCell("lstm", input_size, hidden, params, RNG,
-                        forget_bias=forget_bias)
+        cell = LstmCell("lstm", input_size, hidden, params, RNG)
         return cell, params
 
     def test_forget_bias_default_one(self):
@@ -213,7 +212,7 @@ class TestLstm:
         np.testing.assert_array_equal(params.get("lstm.b_i").value.data, 0.0)
 
     def test_zero_everything(self):
-        cell, params = self.make(forget_bias=0.0)
+        cell, params = self.make()
         zero_all(params)
         z = T.constant(np.zeros((1, 3)))
         h, c = lstm_step(cell, (z, z), T.constant(np.zeros((1, 2))))
@@ -232,7 +231,7 @@ class TestLstm:
         np.testing.assert_allclose(c.data, c_prev, atol=1e-12)
 
     def test_scalar_hand_evaluation(self):
-        cell, params = self.make(input_size=1, hidden=1, forget_bias=0.0)
+        cell, params = self.make(input_size=1, hidden=1)
         set_values(params, {
             "lstm.W_i": [[0.3]], "lstm.U_i": [[0.1]], "lstm.b_i": [0.0],
             "lstm.W_f": [[-0.4]], "lstm.U_f": [[0.2]], "lstm.b_f": [0.5],

@@ -110,7 +110,7 @@ class TestEncoder:
 
     def test_single_token_no_eos(self):
         model = tiny_nmt()
-        ann = encode(model, [3], append_eos=False)
+        ann = encode(model, np.array([[3]]), np.ones((1, 1)))
         assert ann.h.shape == (1, 1, 2 * model.cfg.hidden)
 
     def test_empty_source_rejected(self):
@@ -132,7 +132,7 @@ class TestEncoder:
                 src = model.params.get(f"nmt.enc_fwd.{kind}_{gate}").value.data
                 model.params.get(
                     f"nmt.enc_bwd.{kind}_{gate}").value.data[...] = src
-        ann = encode(model, [3, 4, 5, 4, 3], append_eos=False)
+        ann = encode(model, np.array([[3, 4, 5, 4, 3]]), np.ones((1, 5)))
         d = model.cfg.hidden
         n = ann.h.shape[1]
         for j in range(n):
@@ -144,7 +144,7 @@ class TestEncoder:
         model = tiny_nmt()
         pairs = [SentencePair([3, 4], [3]), SentencePair([5], [3])]
         batch = pad_batch(pairs)
-        ann = encode(model, batch.src, batch.src_mask, append_eos=False)
+        ann = encode(model, batch.src, batch.src_mask)
         for i, p in enumerate(pairs):
             single = encode(model, p.src)
             n = len(p.src) + 1
@@ -167,7 +167,7 @@ class TestEncoder:
 class TestAttention:
     def test_single_position_all_mass(self):
         model = tiny_nmt()
-        ann = encode(model, [3], append_eos=False)
+        ann = encode(model, np.array([[3]]), np.ones((1, 1)))
         s = initial_state(model, ann)
         scores, ctx = attend(model, s, model.tgt_emb.lookup([2]), ann)
         assert scores.alpha.data[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -217,7 +217,7 @@ class TestAttention:
         model = tiny_nmt()
         batch = pad_batch([SentencePair([3, 4, 5], [3]),
                            SentencePair([3], [3])])
-        ann = encode(model, batch.src, batch.src_mask, append_eos=False)
+        ann = encode(model, batch.src, batch.src_mask)
         s = initial_state(model, ann)
         scores, _ = attend(model, s, model.tgt_emb.lookup([2, 2]), ann)
         # second sentence: positions beyond its EOS are padding
@@ -230,7 +230,7 @@ class TestAttention:
         jitter_params(model.params, std=0.5)
         srcs = [[3, 4, 5, 6, 3, 4], [5, 6], [4], [6, 5, 4, 3]]
         batch = pad_batch([SentencePair(src, [3]) for src in srcs])
-        ann = encode(model, batch.src, batch.src_mask, append_eos=False)
+        ann = encode(model, batch.src, batch.src_mask)
         assert ann.h.shape[:2] == (4, 7)
         s = T.constant(RNG.standard_normal((4, model.cfg.hidden)))
         y_emb = model.tgt_emb.lookup([2, 3, 4, 5])
@@ -359,7 +359,8 @@ class TestController:
 
     def test_zero_bias_gate_half(self):
         params = ParameterSet()
-        ctrl = Controller(4, params, bias_init=0.0)
+        ctrl = Controller(4, params)
+        ctrl.b_g.value.data[...] = 0.0
         g = controller_gate(ctrl, T.constant(np.zeros((1, 4))))
         assert g.data[0, 0] == 0.5
 
@@ -501,7 +502,7 @@ def reference_teacher_forced_nll(step, state, batch):
 
 
 def reference_nmt_loss(model, batch, dropout_p, rng):
-    ann = encode(model, batch.src, batch.src_mask, append_eos=False)
+    ann = encode(model, batch.src, batch.src_mask)
     return reference_teacher_forced_nll(
         lambda s, y: decode_step(model, s, y, ann, dropout_p, rng)[:2],
         initial_state(model, ann), batch)
@@ -513,7 +514,7 @@ def reference_lm_loss(lm, batch):
 
 
 def reference_fused_loss(fm, batch, dropout_p, rng):
-    ann = encode(fm.nmt, batch.src, batch.src_mask, append_eos=False)
+    ann = encode(fm.nmt, batch.src, batch.src_mask)
 
     def step(state, y):
         s, lm_state, logp, _, _ = fused_step(fm, *state, y, ann, dropout_p, rng)

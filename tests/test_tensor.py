@@ -528,6 +528,30 @@ class TestTape:
         np.testing.assert_array_equal(frozen.grad.data, 0.0)
         np.testing.assert_array_equal(live.grad.data, 1.0)
 
+    def test_constant_inputs_keep_no_gradient(self):
+        # the mask feeds two nodes; its gradients come back as objects that
+        # refuse to be summed, so a backward that keeps them fails
+        class Unsummable:
+            def __add__(self, other):
+                raise AssertionError("a constant's gradient was summed")
+            __radd__ = __iadd__ = __add__
+
+        params = ParameterSet([make_param("a", (2, 2))])
+        a = params.get("a").value
+        mask = T.constant(np.array([[1.0, 0.0], [2.0, 1.0]]))
+        params.zero_grads()
+        with Tape() as tape:
+            loss = T.sum_all(T.add(T.mul(a, mask), T.mul(T.tanh(a), mask)))
+        for node in tape._nodes:
+            def spy(g, fn=node.backward_fn, inputs=node.inputs):
+                return [Unsummable() if t is mask else x
+                        for t, x in zip(inputs, fn(g))]
+            node.backward_fn = spy
+        tape.backward(loss, params)
+        np.testing.assert_allclose(
+            params.get("a").grad.data,
+            mask.data * (2.0 - np.tanh(a.data) ** 2), rtol=0, atol=1e-15)
+
     def test_forward_works_without_tape(self):
         out = T.tanh(T.constant([1.0]))
         assert np.isfinite(out.data).all()
