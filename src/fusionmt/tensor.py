@@ -221,7 +221,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
-    return _record((a, b), out, lambda g: (g * b.data, g * a.data))
+    # a constant operand (a dropout or loss mask) gets no gradient
+    return _record((a, b), out, lambda g: (
+        g * b.data if a.requires_grad else None,
+        g * a.data if b.requires_grad else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -280,7 +283,8 @@ def sigmoid(a: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of -|x| cannot overflow; min(x, -x) is -|x| that keeps a NaN's sign
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p = 1.0 + e
+    return np.where(x >= 0, 1.0 / p, e / p)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -410,7 +414,10 @@ def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
     e = (u @ v_a.data)[:, :, 0] + (mask - 1.0) * 1e9
     ex = np.exp(e - e.max(axis=1, keepdims=True))
     alpha = ex / ex.sum(axis=1, keepdims=True)
-    ctx = Tensor((alpha[:, :, None] * h.data).sum(axis=1))
+    # for k > 1 and a contiguous last axis of h (encode's annotations and
+    # their broadcast views), einsum sums over T in the order of a (B, T, k)
+    # product summed over axis 1, without the product; BLAS would reorder it
+    ctx = Tensor(np.einsum("bt,btk->bk", alpha, h.data))
 
     def backward(g):
         g_alpha = h.data @ g[:, :, None]  # (B, T, 1)

@@ -269,15 +269,17 @@ def _train(model, data: Sequence, loss_fn: Callable,
                              batches):
         p_drop, w_std = cfg.regularization_at(n_update)
         saved = perturb_parameters(params, w_std, noise_rng)
-        params.zero_grads()
-        with Tape() as tape:
-            loss = loss_fn(raw, p_drop, dropout_rng)
-        loss_value = loss.item()
-        if not math.isfinite(loss_value):
-            raise NumericError(
-                f"training diverged: loss {loss_value} at update {n_update}")
-        tape.backward(loss, params)
-        restore_parameters(params, saved)
+        try:  # an update that raises must not leave the noise in place
+            params.zero_grads()
+            with Tape() as tape:
+                loss = loss_fn(raw, p_drop, dropout_rng)
+            loss_value = loss.item()
+            if not math.isfinite(loss_value):
+                raise NumericError(f"training diverged: loss {loss_value} "
+                                   f"at update {n_update}")
+            tape.backward(loss, params)
+        finally:
+            restore_parameters(params, saved)
         gnorm = clip_gradients(params, cfg.clip_threshold)
         opt.step(params, scale=cfg.update_scale)
         dev_metric = None

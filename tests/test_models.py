@@ -34,6 +34,7 @@ from fusionmt.models import (
 from fusionmt.tensor import ParameterSet, Tape
 
 from gradcheck import finite_difference_check
+from test_tensor import reference_attention as broadcast_attention
 
 RNG = np.random.default_rng(99)
 
@@ -576,6 +577,29 @@ class TestTwoPassLoss:
             big = np.abs(want) > 1e-12
             np.testing.assert_allclose(grads[pid][big], want[big], rtol=1e-12,
                                        atol=0, err_msg=pid)
+
+    @pytest.mark.parametrize("kind", ["nmt", "fused"])
+    def test_broadcast_attention_gives_the_same_bytes(self, kind, monkeypatch):
+        # the attention op's einsum context against the broadcast-then-sum
+        # oracle, on padded sources and with dropout
+        model = self.models(kind)
+        batch = pad_batch(self.PAIRS)
+        loss_fn = {"nmt": nmt_batch_loss, "fused": fused_batch_loss}[kind]
+        calls = []
+
+        def oracle(*args):
+            calls.append(1)
+            return broadcast_attention(*args)
+
+        loss, grads, _ = self.run(model, lambda m, r: loss_fn(m, batch, 0.3, r))
+        monkeypatch.setattr(T, "attention", oracle)
+        want_loss, want_grads, _ = self.run(
+            model, lambda m, r: loss_fn(m, batch, 0.3, r))
+        assert len(calls) == batch.tgt_in.shape[1]
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert set(grads) == set(want_grads)
+        for pid, want in want_grads.items():
+            assert grads[pid].tobytes() == want.tobytes(), pid
 
     def test_fused_head_is_one_set_of_nodes(self):
         # the frozen recurrences record nothing, so the tape holds the head

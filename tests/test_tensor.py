@@ -385,6 +385,80 @@ class TestAttentionOp:
                         T.constant(np.zeros((3, 1))), np.ones((2, 3)))
 
 
+def reference_attention(query, proj, h, v_a, mask):
+    """Test-only oracle: ``T.attention`` with its sums over source positions
+    taken the broadcast way, a (B, T, k) product summed over axis 1 for the
+    context and a (B, T, k) outer product for the annotation gradient."""
+    d = proj.shape[2]
+    u = np.tanh(query.data[:, None, :] + proj.data)
+    e = (u @ v_a.data)[:, :, 0] + (mask - 1.0) * 1e9
+    ex = np.exp(e - e.max(axis=1, keepdims=True))
+    alpha = ex / ex.sum(axis=1, keepdims=True)
+    ctx = Tensor((alpha[:, :, None] * h.data).sum(axis=1))
+
+    def backward(g):
+        g_alpha = h.data @ g[:, :, None]
+        g_e = alpha[:, :, None] * (g_alpha - alpha[:, None, :] @ g_alpha)
+        g_pre = g_e * v_a.data[:, 0] * (1.0 - u * u)
+        return (g_pre.sum(axis=1), g_pre, alpha[:, :, None] * g[:, None, :],
+                u.reshape(-1, d).T @ g_e.reshape(-1, 1))
+
+    return Tensor(alpha), T._record((query, proj, h, v_a), ctx, backward)
+
+
+def bits(x):
+    """The exact bits of a float64 array, as an array of uint64."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestAttentionMatchesReference:
+    """The op, with its context summed by einsum, gives the same bits as the
+    broadcast reference: alpha, the context and all four input gradients."""
+
+    def outputs(self, op, query, proj, h, v_a, mask, g):
+        with Tape() as tape:
+            alpha, ctx = op(query, proj, h, v_a, mask)
+        return (alpha.data, ctx.data, *tape._nodes[-1].backward_fn(g))
+
+    def assert_same_bits(self, query, proj, h, v_a, mask, rng):
+        g = rng.standard_normal((proj.shape[0], h.shape[2]))
+        got = self.outputs(T.attention, query, proj, h, v_a, mask, g)
+        want = self.outputs(reference_attention, query, proj, h, v_a, mask, g)
+        for name, x, y in zip(("alpha", "ctx", "d_query", "d_proj", "d_h",
+                               "d_v_a"), got, want):
+            assert x.shape == y.shape, name
+            np.testing.assert_array_equal(bits(x), bits(y), err_msg=name)
+
+    @pytest.mark.parametrize("b", [1, 3, 32])
+    @pytest.mark.parametrize("t_len", [1, 6, 25])
+    def test_padded_batches(self, b, t_len):
+        rng = np.random.default_rng(100 * b + t_len)
+        d, k = 8, 10
+        query, proj, h, v_a = (make_param(n, s, rng).value for n, s in (
+            ("query", (b, d)), ("proj", (b, t_len, d)), ("h", (b, t_len, k)),
+            ("v_a", (d, 1))))
+        mask = np.ones((b, t_len))
+        for i in range(1, b, 2):  # every other row is padded after 1..T
+            mask[i, 1 + i % t_len:] = 0.0
+        self.assert_same_bits(query, proj, h, v_a, mask, rng)
+
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_broadcast_annotations(self, n):
+        # beam decoding repeats one sentence's annotations for n hypotheses
+        # as stride-0 views
+        rng = np.random.default_rng(n)
+        t_len, d, k = 7, 8, 10
+        query = make_param("query", (n, d), rng).value
+        v_a = make_param("v_a", (d, 1), rng).value
+        proj, h = (Tensor(np.broadcast_to(rng.standard_normal((1, t_len, w)),
+                                          (n, t_len, w))) for w in (d, k))
+        for x in (proj, h):
+            x.requires_grad = True
+            assert x.data.strides[0] == 0
+        mask = np.broadcast_to(np.ones((1, t_len)), (n, t_len))
+        self.assert_same_bits(query, proj, h, v_a, mask, rng)
+
+
 class TestMaxoutTieRule:
     def test_gradient_goes_to_first_of_tied_pair(self):
         params = ParameterSet()
@@ -542,12 +616,17 @@ class TestTape:
         params.zero_grads()
         with Tape() as tape:
             loss = T.sum_all(T.add(T.mul(a, mask), T.mul(T.tanh(a), mask)))
+        returned = []
         for node in tape._nodes:
             def spy(g, fn=node.backward_fn, inputs=node.inputs):
+                grads = fn(g)
+                returned.extend(x for t, x in zip(inputs, grads) if t is mask)
                 return [Unsummable() if t is mask else x
-                        for t, x in zip(inputs, fn(g))]
+                        for t, x in zip(inputs, grads)]
             node.backward_fn = spy
         tape.backward(loss, params)
+        # mul computes no gradient for its constant operand
+        assert [x is None for x in returned] == [True, True]
         np.testing.assert_allclose(
             params.get("a").grad.data,
             mask.data * (2.0 - np.tanh(a.data) ** 2), rtol=0, atol=1e-15)

@@ -426,3 +426,18 @@ class TestNumericGuards:
                           eval_interval=1, patience=2, seed=0)
         with pytest.raises((NumericError, OverflowError, FloatingPointError)):
             train_lm(lm, corpus, corpus[:2], cfg)
+
+    def test_failed_update_leaves_no_weight_noise(self, monkeypatch):
+        # the loss of the first update is NaN after the noise went in
+        import fusionmt.training as training
+        real_loss = training.nmt_batch_loss
+        monkeypatch.setattr(training, "nmt_batch_loss", lambda *args: T.scale(
+            real_loss(*args), float("nan")))
+        model = NmtModel(NmtConfig(src_vocab=6, tgt_vocab=6, embed_dim=4,
+                                   hidden=6), np.random.default_rng(3))
+        bitext = [SentencePair([3, 4], [4, 5]), SentencePair([5], [3])]
+        before = param_digests(model.params)
+        cfg = TrainConfig(batch_size=2, max_updates=2, weight_noise_std=0.1)
+        with pytest.raises(NumericError):
+            train_nmt(model, bitext, bitext[:1], cfg)
+        assert param_digests(model.params) == before
