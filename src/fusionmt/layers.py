@@ -30,20 +30,23 @@ def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) * 0.01
 
 
-def _gate_weights(prefix: str, gates: str, input_size: int, d: int,
-                  params: ParameterSet, rng: np.random.Generator,
-                  ) -> tuple[Tensor, ...]:
-    """Create W, U and b for each gate, in the order the fused cell ops take
-    them.  Biases start at 0, an LSTM forget gate's at 1.  Recurrent
-    matrices U opt out of weight noise."""
+def _gate_weights(prefix: str, gates: str, order: str, input_size: int,
+                  d: int, params: ParameterSet, rng: np.random.Generator):
+    """W, U and b for each gate, drawn gate by gate in ``gates`` order and
+    joined as column blocks in ``order``: W (input_size, G d), U (d, G d), b
+    (G d).  Returns them and the per-gate parameter views in ``order``.
+    Biases start at 0, an LSTM forget gate's at 1; U opts out of weight noise."""
+    draws = {gate: (gaussian(rng, (input_size, d)), orthonormal(rng, d),
+                    np.full(d, float(gate == "f"))) for gate in gates}
+    joined = tuple(np.concatenate([draws[gate][k] for gate in order], axis=-1)
+                   for k in range(3))
     weights = []
-    for gate in gates:
-        bias = np.full(d, float(gate == "f"))
-        for kind, value in (("W", gaussian(rng, (input_size, d))),
-                            ("U", orthonormal(rng, d)), ("b", bias)):
+    for k, gate in enumerate(order):
+        for kind, a in zip("WUb", joined):
             weights.append(params.add(Parameter(
-                f"{prefix}.{kind}_{gate}", value, noisy=kind != "U")).value)
-    return tuple(weights)
+                f"{prefix}.{kind}_{gate}", a[..., k * d:(k + 1) * d],
+                noisy=kind != "U")).value)
+    return joined, tuple(weights)
 
 
 class GruCell:
@@ -51,15 +54,15 @@ class GruCell:
 
     def __init__(self, prefix: str, input_size: int, hidden_size: int,
                  params: ParameterSet, rng: np.random.Generator):
-        self.weights = _gate_weights(prefix, "zrh", input_size, hidden_size,
-                                     params, rng)
+        self.joined, self.weights = _gate_weights(
+            prefix, "zrh", "zrh", input_size, hidden_size, params, rng)
 
 
 def gru_step(cell: GruCell, s_prev: Tensor, x: Tensor,
              keep: Optional[np.ndarray] = None) -> Tensor:
     """One GRU step: s = (1 - z) * s_prev + z * candidate.  Rows where the
     optional (B, 1) 0/1 ``keep`` mask is 0 keep ``s_prev``."""
-    return T.gru(s_prev, x, cell.weights, keep)
+    return T.gru(s_prev, x, cell.joined, cell.weights, keep)
 
 
 class LstmCell:
@@ -67,14 +70,14 @@ class LstmCell:
 
     def __init__(self, prefix: str, input_size: int, hidden_size: int,
                  params: ParameterSet, rng: np.random.Generator):
-        self.weights = _gate_weights(prefix, "ifog", input_size, hidden_size,
-                                     params, rng)
+        self.joined, self.weights = _gate_weights(
+            prefix, "ifog", "oifg", input_size, hidden_size, params, rng)
 
 
 def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],
               x: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step; returns (h, c)."""
-    return T.lstm(*state, x, cell.weights)
+    return T.lstm(*state, x, cell.joined, cell.weights)
 
 
 class Embedding:

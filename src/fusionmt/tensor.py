@@ -437,71 +437,75 @@ def _check_cell(op: str, x: Tensor, states: Sequence[Tensor],
         raise ShapeError(f"{op}: input and states {shapes}, W {w_in.shape}")
 
 
-def _affine_grads(da: np.ndarray, x: np.ndarray, s: np.ndarray, w, u):
-    """Gradients of x @ w + s @ u + b for x, s, w, u and b."""
-    return da @ w.T, da @ u.T, x.T @ da, s.T @ da, da.sum(axis=0)
+def _gate_grads(da: np.ndarray, x: np.ndarray, s: np.ndarray, n: int) -> list:
+    """(dW, dU, db) of x @ W + s @ U + b for each of the n gates whose column
+    blocks ``da`` joins, each a contiguous block of one product over all n
+    gates; ``s`` may be an (n, B, d) stack, one input per gate."""
+    da = da.reshape(len(da), n, -1).transpose(1, 0, 2)
+    grads = (x.T @ da, np.swapaxes(s, -1, -2) @ da, da.sum(axis=1))
+    return [a[k] for k in range(n) for a in grads]
 
 
-def gru(s_prev: Tensor, x: Tensor, weights: Sequence[Tensor],
-        keep: Optional[np.ndarray] = None) -> Tensor:
+def gru(s_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
+        weights: Sequence[Tensor], keep: Optional[np.ndarray] = None) -> Tensor:
     """One GRU step as one tape node: s = (1 - z) s_prev + z h, with gates
-    z, r = sigmoid(x W + s_prev U + b) and h = tanh(x W_h + (r s_prev) U_h
-    + b_h); ``weights`` is (W, U, b) for each of z, r and h.  Rows where the
-    optional (B, 1) 0/1 ``keep`` mask is 0 carry ``s_prev`` through."""
+    z, r = sigmoid(x W + s_prev U + b), h = tanh(x W_h + (r s_prev) U_h + b_h)
+    from ``joined`` (W, U, b) in blocks z|r|h, whose per-gate views are
+    ``weights``.  Rows where (B, 1) 0/1 ``keep`` is 0 carry ``s_prev``."""
     _check_cell("gru", x, (s_prev,), weights[0])
     xs, s = x.data, s_prev.data
-    w = [t.data for t in weights]
-    z = _sigmoid(xs @ w[0] + s @ w[1] + w[2])
-    r = _sigmoid(xs @ w[3] + s @ w[4] + w[5])
+    w, u, b = joined
+    d, d2 = s.shape[1], 2 * s.shape[1]
+    xw = xs @ w
+    zr = _sigmoid(xw[:, :d2] + s @ u[:, :d2] + b[:d2])
+    # contiguous gates: elementwise ops on a strided block run row by row
+    z, r = np.ascontiguousarray(zr[:, :d]), np.ascontiguousarray(zr[:, d:])
     rs = r * s
-    h = np.tanh(xs @ w[6] + rs @ w[7] + w[8])
+    h = np.tanh(xw[:, d2:] + rs @ u[:, d2:] + b[d2:])
     new = (1.0 - z) * s + z * h
     out = Tensor(new if keep is None else np.where(keep != 0, new, s))
 
     def backward(g):
         g_new, g_carry = (g, 0.0) if keep is None else (g * keep,
                                                         g * (1.0 - keep))
-        da_z = g_new * (h - s) * z * (1.0 - z)
         da_h = g_new * z * (1.0 - h * h)
-        dx_h, d_rs, *dw_h = _affine_grads(da_h, xs, rs, w[6], w[7])
-        da_r = d_rs * s * r * (1.0 - r)
-        dx_z, ds_z, *dw_z = _affine_grads(da_z, xs, s, w[0], w[1])
-        dx_r, ds_r, *dw_r = _affine_grads(da_r, xs, s, w[3], w[4])
-        ds = g_new * (1.0 - z) + d_rs * r + ds_z + ds_r + g_carry
-        return (ds, dx_z + dx_r + dx_h, *dw_z, *dw_r, *dw_h)
+        d_rs = da_h @ u[:, d2:].T
+        da = np.concatenate((g_new * (h - s) * z * (1.0 - z),
+                             d_rs * s * r * (1.0 - r), da_h), axis=1)
+        ds = g_new * (1.0 - z) + d_rs * r + da[:, :d2] @ u[:, :d2].T + g_carry
+        return (ds, da @ w.T, *_gate_grads(da, xs, np.stack((s, s, rs)), 3))
 
     return _record((s_prev, x, *weights), out, backward)
 
 
-def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
+def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
          weights: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
-    """One LSTM step, c = f c_prev + i g and h = o tanh(c), with gates i, f,
-    o = sigmoid(x W + h_prev U + b) and g = tanh(x W_g + h_prev U_g + b_g);
-    ``weights`` is (W, U, b) for each of i, f, o and g.  Returns (h, c), one
-    tape node each."""
+    """One LSTM step, c = f c_prev + i g and h = o tanh(c), with gates o, i,
+    f = sigmoid(x W + h_prev U + b) and g = tanh(x W_g + h_prev U_g + b_g);
+    ``joined`` is (W, U, b) with column blocks o|i|f|g (h's gate, then c's),
+    ``weights`` their per-gate views.  Returns (h, c), one tape node each."""
     _check_cell("lstm", x, (h_prev, c_prev), weights[0])
     xs, hp, cp = x.data, h_prev.data, c_prev.data
-    w = [t.data for t in weights]
-    i, f, o = (_sigmoid(xs @ w[k] + hp @ w[k + 1] + w[k + 2])
-               for k in (0, 3, 6))
-    g = np.tanh(xs @ w[9] + hp @ w[10] + w[11])
+    w, u, b = joined
+    d = hp.shape[1]
+    pre = xs @ w + hp @ u + b
+    sg = _sigmoid(pre[:, :3 * d])
+    o, i, f = (np.ascontiguousarray(sg[:, k * d:(k + 1) * d]) for k in range(3))
+    g = np.tanh(pre[:, 3 * d:])
     c = Tensor(f * cp + i * g)
     tc = np.tanh(c.data)
 
     def c_backward(gc):
-        da = (gc * g * i * (1.0 - i), gc * cp * f * (1.0 - f),
-              gc * i * (1.0 - g * g))
-        (dx_i, dh_i, *dw_i), (dx_f, dh_f, *dw_f), (dx_g, dh_g, *dw_g) = (
-            _affine_grads(da_k, xs, hp, w[k], w[k + 1])
-            for da_k, k in zip(da, (0, 3, 9)))
-        return (dh_i + dh_f + dh_g, gc * f, dx_i + dx_f + dx_g,
-                *dw_i, *dw_f, *dw_g)
+        da = np.concatenate((gc * g * i * (1.0 - i), gc * cp * f * (1.0 - f),
+                             gc * i * (1.0 - g * g)), axis=1)
+        return (da @ u[:, d:].T, gc * f, da @ w[:, d:].T,
+                *_gate_grads(da, xs, hp, 3))
 
     def h_backward(gh):
-        da_o = gh * tc * o * (1.0 - o)
-        dx, dh, *dw = _affine_grads(da_o, xs, hp, w[6], w[7])
-        return (gh * o * (1.0 - tc * tc), dh, dx, *dw)
+        da = gh * tc * o * (1.0 - o)
+        return (gh * o * (1.0 - tc * tc), da @ u[:, :d].T, da @ w[:, :d].T,
+                *_gate_grads(da, xs, hp, 1))
 
-    c = _record((h_prev, c_prev, x, *weights[:6], *weights[9:]), c, c_backward)
-    h = _record((c, h_prev, x, *weights[6:9]), Tensor(o * tc), h_backward)
+    c = _record((h_prev, c_prev, x, *weights[3:]), c, c_backward)
+    h = _record((c, h_prev, x, *weights[:3]), Tensor(o * tc), h_backward)
     return h, c

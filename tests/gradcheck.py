@@ -2,6 +2,8 @@
 
 from typing import Callable
 
+import numpy as np
+
 from fusionmt.tensor import ParameterSet, Tape, Tensor
 
 
@@ -26,16 +28,17 @@ def finite_difference_check(
 
     errors: dict[str, float] = {}
     for p in params.trainable():
-        flat = p.value.data.reshape(-1)
-        analytic = p.grad.data.reshape(-1)
+        # perturb by index: a reshape of a non-contiguous value (a gate's
+        # column block of its cell's joined weights) would be a copy
+        value, analytic = p.value.data, p.grad.data
         worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        for i in np.ndindex(value.shape):
+            orig = value[i]
+            value[i] = orig + step
             f_plus = _as_float(loss_fn())
-            flat[i] = orig - step
+            value[i] = orig - step
             f_minus = _as_float(loss_fn())
-            flat[i] = orig
+            value[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             denom = max(abs(analytic[i]), abs(numeric), floor)
             worst = max(worst, abs(analytic[i] - numeric) / denom)

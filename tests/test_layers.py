@@ -80,7 +80,7 @@ def reference_gru(weights, s, x, keep=None):
 
 def reference_lstm(weights, h, c, x):
     """An LSTM step written gate by gate; returns (h, c)."""
-    W_i, U_i, b_i, W_f, U_f, b_f, W_o, U_o, b_o, W_g, U_g, b_g = (
+    W_o, U_o, b_o, W_i, U_i, b_i, W_f, U_f, b_f, W_g, U_g, b_g = (
         w.data for w in weights)
     i = sig(x @ W_i + h @ U_i + b_i)
     f = sig(x @ W_f + h @ U_f + b_f)
@@ -88,6 +88,111 @@ def reference_lstm(weights, h, c, x):
     g = np.tanh(x @ W_g + h @ U_g + b_g)
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
+
+
+def affine_grads(da, x, s, w, u):
+    """Gradients of x @ w + s @ u + b for x, s, w, u and b."""
+    return da @ w.T, da @ u.T, x.T @ da, s.T @ da, da.sum(axis=0)
+
+
+def per_gate_gru(w, s, x, keep, g):
+    """The GRU step and its backward written gate by gate, one product per
+    gate and operand with the op's own sigmoid.  ``w`` is (W, U, b) for each
+    of z, r and h.  Returns the new state and the gradients of s, x and each
+    of ``w`` for the upstream gradient ``g``."""
+    z = T._sigmoid(x @ w[0] + s @ w[1] + w[2])
+    r = T._sigmoid(x @ w[3] + s @ w[4] + w[5])
+    rs = r * s
+    h = np.tanh(x @ w[6] + rs @ w[7] + w[8])
+    new = (1.0 - z) * s + z * h
+    out = new if keep is None else np.where(keep != 0, new, s)
+    g_new, g_carry = (g, 0.0) if keep is None else (g * keep, g * (1.0 - keep))
+    da_z = g_new * (h - s) * z * (1.0 - z)
+    da_h = g_new * z * (1.0 - h * h)
+    dx_h, d_rs, *dw_h = affine_grads(da_h, x, rs, w[6], w[7])
+    da_r = d_rs * s * r * (1.0 - r)
+    dx_z, ds_z, *dw_z = affine_grads(da_z, x, s, w[0], w[1])
+    dx_r, ds_r, *dw_r = affine_grads(da_r, x, s, w[3], w[4])
+    ds = g_new * (1.0 - z) + d_rs * r + ds_z + ds_r + g_carry
+    return out, (ds, dx_z + dx_r + dx_h, *dw_z, *dw_r, *dw_h)
+
+
+def per_gate_lstm(w, h, c, x, gh, gc):
+    """The LSTM step and the backward of its h and c nodes written gate by
+    gate, as ``per_gate_gru``; ``w`` is (W, U, b) for each of o, i, f and
+    g.  Returns h, c, the c node's gradients of h, c, x and the i, f and g
+    weights for ``gc``, and the h node's of c, h, x and the o weights for
+    ``gh``."""
+    o, i, f = (T._sigmoid(x @ w[k] + h @ w[k + 1] + w[k + 2])
+               for k in (0, 3, 6))
+    g = np.tanh(x @ w[9] + h @ w[10] + w[11])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    da = (gc * g * i * (1.0 - i), gc * c * f * (1.0 - f),
+          gc * i * (1.0 - g * g))
+    (dx_i, dh_i, *dw_i), (dx_f, dh_f, *dw_f), (dx_g, dh_g, *dw_g) = (
+        affine_grads(da_k, x, h, w[k], w[k + 1])
+        for da_k, k in zip(da, (3, 6, 9)))
+    c_grads = (dh_i + dh_f + dh_g, gc * f, dx_i + dx_f + dx_g,
+               *dw_i, *dw_f, *dw_g)
+    dx_o, dh_o, *dw_o = affine_grads(gh * tc * o * (1.0 - o), x, h, w[0], w[1])
+    h_grads = (gh * o * (1.0 - tc * tc), dh_o, dx_o, *dw_o)
+    return o * tc, c_new, c_grads, h_grads
+
+
+def bits(x):
+    """The exact bits of a float64 array, as an array of uint64."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+def assert_close_grads(got, want):
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape, k
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), k
+
+
+class TestJoinedGatesMatchPerGate:
+    """The ops on joined gate weights against the per-gate form they
+    replace: the forward bit for bit, every gradient within 1e-12
+    relative (the joined products sum the gates' terms inside one GEMM)."""
+
+    def inputs(self, cell, b, d, input_size, seed):
+        rng = np.random.default_rng(seed)
+        for k, a in enumerate(cell.joined):  # away from the initial draws
+            a[...] = rng.standard_normal(a.shape) * (0.3 if k < 2 else 1.0)
+        per_gate = [np.ascontiguousarray(t.data) for t in cell.weights]
+        return rng, per_gate, *(T.constant(rng.standard_normal(shape))
+                                for shape in ((b, d), (b, d), (b, input_size)))
+
+    @pytest.mark.parametrize("b", [1, 4, 32])
+    @pytest.mark.parametrize("input_size", [24, 120])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gru(self, b, input_size, masked):
+        cell = GruCell("g", input_size, 48, ParameterSet(), RNG)
+        rng, w, s, _, x = self.inputs(cell, b, 48, input_size, b + input_size)
+        keep = (rng.random((b, 1)) < 0.6).astype(float) if masked else None
+        g = rng.standard_normal((b, 48))
+        with Tape() as tape:
+            out = gru_step(cell, s, x, keep)
+        want, want_grads = per_gate_gru(w, s.data, x.data, keep, g)
+        np.testing.assert_array_equal(bits(out.data), bits(want))
+        assert_close_grads(tape._nodes[-1].backward_fn(g), want_grads)
+
+    @pytest.mark.parametrize("b", [1, 4, 32])
+    def test_lstm(self, b):
+        cell = LstmCell("l", 24, 48, ParameterSet(), RNG)
+        rng, w, h0, c0, x = self.inputs(cell, b, 48, 24, b)
+        gh, gc = (rng.standard_normal((b, 48)) for _ in range(2))
+        with Tape() as tape:
+            h, c = lstm_step(cell, (h0, c0), x)
+        want_h, want_c, c_grads, h_grads = per_gate_lstm(
+            w, h0.data, c0.data, x.data, gh, gc)
+        np.testing.assert_array_equal(bits(h.data), bits(want_h))
+        np.testing.assert_array_equal(bits(c.data), bits(want_c))
+        c_node, h_node = tape._nodes[-2:]
+        assert_close_grads(c_node.backward_fn(gc), c_grads)
+        assert_close_grads(h_node.backward_fn(gh), h_grads)
 
 
 KEEP = np.array([[1.0], [0.0], [1.0], [0.0]])  # rows 1 and 3 are padding

@@ -209,6 +209,20 @@ def check_op(build_loss, params, tol=1e-6):
         assert err < tol, f"{pid}: rel err {err}"
 
 
+def test_gradcheck_moves_a_column_view_parameter():
+    # a gate's parameter is a column block of its cell's joined weights;
+    # the check must perturb it in place, not a reshaped copy
+    joined = RNG.standard_normal((3, 6))
+    clean = joined.copy()
+    params = ParameterSet([Parameter("v", joined[:, 2:4])])
+    assert not params.get("v").value.data.flags.c_contiguous
+    w = T.constant(RNG.standard_normal((3, 2)))
+    errors = finite_difference_check(
+        lambda: T.sum_all(T.mul(T.tanh(params.get("v").value), w)), params)
+    assert errors["v"] < 1e-8
+    np.testing.assert_array_equal(joined, clean)  # every step was undone
+
+
 class TestOpGradients:
     """Finite-difference checks on random 2x3 inputs, one op at a time."""
 
