@@ -156,12 +156,12 @@ def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
         p.value.data[...] = value
 
 
-def _arch(cfg, prefix: str = "") -> dict:
-    """The [arch] entries of a model config: each field, under ``prefix``."""
-    return {prefix + k: v for k, v in asdict(cfg).items()}
+# kind -> the (config class, [arch] key prefix) of each model it is built from
+_PARTS = {"nmt": ((NmtConfig, ""),), "lm": ((LmConfig, ""),),
+          "fused": ((NmtConfig, ""), (LmConfig, "lm_"))}
 
 
-def _config(cls, ckpt: Checkpoint, prefix: str = ""):
+def _config(cls, ckpt: Checkpoint, prefix: str):
     """``cls`` rebuilt from the ``prefix``-ed [arch] keys of ``ckpt``, each a
     positive integer that matches the block axis it sizes."""
     values = {}
@@ -169,7 +169,8 @@ def _config(cls, ckpt: Checkpoint, prefix: str = ""):
         key, even = prefix + f.name, f.name == "deep_output_width"
         value, (block, axis) = ckpt.arch.get(key), SIZED_BY[cls][f.name]
         size = ckpt.params.get(block, np.empty(0)).shape[axis:axis + 1]
-        if type(value) is not int or value < 1 or even and value % 2 or size != (value,):
+        if (type(value) is not int or value < 1 or even and value % 2
+                or size != (value,)):
             raise CheckpointError(
                 f"{ckpt.source}: [arch] {key}={value!r}: expected a positive"
                 f"{' even' * even} integer, the length of axis {axis} of block "
@@ -178,45 +179,41 @@ def _config(cls, ckpt: Checkpoint, prefix: str = ""):
     return cls(**values)
 
 
-def checkpoint_from_nmt(model: NmtModel, meta: Optional[dict] = None) -> Checkpoint:
-    return Checkpoint("nmt", _arch(model.cfg), snapshot_params(model.params),
-                      meta or {})
+def to_checkpoint(model, meta: Optional[dict] = None) -> Checkpoint:
+    """An ``NmtModel``, ``RnnLm`` or ``FusedModel`` as a checkpoint of its
+    kind: each part's config fields under its prefix, and every parameter."""
+    kind = {NmtModel: "nmt", RnnLm: "lm", FusedModel: "fused"}[type(model)]
+    parts = (model.nmt, model.lm) if kind == "fused" else (model,)
+    arch = {prefix + k: v for part, (_, prefix) in zip(parts, _PARTS[kind])
+            for k, v in asdict(part.cfg).items()}
+    return Checkpoint(kind, arch, snapshot_params(model.params), meta or {})
 
 
-def checkpoint_from_lm(lm: RnnLm, meta: Optional[dict] = None) -> Checkpoint:
-    return Checkpoint("lm", _arch(lm.cfg), snapshot_params(lm.params), meta or {})
-
-
-def checkpoint_from_fused(fm: FusedModel, meta: Optional[dict] = None) -> Checkpoint:
-    arch = {**_arch(fm.nmt.cfg), **_arch(fm.lm.cfg, "lm_")}
-    return Checkpoint("fused", arch, snapshot_params(fm.params), meta or {})
-
-
-def build_nmt(ckpt: Checkpoint) -> NmtModel:
-    if ckpt.kind != "nmt":
-        raise CheckpointError(f"expected an nmt checkpoint, got {ckpt.kind!r}")
-    model = NmtModel(_config(NmtConfig, ckpt), np.random.default_rng(0))
+def build(ckpt: Checkpoint, kind: str):
+    """The ``kind`` model held in ``ckpt``; every part's [arch] sizes are
+    checked before anything is allocated."""
+    if ckpt.kind != kind:
+        raise CheckpointError(f"expected {'a' if kind == 'fused' else 'an'} "
+                              f"{kind} checkpoint, got {ckpt.kind!r}")
+    rng = np.random.default_rng
+    cfgs = [_config(cls, ckpt, prefix) for cls, prefix in _PARTS[kind]]
+    parts = [(NmtModel if type(cfg) is NmtConfig else RnnLm)(cfg, rng(0))
+             for cfg in cfgs]
+    model = FusedModel(*parts, rng(0)) if kind == "fused" else parts[0]
     restore_params(model.params, ckpt)
     return model
 
 
+def build_nmt(ckpt: Checkpoint) -> NmtModel:
+    return build(ckpt, "nmt")
+
+
 def build_lm(ckpt: Checkpoint) -> RnnLm:
-    if ckpt.kind != "lm":
-        raise CheckpointError(f"expected an lm checkpoint, got {ckpt.kind!r}")
-    lm = RnnLm(_config(LmConfig, ckpt), np.random.default_rng(0))
-    restore_params(lm.params, ckpt)
-    return lm
+    return build(ckpt, "lm")
 
 
 def build_fused(ckpt: Checkpoint) -> FusedModel:
-    if ckpt.kind != "fused":
-        raise CheckpointError(f"expected a fused checkpoint, got {ckpt.kind!r}")
-    lm_cfg = _config(LmConfig, ckpt, "lm_")  # checked before anything is built
-    nmt = NmtModel(_config(NmtConfig, ckpt), np.random.default_rng(0))
-    fm = FusedModel(nmt, RnnLm(lm_cfg, np.random.default_rng(0)),
-                    np.random.default_rng(0))
-    restore_params(fm.params, ckpt)
-    return fm
+    return build(ckpt, "fused")
 
 
 def param_digests(params: ParameterSet,

@@ -161,7 +161,7 @@ def cmd_make_toy(args) -> int:
     return 0
 
 
-def _resume_or(args, build, fresh):
+def _resume_or(args, kind: str, fresh):
     """The model rebuilt from ``--resume`` and its update count, else fresh."""
     if not args.resume:
         return fresh(), 0
@@ -170,7 +170,7 @@ def _resume_or(args, build, fresh):
     if type(updates) is not int or updates < 0:
         raise ckpt_io.CheckpointError(f"{args.resume}: [meta] updates: expected "
                                       f"an integer >= 0, got {updates!r}")
-    return build(prev), updates
+    return ckpt_io.build(prev, kind), updates
 
 
 def _train(args, train_fn, model, start: int, data, dev, tcfg,
@@ -195,7 +195,7 @@ def cmd_train_lm(args) -> int:
     vocab = _load_vocab(cfg, "tgt")
     mono = [vocab.encode(s) for s in _read_tokens(cfg, cfg["data"]["mono_train"])]
     dev = [vocab.encode(s) for s in _read_tokens(cfg, cfg["data"]["mono_dev"])]
-    lm, start = _resume_or(args, ckpt_io.build_lm, lambda: RnnLm(
+    lm, start = _resume_or(args, "lm", lambda: RnnLm(
         LmConfig(vocab=len(vocab), **cfg["lm"]),
         np.random.default_rng(tcfg.seed)))
     return _train(args, training.train_lm, lm, start, mono, dev, tcfg,
@@ -208,7 +208,7 @@ def cmd_train_nmt(args) -> int:
     tcfg = training.TrainConfig(**cfg["train"])
     vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
     train, dev = _bitext(cfg, "train", vocabs), _bitext(cfg, "dev", vocabs)
-    model, start = _resume_or(args, ckpt_io.build_nmt, lambda: NmtModel(
+    model, start = _resume_or(args, "nmt", lambda: NmtModel(
         NmtConfig(*map(len, vocabs), **cfg["model"]),
         np.random.default_rng(tcfg.seed)))
     return _train(args, training.train_nmt, model, start, train, dev, tcfg,
@@ -236,22 +236,17 @@ def _beam_config(args, cfg) -> decoding.BeamConfig:
         length_normalize=dec["length_normalize"])
 
 
-_BUILD = {"nmt": ckpt_io.build_nmt, "lm": ckpt_io.build_lm,
-          "fused": ckpt_io.build_fused}
-
-
 def _model(args, kind: str):
     """The model in the ``--kind`` checkpoint, which this command needs."""
     if getattr(args, kind) is None:
         raise ConfigError(f"missing --{kind} checkpoint")
-    return _BUILD[kind](ckpt_io.load_checkpoint(getattr(args, kind)))
+    return ckpt_io.build(ckpt_io.load_checkpoint(getattr(args, kind)), kind)
 
 
 def _decode_setup(args, cfg, fusion: str):
     """The models that ``fusion`` decodes with, as ``translate`` keywords,
     and the (source, target) vocabularies, checked against the NMT model."""
-    kinds = {"none": ("nmt",), "shallow": ("nmt", "lm"), "deep": ("fused",)}
-    models = {kind: _model(args, kind) for kind in kinds[fusion]}
+    models = {kind: _model(args, kind) for kind in decoding.MODELS[fusion]}
     nmt_cfg = (models["fused"].nmt if fusion == "deep" else models["nmt"]).cfg
     vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
     for side, vocab, size in zip(("source", "target"), vocabs,

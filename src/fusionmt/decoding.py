@@ -43,6 +43,8 @@ from .tensor import NumericError
 
 # the tokens shallow fusion scores without an LM term
 SHALLOW_EXCLUSION = frozenset({EOS_ID, UNK_ID})
+# fusion mode -> the models it decodes with, as ``translate`` keywords
+MODELS = {"none": ("nmt",), "shallow": ("nmt", "lm"), "deep": ("fused",)}
 # the default sweep-beta grid: 7 log-spaced values over the tuning range
 BETA_GRID = tuple(float(x) for x in np.geomspace(0.001, 0.1, 7))
 
@@ -68,7 +70,7 @@ class BeamConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam width must be >= 1")
-        if self.fusion not in ("none", "shallow", "deep"):
+        if self.fusion not in MODELS:
             raise ValueError(f"unknown fusion mode {self.fusion!r}")
 
     def max_output_length(self, source_length: int) -> int:
@@ -131,25 +133,16 @@ class BeamScorer:
                  lm: Optional[RnnLm] = None,
                  fused: Optional[FusedModel] = None):
         self.cfg = cfg
-        if cfg.fusion == "deep":
-            if fused is None:
-                raise ConfigurationError("deep fusion needs a fused model")
-            self.fused = fused
-            self.nmt = fused.nmt
-            self.lm = fused.lm
-        else:
-            if nmt is None:
-                raise ConfigurationError("decoding needs an NMT model")
-            self.fused = None
-            self.nmt = nmt
-            self.lm = lm
-            if cfg.fusion == "shallow":
-                if lm is None:
-                    raise ConfigurationError("shallow fusion needs an LM")
-                if lm.cfg.vocab != nmt.cfg.tgt_vocab:
-                    raise ConfigurationError(
-                        f"LM vocab {lm.cfg.vocab} != target vocab "
-                        f"{nmt.cfg.tgt_vocab}")
+        given = {"nmt": nmt, "lm": lm, "fused": fused}
+        for role in MODELS[cfg.fusion]:
+            if given[role] is None:
+                raise ConfigurationError(
+                    f"{cfg.fusion!r}-mode decoding needs the {role} model")
+        self.nmt, self.lm, self.fused = (
+            (fused.nmt, fused.lm, fused) if cfg.fusion == "deep" else (nmt, lm, None))
+        if cfg.fusion == "shallow" and lm.cfg.vocab != nmt.cfg.tgt_vocab:
+            raise ConfigurationError(
+                f"LM vocab {lm.cfg.vocab} != target vocab {nmt.cfg.tgt_vocab}")
         self.ann: Optional[AnnotationMatrix] = None
         self._anns: dict = {}  # rows -> annotations broadcast to that many
         # the last step's stacked states, one row per hypothesis: the

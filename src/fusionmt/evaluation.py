@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from . import decoding
 from .data import DataError, pad_mono_batch
-from .models import FusedModel, NmtModel, RnnLm, lm_batch_loss
+from .models import RnnLm, lm_batch_loss
 
 
 @dataclass
@@ -82,12 +82,10 @@ def bleu(candidates: Sequence[Sequence],
                       score=score)
 
 
-def decode_bleu(pairs, beam_cfg: decoding.BeamConfig,
-                nmt: Optional[NmtModel] = None, lm: Optional[RnnLm] = None,
-                fused: Optional[FusedModel] = None) -> float:
-    """Corpus BLEU of beam-decoding each pair's source against its target."""
-    hyps = [decoding.translate(p.src, beam_cfg, nmt=nmt, lm=lm,
-                               fused=fused).tokens for p in pairs]
+def decode_bleu(pairs, beam_cfg: decoding.BeamConfig, **models) -> float:
+    """Corpus BLEU of beam-decoding each pair's source against its target
+    with the ``translate`` keyword ``models``."""
+    hyps = [decoding.translate(p.src, beam_cfg, **models).tokens for p in pairs]
     return bleu(hyps, [p.tgt for p in pairs]).score
 
 

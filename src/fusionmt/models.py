@@ -126,15 +126,14 @@ def encode(model: NmtModel, source,
     position (end-of-sequence included) and their attention projection.
 
     ``source`` is either a single id sequence, to which end-of-sequence is
-    appended, or a padded (B, T) id array with an explicit mask (already
-    EOS-terminated)."""
+    appended and which needs no keep-mask, or a padded (B, T) id array with
+    an explicit mask (already EOS-terminated)."""
     src = np.asarray(source, dtype=np.intp)
     if src.ndim == 1:
         if src.size == 0:
             raise T.DomainError("cannot encode an empty source sentence")
-        src = np.concatenate([src, [EOS_ID]])[None, :]
-        src_mask = np.ones(src.shape)
-    if src_mask is None:
+        src, src_mask = np.concatenate([src, [EOS_ID]])[None, :], None
+    elif src_mask is None:
         raise ValueError("batched encode requires a mask")
     b, t_len = src.shape
     d = model.cfg.hidden
@@ -144,14 +143,16 @@ def encode(model: NmtModel, source,
         states = [None] * t_len
         s = T.constant(np.zeros((b, d)))
         for j in order:  # padded rows keep their previous (zero) state
-            s = states[j] = gru_step(cell, s, embeds[j], src_mask[:, j : j + 1])
+            keep = None if src_mask is None else src_mask[:, j : j + 1]
+            s = states[j] = gru_step(cell, s, embeds[j], keep)
         return states
 
     fwd = run(model.enc_fwd, range(t_len))
     bwd = run(model.enc_bwd, range(t_len - 1, -1, -1))
     h = T.concat([T.stack(bwd, axis=1), T.stack(fwd, axis=1)], axis=2)
     return AnnotationMatrix(h=h, proj=T.matmul(h, model.attn["U_a"].value),
-                            mask=np.asarray(src_mask, dtype=np.float64),
+                            mask=np.ones(src.shape) if src_mask is None
+                            else np.asarray(src_mask, dtype=np.float64),
                             bwd_first=bwd[0])
 
 

@@ -13,14 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import decoding, evaluation
-from .checkpoint import (
-    Checkpoint,
-    checkpoint_from_fused,
-    checkpoint_from_lm,
-    checkpoint_from_nmt,
-    param_digests,
-    snapshot_params,
-)
+from .checkpoint import Checkpoint, param_digests, snapshot_params, to_checkpoint
 from .data import (
     UNK_ID,
     BatchIterator,
@@ -247,13 +240,12 @@ class TrainingHistory:
 
 def _train(model, data: Sequence, loss_fn: Callable,
            eval_fn: Callable[[], float], mode: str, metric: str,
-           to_checkpoint: Callable, cfg: TrainConfig, start_update: int,
+           cfg: TrainConfig, start_update: int,
            ) -> tuple[Checkpoint, TrainingHistory]:
     """The update loop behind all three entry points: seeded minibatches of
     ``data``, dev early stopping on ``eval_fn`` (``mode`` "max" or "min"),
-    then the best snapshot wrapped by ``to_checkpoint`` with the best dev
-    value stored under ``metric``.  Frozen parameters must come out
-    byte-identical."""
+    then the best snapshot as a checkpoint with the best dev value stored
+    under ``metric``.  Frozen parameters must come out byte-identical."""
     params = model.params
     frozen = param_digests(params, lambda p: not p.trainable)
     batch_iter = BatchIterator(list(data), cfg.batch_size, seed=cfg.seed)
@@ -327,7 +319,7 @@ def train_lm(lm: RnnLm, mono: Sequence[Sequence[int]],
         lm, oov_filter(mono),
         lambda raw, p_drop, rng: lm_batch_loss(lm, pad_mono_batch(raw)),
         lambda: evaluation.perplexity(lm, dev).perplexity,
-        "min", "best_dev_perplexity", checkpoint_from_lm, cfg, start_update)
+        "min", "best_dev_perplexity", cfg, start_update)
 
 
 def train_nmt(model: NmtModel, bitext, dev, cfg: TrainConfig,
@@ -342,7 +334,7 @@ def train_nmt(model: NmtModel, bitext, dev, cfg: TrainConfig,
         lambda raw, p_drop, rng: nmt_batch_loss(model, pad_batch(raw),
                                                 p_drop, rng),
         lambda: evaluation.decode_bleu(dev, beam_cfg, nmt=model),
-        "max", "best_dev_bleu", checkpoint_from_nmt, cfg, start_update)
+        "max", "best_dev_bleu", cfg, start_update)
 
 
 def finetune_deep_fusion(fm: FusedModel, bitext, dev, cfg: FinetuneConfig,
@@ -358,4 +350,4 @@ def finetune_deep_fusion(fm: FusedModel, bitext, dev, cfg: FinetuneConfig,
         lambda raw, p_drop, rng: fused_batch_loss(fm, pad_batch(raw),
                                                   p_drop, rng),
         lambda: evaluation.decode_bleu(dev, beam_cfg, fused=fm),
-        "max", "best_dev_bleu", checkpoint_from_fused, cfg, start_update)
+        "max", "best_dev_bleu", cfg, start_update)

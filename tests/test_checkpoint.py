@@ -16,14 +16,12 @@ from fusionmt.checkpoint import (
     build_fused,
     build_lm,
     build_nmt,
-    checkpoint_from_fused,
-    checkpoint_from_lm,
-    checkpoint_from_nmt,
     load_checkpoint,
     param_digests,
     restore_params,
     save_checkpoint,
     snapshot_params,
+    to_checkpoint,
 )
 from fusionmt.models import FusedModel, LmConfig, NmtConfig, NmtModel, RnnLm
 
@@ -40,8 +38,8 @@ def tiny_lm(seed=0):
 
 def tiny_checkpoints():
     fm = FusedModel(tiny_nmt(), tiny_lm(), np.random.default_rng(0))
-    return {"nmt": checkpoint_from_nmt(fm.nmt), "lm": checkpoint_from_lm(fm.lm),
-            "fused": checkpoint_from_fused(fm)}
+    return {"nmt": to_checkpoint(fm.nmt), "lm": to_checkpoint(fm.lm),
+            "fused": to_checkpoint(fm)}
 
 
 BUILD = {"nmt": build_nmt, "lm": build_lm, "fused": build_fused}
@@ -52,8 +50,8 @@ FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 
 class TestContainer:
     def test_save_load_save_byte_identical(self, tmp_path):
-        ckpt = checkpoint_from_nmt(tiny_nmt(), meta={"updates": 7,
-                                                     "best_dev_bleu": 33.25})
+        ckpt = to_checkpoint(tiny_nmt(), meta={"updates": 7,
+                                               "best_dev_bleu": 33.25})
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(p1, ckpt)
         save_checkpoint(p2, load_checkpoint(p1))
@@ -62,7 +60,7 @@ class TestContainer:
     def test_values_roundtrip_exactly(self, tmp_path):
         model = tiny_nmt(seed=3)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, checkpoint_from_nmt(model))
+        save_checkpoint(path, to_checkpoint(model))
         loaded = load_checkpoint(path)
         for p in model.params:
             np.testing.assert_array_equal(loaded.params[p.id], p.value.data)
@@ -80,7 +78,7 @@ class TestContainer:
 
     def test_corruption_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, checkpoint_from_lm(tiny_lm()))
+        save_checkpoint(path, to_checkpoint(tiny_lm()))
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -89,7 +87,7 @@ class TestContainer:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, checkpoint_from_lm(tiny_lm()))
+        save_checkpoint(path, to_checkpoint(tiny_lm()))
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
@@ -106,7 +104,7 @@ class TestContainer:
     ])
     def test_malformed_header_names_the_file(self, tmp_path, old, new):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, checkpoint_from_nmt(tiny_nmt()))
+        save_checkpoint(path, to_checkpoint(tiny_nmt()))
         body = path.read_bytes()[:-32]
         assert old in body
         body = body.replace(old, new, 1)
@@ -119,7 +117,7 @@ class TestModelReconstruction:
     def test_nmt_roundtrip(self, tmp_path):
         model = tiny_nmt(seed=1)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, checkpoint_from_nmt(model))
+        save_checkpoint(path, to_checkpoint(model))
         rebuilt = build_nmt(load_checkpoint(path))
         assert rebuilt.cfg == model.cfg
         assert param_digests(rebuilt.params) == param_digests(model.params)
@@ -127,7 +125,7 @@ class TestModelReconstruction:
     def test_lm_roundtrip(self, tmp_path):
         lm = tiny_lm(seed=2)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, checkpoint_from_lm(lm))
+        save_checkpoint(path, to_checkpoint(lm))
         rebuilt = build_lm(load_checkpoint(path))
         assert param_digests(rebuilt.params) == param_digests(lm.params)
 
@@ -135,7 +133,7 @@ class TestModelReconstruction:
         fm = FusedModel(tiny_nmt(seed=3), tiny_lm(seed=4),
                         np.random.default_rng(5))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, checkpoint_from_fused(fm))
+        save_checkpoint(path, to_checkpoint(fm))
         rebuilt = build_fused(load_checkpoint(path))
         assert param_digests(rebuilt.params) == param_digests(fm.params)
         trainable = sorted(p.id for p in rebuilt.params.trainable())
@@ -143,9 +141,17 @@ class TestModelReconstruction:
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, checkpoint_from_lm(tiny_lm()))
+        save_checkpoint(path, to_checkpoint(tiny_lm()))
         with pytest.raises(CheckpointError):
             build_nmt(load_checkpoint(path))
+
+    @pytest.mark.parametrize("kind, article", [("nmt", "an"), ("lm", "an"),
+                                               ("fused", "a")])
+    def test_kind_mismatch_names_both_kinds(self, kind, article):
+        other = "lm" if kind == "nmt" else "nmt"
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"expected {article} {kind} checkpoint, got {other!r}")):
+            BUILD[kind](tiny_checkpoints()[other])
 
     def test_restore_shape_guard(self):
         model = tiny_nmt()
@@ -262,8 +268,6 @@ class TestArchSection:
     def test_fixture_roundtrip(self, tmp_path, kind):
         path = FIXTURES / f"{kind}.ckpt"
         ckpt = load_checkpoint(path)
-        to_checkpoint = {"nmt": checkpoint_from_nmt, "lm": checkpoint_from_lm,
-                         "fused": checkpoint_from_fused}[kind]
         save_checkpoint(tmp_path / "m.ckpt",
                         to_checkpoint(BUILD[kind](ckpt), meta=ckpt.meta))
         assert (tmp_path / "m.ckpt").read_bytes() == path.read_bytes()

@@ -9,12 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fusionmt import cli, evaluation
-from fusionmt.checkpoint import (
-    checkpoint_from_fused,
-    checkpoint_from_lm,
-    checkpoint_from_nmt,
-    save_checkpoint,
-)
+from fusionmt.checkpoint import save_checkpoint, to_checkpoint
 from fusionmt.cli import ConfigError, load_config, main
 from fusionmt.data import RESERVED, Vocabulary, read_lines, write_lines
 from fusionmt.models import FusedModel, LmConfig, NmtConfig, NmtModel, RnnLm
@@ -34,8 +29,8 @@ def untrained_checkpoints(toy_dir):
     nmt = NmtModel(NmtConfig(src_vocab=vocab, tgt_vocab=vocab,
                              embed_dim=8, hidden=12), rng)
     lm = RnnLm(LmConfig(vocab=vocab, embed_dim=6, hidden=8), rng)
-    return {"nmt": checkpoint_from_nmt(nmt), "lm": checkpoint_from_lm(lm),
-            "fused": checkpoint_from_fused(FusedModel(nmt, lm, rng))}
+    return {"nmt": to_checkpoint(nmt), "lm": to_checkpoint(lm),
+            "fused": to_checkpoint(FusedModel(nmt, lm, rng))}
 
 
 @pytest.fixture()
@@ -416,8 +411,8 @@ class TestDecodeSetup:
                      "--input", str(toy_dir / "toy" / "test.src")]
         else:
             argv += ["--betas", "0"]
-        argv = self.save(toy_dir, {"nmt": checkpoint_from_nmt(nmt),
-                                   "lm": checkpoint_from_lm(lm)}, argv)
+        argv = self.save(toy_dir, {"nmt": to_checkpoint(nmt),
+                                   "lm": to_checkpoint(lm)}, argv)
         code, out = run(argv, capsys)
         assert code == 2
         assert out.out == ""

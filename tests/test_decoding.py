@@ -96,6 +96,22 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             BeamScorer(BeamConfig(fusion="deep"), fused=None)
 
+    @pytest.mark.parametrize("mode, role", itertools.product(
+        sorted(decoding.MODELS), ("nmt", "lm", "fused")))
+    def test_models_table(self, mode, role):
+        """A role the mode decodes with is required; any other is ignored."""
+        models = dict(zip(("nmt", "lm", "fused"), small_models()))
+        cfg = BeamConfig(beam_width=2, fusion=mode)
+        if role in decoding.MODELS[mode]:
+            with pytest.raises(ConfigurationError, match=role):
+                translate([1, 2], cfg, **{**models, role: None})
+        else:
+            used = {r: models[r] for r in decoding.MODELS[mode]}
+            got, want = (translate([1, 2], cfg, **m) for m in (used, models))
+            assert (got.tokens, got.score, got.gates) == \
+                (want.tokens, want.score, want.gates)
+            np.testing.assert_array_equal(got.attention, want.attention)
+
     def test_vocab_mismatch(self):
         nmt, _, _ = small_models(vocab=4)
         _, lm6, _ = small_models(vocab=6)

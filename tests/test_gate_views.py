@@ -10,9 +10,7 @@ from fusionmt.checkpoint import (
     build_fused,
     build_lm,
     build_nmt,
-    checkpoint_from_fused,
-    checkpoint_from_lm,
-    checkpoint_from_nmt,
+    to_checkpoint,
 )
 from fusionmt.data import SentencePair
 from fusionmt.layers import GruCell, LstmCell, gru_step
@@ -89,9 +87,9 @@ class TestBuilt:
 
     def test_built_from_checkpoints(self):
         nmt, lm, fm = models()
-        for build, ckpt in ((build_nmt, checkpoint_from_nmt(nmt)),
-                            (build_lm, checkpoint_from_lm(lm)),
-                            (build_fused, checkpoint_from_fused(fm))):
+        for build, ckpt in ((build_nmt, to_checkpoint(nmt)),
+                            (build_lm, to_checkpoint(lm)),
+                            (build_fused, to_checkpoint(fm))):
             built = build(ckpt)
             # the views hold the loaded values, so the joined arrays do
             assert_gate_views(built)

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fusionmt import tensor as T
+from fusionmt import models, tensor as T
 from fusionmt.data import BOS_ID, EOS_ID, SentencePair, pad_batch, pad_mono_batch
 from fusionmt.models import (
     ConfigurationError,
@@ -31,6 +31,7 @@ from fusionmt.models import (
     lm_step,
     nmt_batch_loss,
 )
+from fusionmt.layers import gru_step
 from fusionmt.tensor import ParameterSet, Tape
 
 from gradcheck import finite_difference_check
@@ -113,6 +114,25 @@ class TestEncoder:
         model = tiny_nmt()
         ann = encode(model, np.array([[3]]), np.ones((1, 1)))
         assert ann.h.shape == (1, 1, 2 * model.cfg.hidden)
+
+    def test_single_source_needs_no_keep_mask(self, monkeypatch):
+        model = tiny_nmt()
+        keeps = []
+
+        def spy(cell, s_prev, x, keep=None):
+            keeps.append(keep)
+            return gru_step(cell, s_prev, x, keep)
+
+        monkeypatch.setattr(models, "gru_step", spy)
+        ann = encode(model, [3, 4, 5])
+        assert keeps == [None] * 8  # both directions over 3 tokens + EOS
+        monkeypatch.undo()
+        padded = encode(model, np.array([[3, 4, 5, EOS_ID]]), np.ones((1, 4)))
+        for got, want in ((ann.h, padded.h), (ann.proj, padded.proj),
+                          (ann.bwd_first, padded.bwd_first)):
+            np.testing.assert_array_equal(got.data.view(np.uint64),
+                                          want.data.view(np.uint64))
+        np.testing.assert_array_equal(ann.mask, np.ones((1, 4)))
 
     def test_empty_source_rejected(self):
         with pytest.raises(T.DomainError):

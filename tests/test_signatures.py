@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fusionmt.data import EOS_ID, UNK_ID
-from fusionmt.decoding import BETA_GRID, SHALLOW_EXCLUSION
+from fusionmt.decoding import BETA_GRID, MODELS, SHALLOW_EXCLUSION
 
 # "<module>.<name>" under fusionmt -> its parameter names, in order; a class
 # stands for its constructor
@@ -32,6 +32,9 @@ PINNED = {
     "evaluation.bleu": ["candidates", "references"],
     "training.oov_filter": ["sentences"],
     "checkpoint.restore_params": ["params", "ckpt"],
+    "checkpoint.to_checkpoint": ["model", "meta"],
+    "checkpoint.build": ["ckpt", "kind"],
+    "evaluation.decode_bleu": ["pairs", "beam_cfg", "models"],
 }
 
 
@@ -46,3 +49,5 @@ def test_fixed_values():
     assert SHALLOW_EXCLUSION == {EOS_ID, UNK_ID}
     assert BETA_GRID == tuple(np.geomspace(0.001, 0.1, 7).tolist())
     assert all(type(b) is float for b in BETA_GRID)
+    assert MODELS == {"none": ("nmt",), "shallow": ("nmt", "lm"),
+                      "deep": ("fused",)}
