@@ -114,6 +114,18 @@ def _load_vocab(cfg: dict, side: str) -> D.Vocabulary:
     return D.Vocabulary.load(path)
 
 
+def _check_vocabs(vocabs, cfg) -> None:
+    """Raise unless ``vocabs`` have the sizes in the model config ``cfg``:
+    (source, target) for an ``NmtConfig``, (target,) for an ``LmConfig``."""
+    sizes = ((cfg.src_vocab, cfg.tgt_vocab) if isinstance(cfg, NmtConfig)
+             else (cfg.vocab,))
+    for side, vocab, size in zip(("source", "target")[-len(sizes):], vocabs,
+                                 sizes):
+        if len(vocab) != size:
+            raise ConfigError(f"{side} vocab file has {len(vocab)} ids, "
+                              f"model expects {size}")
+
+
 def _bitext(cfg: dict, split: str, vocabs) -> list[D.SentencePair]:
     """The ``split`` ("train" or "dev") pairs encoded with the (source,
     target) ``vocabs``; training pairs pass the [data] length filter."""
@@ -198,6 +210,7 @@ def cmd_train_lm(args) -> int:
     lm, start = _resume_or(args, "lm", lambda: RnnLm(
         LmConfig(vocab=len(vocab), **cfg["lm"]),
         np.random.default_rng(tcfg.seed)))
+    _check_vocabs((vocab,), lm.cfg)
     return _train(args, training.train_lm, lm, start, mono, dev, tcfg,
                   "best dev perplexity {best_dev_perplexity:.4f} "
                   "at update {updates}")
@@ -211,6 +224,7 @@ def cmd_train_nmt(args) -> int:
     model, start = _resume_or(args, "nmt", lambda: NmtModel(
         NmtConfig(*map(len, vocabs), **cfg["model"]),
         np.random.default_rng(tcfg.seed)))
+    _check_vocabs(vocabs, model.cfg)
     return _train(args, training.train_nmt, model, start, train, dev, tcfg,
                   "best dev BLEU {best_dev_bleu:.2f} at update {updates}")
 
@@ -221,6 +235,7 @@ def cmd_finetune(args) -> int:
     vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
     fm = FusedModel(_model(args, "nmt"), _model(args, "lm"),
                     np.random.default_rng(fcfg.seed))
+    _check_vocabs(vocabs, fm.nmt.cfg)
     train, dev = _bitext(cfg, "train", vocabs), _bitext(cfg, "dev", vocabs)
     return _train(args, training.finetune_deep_fusion, fm, 0, train, dev, fcfg,
                   "best dev BLEU {best_dev_bleu:.2f} at update {updates}")
@@ -247,13 +262,9 @@ def _decode_setup(args, cfg, fusion: str):
     """The models that ``fusion`` decodes with, as ``translate`` keywords,
     and the (source, target) vocabularies, checked against the NMT model."""
     models = {kind: _model(args, kind) for kind in decoding.MODELS[fusion]}
-    nmt_cfg = (models["fused"].nmt if fusion == "deep" else models["nmt"]).cfg
     vocabs = _load_vocab(cfg, "src"), _load_vocab(cfg, "tgt")
-    for side, vocab, size in zip(("source", "target"), vocabs,
-                                 (nmt_cfg.src_vocab, nmt_cfg.tgt_vocab)):
-        if len(vocab) != size:
-            raise ConfigError(f"{side} vocab file has {len(vocab)} ids, "
-                              f"model expects {size}")
+    _check_vocabs(vocabs, (models["fused"].nmt if fusion == "deep"
+                           else models["nmt"]).cfg)
     return models, vocabs
 
 
@@ -305,6 +316,7 @@ def cmd_evaluate(args) -> int:
     elif args.perplexity:
         vocab = _load_vocab(cfg, "tgt")
         lm = _model(args, "lm")
+        _check_vocabs((vocab,), lm.cfg)
         corpus = [vocab.encode(s) for s in _read_tokens(cfg, args.perplexity)]
         print(evaluation.perplexity(lm, corpus))
     elif args.gate_stats:

@@ -208,9 +208,8 @@ def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
 
 def _nll(logits: Tensor, batch) -> Tensor:
     """Mean (over sentences) summed NLL under step-major (T*B, V) logits."""
-    nll = T.take_per_row(T.log_softmax(logits), batch.tgt_out.T.ravel())
-    nll = T.sum_all(T.mul(nll, T.constant(batch.tgt_mask.T.ravel())))
-    return T.scale(nll, -1.0 / batch.tgt_in.shape[0])
+    return T.nll(logits, batch.tgt_out.T.ravel(), batch.tgt_mask.T.ravel(),
+                 -1.0 / batch.tgt_in.shape[0])
 
 
 def _nmt_teacher_forced(model: NmtModel, batch) -> list[list[Tensor]]:

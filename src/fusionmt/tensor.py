@@ -221,16 +221,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
-    # a constant operand (a dropout or loss mask) gets no gradient
+    # a constant operand (a dropout mask) gets no gradient
     return _record((a, b), out, lambda g: (
         g * b.data if a.requires_grad else None,
         g * a.data if b.requires_grad else None))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-    return _record((a,), out, lambda g: (g * c,))
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
@@ -287,22 +281,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / p, e / p)
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    s = x - x.max(axis=-1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(a: Tensor) -> Tensor:
     """Fused, numerically stable log(softmax(x)) over the last axis."""
     if a.size == 0:
         raise DomainError("log_softmax of an empty tensor")
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    s = x - m
-    lse = np.log(np.exp(s).sum(axis=-1, keepdims=True))
-    y = s - lse
-    out = Tensor(y)
+    y = _log_softmax(a.data)
     sm = np.exp(y)
+    return _record((a,), Tensor(y), lambda g: (
+        g - sm * g.sum(axis=-1, keepdims=True),))
+
+
+def nll(logits: Tensor, targets, weights, c: float) -> Tensor:
+    """c * sum_i w_i log softmax(logits_i)[t_i] over the rows of (n, V)
+    ``logits``, for (n,) ``targets`` t and constant ``weights`` w."""
+    t, w = np.asarray(targets, dtype=np.intp), np.asarray(weights, dtype=float)
+    if logits.data.ndim != 2 or {t.shape, w.shape} != {logits.shape[:1]}:
+        raise ShapeError(f"nll: logits {logits.shape}, targets {t.shape} "
+                         f"and weights {w.shape}")
+    y, ar = _log_softmax(logits.data), np.arange(len(t))
 
     def backward(g):
-        return (g - sm * g.sum(axis=-1, keepdims=True),)
+        gw = g * c * w
+        full = np.zeros_like(y)
+        full[ar, t] = gw
+        return (full - np.exp(y) * gw[:, None],)
 
-    return _record((a,), out, backward)
+    return _record((logits,), Tensor((y[ar, t] * w).sum() * c), backward)
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -335,11 +344,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(tuple(tensors), out, lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-    return _record((a,), out, lambda g: (np.broadcast_to(g, a.shape).copy(),))
-
-
 def rows(table: Tensor, idx) -> Tensor:
     """Gather rows of a (V, d) matrix; backward scatter-adds."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -356,22 +360,6 @@ def rows(table: Tensor, idx) -> Tensor:
         return (full,)
 
     return _record((table,), out, backward)
-
-
-def take_per_row(m: Tensor, idx) -> Tensor:
-    """Select one entry per row of an (n, d) matrix; returns shape (n,)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if m.data.ndim != 2 or idx.shape != (m.shape[0],):
-        raise ShapeError(f"take_per_row: shapes {m.shape} and {idx.shape}")
-    ar = np.arange(m.shape[0])
-    out = Tensor(m.data[ar, idx])
-
-    def backward(g):
-        full = np.zeros_like(m.data)
-        full[ar, idx] = g
-        return (full,)
-
-    return _record((m,), out, backward)
 
 
 def maxout2(a: Tensor) -> Tensor:

@@ -4,7 +4,7 @@ from typing import Callable
 
 import numpy as np
 
-from fusionmt.tensor import ParameterSet, Tape, Tensor
+from fusionmt.tensor import ParameterSet, Tape, Tensor, _record
 
 
 def finite_difference_check(
@@ -48,3 +48,12 @@ def finite_difference_check(
 
 def _as_float(x) -> float:
     return x.item() if isinstance(x, Tensor) else float(x)
+
+
+def weighted_sum(x: Tensor, w=1.0) -> Tensor:
+    """sum(x * w) for constant weights ``w`` (an array of x's shape, or a
+    scalar), recorded on the tape as one node.  The tests' scalar loss:
+    w = 1 sums ``x``, a scalar scales that sum, and one-hot rows of ``w``
+    pick one entry per row."""
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), x.shape)
+    return _record((x,), Tensor((x.data * w).sum()), lambda g: (g * w,))

@@ -458,6 +458,46 @@ class TestDecodeSetup:
         assert str(path) in out.err
 
 
+
+class TestVocabCheck:
+    """Every command that pairs a checkpoint with the vocab files checks
+    their sizes before it reads or trains anything."""
+
+    @pytest.mark.parametrize("size", [20, 8])
+    @pytest.mark.parametrize("command", [
+        "finetune", "train-nmt --resume", "train-lm --resume",
+        "evaluate --perplexity"])
+    def test_size_mismatch_exits_2(self, toy_dir, capsys, command, size):
+        # the vocab files have 12 ids; every checkpoint has ``size``
+        cfg = toy_dir / "exp.cfg"
+        cfg.write_text(cfg.read_text().replace("[model]", (
+            "mono_train = {0}/train.tgt\nmono_dev = {0}/dev.tgt\n\n"
+            "[model]").format(toy_dir / "toy")))
+        rng = np.random.default_rng(0)
+        nmt = NmtModel(NmtConfig(src_vocab=size, tgt_vocab=size, embed_dim=8,
+                                 hidden=12), rng)
+        lm = RnnLm(LmConfig(vocab=size, embed_dim=6, hidden=8), rng)
+        for kind, model in (("nmt", nmt), ("lm", lm)):
+            save_checkpoint(toy_dir / f"{kind}.ckpt", to_checkpoint(model))
+        nmt_ckpt, lm_ckpt = str(toy_dir / "nmt.ckpt"), str(toy_dir / "lm.ckpt")
+        output = toy_dir / "out.ckpt"
+        train = ["--config", str(cfg), "--output", str(output), "--log",
+                 str(toy_dir / "log.tsv")]
+        argv = {
+            "finetune": ["finetune", *train, "--nmt", nmt_ckpt, "--lm", lm_ckpt],
+            "train-nmt --resume": ["train-nmt", *train, "--resume", nmt_ckpt],
+            "train-lm --resume": ["train-lm", *train, "--resume", lm_ckpt],
+            "evaluate --perplexity": [
+                "evaluate", "--config", str(cfg), "--lm", lm_ckpt,
+                "--perplexity", str(toy_dir / "toy" / "test.tgt")],
+        }[command]
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert f"vocab file has 12 ids, model expects {size}" in out.err
+        assert not output.exists() and not (toy_dir / "log.tsv").exists()
+
 class TestBuildVocab:
     def test_header_and_cap(self, tmp_path, capsys):
         src = tmp_path / "c.txt"

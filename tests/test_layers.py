@@ -26,7 +26,7 @@ from fusionmt.layers import (
 )
 from fusionmt.tensor import ParameterSet, Tape
 
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, weighted_sum
 
 RNG = np.random.default_rng(7)
 
@@ -258,7 +258,7 @@ class TestGru:
         s0 = T.constant(RNG.standard_normal((2, 3)))
         x = T.constant(RNG.standard_normal((2, 2)))
         errors = finite_difference_check(
-            lambda: T.sum_all(T.tanh(gru_step(cell, s0, x))), params)
+            lambda: weighted_sum(T.tanh(gru_step(cell, s0, x))), params)
         assert max(errors.values()) < 1e-6
 
     def test_shape_checks(self):
@@ -283,9 +283,9 @@ class TestGru:
     def test_gradients_of_every_input(self):
         cell, params = self.make()
         s, x = trainable_inputs(params, "s_prev")
-        w = T.constant(RNG.standard_normal((4, 3)))
+        w = RNG.standard_normal((4, 3))
         errors = finite_difference_check(
-            lambda: T.sum_all(T.mul(gru_step(cell, s, x, KEEP), w)), params)
+            lambda: weighted_sum(gru_step(cell, s, x, KEEP), w), params)
         assert max(errors.values()) < 1e-4, errors
 
     def test_one_tape_node_per_step(self):
@@ -368,7 +368,7 @@ class TestLstm:
 
         def loss():
             h, c = lstm_step(cell, (z, c0), x)
-            return T.sum_all(T.add(h, T.tanh(c)))
+            return weighted_sum(T.add(h, T.tanh(c)))
 
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-6
@@ -384,11 +384,11 @@ class TestLstm:
     def test_gradients_of_every_input(self):
         cell, params = self.make()
         h0, c0, x = trainable_inputs(params, "h_prev", "c_prev")
-        w_h, w_c = (T.constant(RNG.standard_normal((4, 3))) for _ in range(2))
+        w_h, w_c = (RNG.standard_normal((4, 3)) for _ in range(2))
 
         def loss():
             h, c = lstm_step(cell, (h0, c0), x)
-            return T.add(T.sum_all(T.mul(h, w_h)), T.sum_all(T.mul(c, w_c)))
+            return T.add(weighted_sum(h, w_h), weighted_sum(c, w_c))
 
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-4, errors
@@ -422,7 +422,7 @@ class TestEmbedding:
         np.testing.assert_array_equal(out.data[0], out.data[1])
         params.zero_grads()
         with Tape() as tape:
-            loss = T.sum_all(emb.lookup([2, 2, 4]))
+            loss = weighted_sum(emb.lookup([2, 2, 4]))
         tape.backward(loss, params)
         grad = emb.table.grad.data
         np.testing.assert_array_equal(grad[2], 2.0)  # visited twice
@@ -486,10 +486,9 @@ class TestDeepOutput:
     def test_gradients(self):
         layer, params = self.make()
         s, y, c = self.inputs()
-        w = T.constant(RNG.standard_normal((2, 5)))
+        w = RNG.standard_normal((2, 5))
         errors = finite_difference_check(
-            lambda: T.sum_all(T.mul(T.log_softmax(
-                deep_output(layer, s, y, c)), w)),
+            lambda: weighted_sum(T.log_softmax(deep_output(layer, s, y, c)), w),
             params)
         assert max(errors.values()) < 1e-4
 

@@ -6,11 +6,14 @@ recomputation of teacher-forced likelihoods, and finite differences for
 end-to-end gradients.
 """
 
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 
 from fusionmt import models, tensor as T
+from fusionmt.checkpoint import build, load_checkpoint
 from fusionmt.data import BOS_ID, EOS_ID, SentencePair, pad_batch, pad_mono_batch
 from fusionmt.models import (
     ConfigurationError,
@@ -34,7 +37,7 @@ from fusionmt.models import (
 from fusionmt.layers import gru_step
 from fusionmt.tensor import ParameterSet, Tape
 
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, weighted_sum
 from test_tensor import reference_attention as broadcast_attention
 
 RNG = np.random.default_rng(99)
@@ -510,16 +513,18 @@ class TestFusedModel:
 
 def reference_teacher_forced_nll(step, state, batch):
     """Test-only oracle: the stepwise teacher-forced loss, with the whole
-    output head, log-softmax, take and masked sum run at every target step.
+    output head and log-softmax run at every target step, and each step's
+    masked target log-probs scaled by -1/B and summed into the total.
     ``step(state, y_prev)`` returns (new state, (B, V) log-probs)."""
     b, t_len = batch.tgt_in.shape
     total = None
     for t in range(t_len):
         state, logp = step(state, batch.tgt_in[:, t])
-        nll = T.take_per_row(logp, batch.tgt_out[:, t])
-        nll = T.sum_all(T.mul(nll, T.constant(batch.tgt_mask[:, t])))
+        w = np.zeros(logp.shape)
+        w[np.arange(b), batch.tgt_out[:, t]] = batch.tgt_mask[:, t] * (-1.0 / b)
+        nll = weighted_sum(logp, w)
         total = nll if total is None else T.add(total, nll)
-    return T.scale(total, -1.0 / b)
+    return total
 
 
 def reference_nmt_loss(model, batch, dropout_p, rng):
@@ -623,11 +628,28 @@ class TestTwoPassLoss:
 
     def test_fused_head_is_one_set_of_nodes(self):
         # the frozen recurrences record nothing, so the tape holds the head
-        # alone: gate (3), gating (1), output layer with dropout (8), the
-        # log-softmax, take, mask, sum and scale (5), whatever T is
+        # alone: gate (3), gating (1), output layer with dropout (8) and the
+        # NLL (1), whatever T is
         fm = self.models("fused")
         for pairs in (self.PAIRS[:1], self.PAIRS):
             with Tape() as tape:
                 fused_batch_loss(fm, pad_batch(pairs), 0.5,
                                  np.random.default_rng(0))
-            assert len(tape) == 17
+            assert len(tape) == 13
+
+
+def test_long_fixture_loss_has_a_one_node_head():
+    # the first 32 pairs of the benchmark's long band (32 target steps),
+    # no dropout: the recurrence and output layer record 345 nodes, and the
+    # NLL one more, where the log-softmax, take, mask, sum and scale chain
+    # recorded five (350 in all)
+    fixtures = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+    src, tgt = ([[int(x) for x in line.split()] for line in
+                 (fixtures / f"train_long.{side}").read_text().splitlines()]
+                for side in ("src", "tgt"))
+    batch = pad_batch([SentencePair(s, t) for s, t in zip(src, tgt)][:32])
+    nmt = build(load_checkpoint(fixtures / "nmt.ckpt"), "nmt")
+    with Tape() as tape:
+        nmt_batch_loss(nmt, batch)
+    assert batch.tgt_in.shape == (32, 32)
+    assert len(tape) == 350 - 4

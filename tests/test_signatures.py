@@ -35,6 +35,7 @@ PINNED = {
     "checkpoint.to_checkpoint": ["model", "meta"],
     "checkpoint.build": ["ckpt", "kind"],
     "evaluation.decode_bleu": ["pairs", "beam_cfg", "models"],
+    "tensor.nll": ["logits", "targets", "weights", "c"],
 }
 
 

@@ -17,7 +17,7 @@ from fusionmt.tensor import (
     Tensor,
 )
 
-from gradcheck import finite_difference_check
+from gradcheck import finite_difference_check, weighted_sum
 
 RNG = np.random.default_rng(12345)
 
@@ -171,11 +171,6 @@ class TestStructuralOps:
         with pytest.raises(T.DomainError):
             T.rows(table, [4])
 
-    def test_take_per_row(self):
-        m = T.constant(np.arange(6.0).reshape(2, 3))
-        out = T.take_per_row(m, [2, 0])
-        np.testing.assert_array_equal(out.data, [2.0, 3.0])
-
     def test_maxout2_values(self):
         a = T.constant([[1.0, 3.0, -2.0, -5.0]])
         np.testing.assert_array_equal(T.maxout2(a).data, [[3.0, -2.0]])
@@ -216,9 +211,9 @@ def test_gradcheck_moves_a_column_view_parameter():
     clean = joined.copy()
     params = ParameterSet([Parameter("v", joined[:, 2:4])])
     assert not params.get("v").value.data.flags.c_contiguous
-    w = T.constant(RNG.standard_normal((3, 2)))
+    w = RNG.standard_normal((3, 2))
     errors = finite_difference_check(
-        lambda: T.sum_all(T.mul(T.tanh(params.get("v").value), w)), params)
+        lambda: weighted_sum(T.tanh(params.get("v").value), w), params)
     assert errors["v"] < 1e-8
     np.testing.assert_array_equal(joined, clean)  # every step was undone
 
@@ -230,7 +225,7 @@ class TestOpGradients:
         params = ParameterSet()
         a = params.add(Parameter("a", RNG.standard_normal((2, 3))
                                  if data is None else data))
-        check_op(lambda: T.sum_all(fn(a.value)), params)
+        check_op(lambda: weighted_sum(fn(a.value)), params)
 
     def test_tanh(self):
         self.unary(T.tanh)
@@ -241,61 +236,55 @@ class TestOpGradients:
     def test_log_softmax(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
-        w = T.constant(RNG.standard_normal((2, 3)))
-        check_op(lambda: T.sum_all(T.mul(T.log_softmax(a.value), w)), params)
+        w = RNG.standard_normal((2, 3))
+        check_op(lambda: weighted_sum(T.log_softmax(a.value), w), params)
 
     def test_add_sub_mul(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
         b = params.add(make_param("b", (2, 3)))
-        w = T.constant(RNG.standard_normal((2, 3)))
-        check_op(lambda: T.sum_all(
-            T.mul(T.add(T.add(a.value, T.scale(b.value, -1.0)),
-                        T.mul(a.value, b.value)), w)),
+        w, minus = RNG.standard_normal((2, 3)), T.constant(-np.ones((2, 3)))
+        check_op(lambda: weighted_sum(
+            T.add(T.add(a.value, T.mul(b.value, minus)),
+                  T.mul(a.value, b.value)), w),
             params)
 
     def test_matmul(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
         b = params.add(make_param("b", (3, 2)))
-        check_op(lambda: T.sum_all(T.matmul(a.value, b.value)), params)
-
-    def test_scale(self):
-        params = ParameterSet()
-        a = params.add(make_param("a", (2, 3)))
-        w = T.constant(RNG.standard_normal((2, 3)))
-        check_op(lambda: T.sum_all(T.mul(T.scale(a.value, -2.5), w)), params)
+        check_op(lambda: weighted_sum(T.matmul(a.value, b.value)), params)
 
     def test_add_rowvec(self):
         params = ParameterSet()
         m = params.add(make_param("m", (2, 3)))
         v = params.add(make_param("v", 3))
-        w = T.constant(RNG.standard_normal((2, 3)))
-        check_op(lambda: T.sum_all(T.mul(T.add_rowvec(m.value, v.value), w)),
+        w = RNG.standard_normal((2, 3))
+        check_op(lambda: weighted_sum(T.add_rowvec(m.value, v.value), w),
                  params)
 
     def test_mul_colvec(self):
         params = ParameterSet()
         m = params.add(make_param("m", (2, 3)))
         col = params.add(make_param("col", (2, 1)))
-        check_op(lambda: T.sum_all(T.mul_colvec(m.value, col.value)), params)
+        check_op(lambda: weighted_sum(T.mul_colvec(m.value, col.value)), params)
 
     def test_transpose(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
-        w = T.constant(RNG.standard_normal((3, 2)))
-        check_op(lambda: T.sum_all(T.mul(T.transpose(a.value), w)), params)
+        w = RNG.standard_normal((3, 2))
+        check_op(lambda: weighted_sum(T.transpose(a.value), w), params)
 
     def test_concat_narrow(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
         b = params.add(make_param("b", (2, 2)))
         # the loss reads only columns 1..3 of the concatenation
-        w = T.constant(RNG.standard_normal((2, 5)) * [0, 1, 1, 1, 0])
+        w = RNG.standard_normal((2, 5)) * [0, 1, 1, 1, 0]
 
         def loss():
             cat = T.concat([a.value, b.value], axis=1)
-            return T.sum_all(T.mul(cat, w))
+            return weighted_sum(cat, w)
 
         check_op(loss, params)
 
@@ -304,12 +293,12 @@ class TestOpGradients:
         g = params.add(make_param("g", (6, 2)))
         s = [params.add(make_param(f"s{t}", (2, 3))) for t in range(3)]
         y = [params.add(make_param(f"y{t}", (2, 1))) for t in range(3)]
-        w = T.constant(RNG.standard_normal((6, 6)))
+        w = RNG.standard_normal((6, 6))
 
         def loss():
             cat = T.concat([g.value, [p.value for p in s], [p.value for p in y]],
                            axis=1)
-            return T.sum_all(T.mul(cat, w))
+            return weighted_sum(cat, w)
 
         check_op(loss, params)
         with Tape() as tape:  # one node whose inputs are every listed tensor
@@ -319,37 +308,89 @@ class TestOpGradients:
     def test_rows(self):
         params = ParameterSet()
         table = params.add(make_param("t", (4, 3)))
-        w = T.constant(RNG.standard_normal((3, 3)))
+        w = RNG.standard_normal((3, 3))
         # repeated index exercises the scatter-add path
-        check_op(lambda: T.sum_all(T.mul(T.rows(table.value, [1, 3, 1]), w)),
+        check_op(lambda: weighted_sum(T.rows(table.value, [1, 3, 1]), w),
                  params)
-
-    def test_take_per_row(self):
-        params = ParameterSet()
-        m = params.add(make_param("m", (3, 4)))
-        check_op(lambda: T.sum_all(T.take_per_row(m.value, [0, 3, 2])), params)
 
     def test_maxout2(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 6)))
-        w = T.constant(RNG.standard_normal((2, 3)))
-        check_op(lambda: T.sum_all(T.mul(T.maxout2(a.value), w)), params)
+        w = RNG.standard_normal((2, 3))
+        check_op(lambda: weighted_sum(T.maxout2(a.value), w), params)
 
     def test_stack(self):
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
         b = params.add(make_param("b", (2, 3)))
-        w = T.constant(RNG.standard_normal((2, 2, 3)))
-        check_op(lambda: T.sum_all(T.mul(T.stack([a.value, b.value], axis=1),
-                                         w)), params)
+        w = RNG.standard_normal((2, 2, 3))
+        check_op(lambda: weighted_sum(T.stack([a.value, b.value], axis=1), w),
+                 params)
 
     def test_matmul_batched(self):
         params = ParameterSet()
         a = params.add(make_param("a", (3, 5, 4)))
         b = params.add(make_param("b", (4, 2)))
-        w = T.constant(RNG.standard_normal((3, 5, 2)))
-        check_op(lambda: T.sum_all(T.mul(T.matmul(a.value, b.value), w)),
-                 params)
+        w = RNG.standard_normal((3, 5, 2))
+        check_op(lambda: weighted_sum(T.matmul(a.value, b.value), w), params)
+
+
+def composed_nll(x, t, w, c):
+    """Test-only oracle: the loss and the logits gradient of the five-op
+    chain that ``T.nll`` replaced (log-softmax, take one entry per row,
+    weight, sum, scale), each forward and backward step as that chain ran
+    it, the log-softmax's backward with its row sum included."""
+    s = x - x.max(axis=1, keepdims=True)
+    y = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+    ar = np.arange(len(t))
+    loss = np.asarray((y[ar, t] * w).sum()) * c
+    g = np.broadcast_to(np.ones(()) * c, t.shape).copy() * w
+    full = np.zeros_like(y)
+    full[ar, t] = g
+    return loss, full - np.exp(y) * full.sum(axis=1, keepdims=True)
+
+
+class TestNll:
+    """The weighted NLL op against the chain it replaced, finite
+    differences and its shape checks."""
+
+    @pytest.mark.parametrize("n, v", [(1, 2), (7, 5), (96, 48)])
+    def test_bits_equal_composed_form(self, n, v):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, v)) * 4
+        t = rng.integers(0, v, n)
+        w = (rng.random(n) < 0.7) * 1.0  # a loss mask, zero rows included
+        c = -1.0 / 9  # not a power of two, so every product rounds
+        logits = Parameter("logits", x)
+        params = ParameterSet([logits])
+        params.zero_grads()
+        with Tape() as tape:
+            loss = T.nll(logits.value, t, w, c)
+        assert len(tape) == 1
+        tape.backward(loss, params)
+        want_loss, want_grad = composed_nll(x, t, w, c)
+        assert bits(loss.data) == bits(want_loss)
+        # the op scales each row by its weight, where the chain summed the
+        # row: a zero-weight row's target entry is +0.0 here and -0.0 there;
+        # the parameter gradient sums it into +0.0 either way
+        np.testing.assert_array_equal(bits(logits.grad.data),
+                                      bits(0.0 + want_grad))
+
+    def test_finite_differences(self):
+        params = ParameterSet()
+        a = params.add(make_param("a", (5, 4)))
+        w = np.array([1.0, 0.0, 2.5, 0.0, 1.0])
+        check_op(lambda: T.nll(a.value, [0, 3, 2, 1, 3], w, -0.5), params,
+                 tol=1e-4)
+        np.testing.assert_array_equal(a.grad.data[[1, 3]], 0.0)
+
+    @pytest.mark.parametrize("logits, targets, weights", [
+        ((6,), (6,), (6,)), ((6, 4), (5,), (6,)), ((6, 4), (6,), (6, 1)),
+        ((2, 3, 4), (2,), (2,))])
+    def test_shape_checked(self, logits, targets, weights):
+        with pytest.raises(T.ShapeError):
+            T.nll(T.constant(np.zeros(logits)), np.zeros(targets, dtype=int),
+                  np.ones(weights), -1.0)
 
 
 class TestAttentionOp:
@@ -363,12 +404,12 @@ class TestAttentionOp:
         proj = params.add(make_param("proj", (b, t_len, d)))
         h = params.add(make_param("h", (b, t_len, k)))
         v_a = params.add(make_param("v_a", (d, 1)))
-        w = T.constant(RNG.standard_normal((b, k)))
+        w = RNG.standard_normal((b, k))
 
         def loss():
             _, ctx = T.attention(query.value, proj.value, h.value, v_a.value,
                                  mask)
-            return T.sum_all(T.mul(ctx, w))
+            return weighted_sum(ctx, w)
 
         check_op(loss, params, tol=1e-4)
 
@@ -479,7 +520,7 @@ class TestMaxoutTieRule:
         a = params.add(Parameter("a", np.array([[2.0, 2.0]])))
         params.zero_grads()
         with Tape() as tape:
-            loss = T.sum_all(T.maxout2(a.value))
+            loss = weighted_sum(T.maxout2(a.value))
         tape.backward(loss, params)
         np.testing.assert_array_equal(a.grad.data, [[1.0, 0.0]])
 
@@ -492,7 +533,7 @@ class TestLinearCases:
         x = RNG.standard_normal((2, 4))
         params.zero_grads()
         with Tape() as tape:
-            loss = T.sum_all(T.matmul(w.value, T.constant(x)))
+            loss = weighted_sum(T.matmul(w.value, T.constant(x)))
         tape.backward(loss, params)
         np.testing.assert_allclose(w.grad.data,
                                    np.outer(np.ones(3), x.sum(axis=1)),
@@ -505,7 +546,7 @@ class TestLinearCases:
         logits = params.add(Parameter("logits", np.zeros((1, n))))
         params.zero_grads()
         with Tape() as tape:
-            loss = T.scale(T.take_per_row(T.log_softmax(logits.value), [k]), -1.0)
+            loss = T.nll(logits.value, [k], [1.0], -1.0)
         tape.backward(loss, params)
         want = np.full(n, 1.0 / n)
         want[k] -= 1.0
@@ -531,9 +572,9 @@ class TestTape:
     def test_loss_from_other_tape_rejected(self):
         params = ParameterSet([make_param("a", (2, 2))])
         with Tape() as t1:
-            loss = T.sum_all(params.get("a").value)
+            loss = weighted_sum(params.get("a").value)
         with Tape() as t2:
-            T.sum_all(params.get("a").value)
+            weighted_sum(params.get("a").value)
         with pytest.raises(T.TapeError):
             t2.backward(loss, params)
 
@@ -550,7 +591,7 @@ class TestTape:
         params.zero_grads()
         for _ in range(2):
             with Tape() as tape:
-                loss = T.sum_all(a.value)
+                loss = weighted_sum(a.value)
             tape.backward(loss, params)
         np.testing.assert_array_equal(a.grad.data, [2.0, 2.0, 2.0])
 
@@ -560,7 +601,7 @@ class TestTape:
         params.zero_grads()
         with Tape() as tape:
             h = T.tanh(a.value)
-            loss = T.sum_all(T.add(h, h))
+            loss = weighted_sum(T.add(h, h))
         tape.backward(loss, params)
         np.testing.assert_allclose(a.grad.data,
                                    2.0 * (1 - np.tanh(a.value.data) ** 2),
@@ -578,7 +619,7 @@ class TestTape:
             for _ in range(3):
                 y = T.transpose(T.transpose(T.add(s, s)))
                 s = T.tanh(T.matmul(T.concat([y, s, a], axis=1), w))
-            loss = T.sum_all(T.add(s, s))
+            loss = weighted_sum(T.add(s, s))
         returned = []
         for node in tape._nodes:
             def spy(g, fn=node.backward_fn):
@@ -600,7 +641,7 @@ class TestTape:
         with Tape() as tape:
             T.tanh(T.constant(np.ones((4, 4))))  # no parameter involved
             n_const = len(tape)
-            loss = T.sum_all(a.value)
+            loss = weighted_sum(a.value)
         assert n_const == 0
         assert len(tape) == 1
         tape.backward(loss, params)
@@ -611,7 +652,7 @@ class TestTape:
         params = ParameterSet([frozen, live])
         params.zero_grads()
         with Tape() as tape:
-            loss = T.sum_all(T.add(T.tanh(frozen.value), live.value))
+            loss = weighted_sum(T.add(T.tanh(frozen.value), live.value))
         tape.backward(loss, params)
         np.testing.assert_array_equal(frozen.grad.data, 0.0)
         np.testing.assert_array_equal(live.grad.data, 1.0)
@@ -629,7 +670,7 @@ class TestTape:
         mask = T.constant(np.array([[1.0, 0.0], [2.0, 1.0]]))
         params.zero_grads()
         with Tape() as tape:
-            loss = T.sum_all(T.add(T.mul(a, mask), T.mul(T.tanh(a), mask)))
+            loss = weighted_sum(T.add(T.mul(a, mask), T.mul(T.tanh(a), mask)))
         returned = []
         for node in tape._nodes:
             def spy(g, fn=node.backward_fn, inputs=node.inputs):
@@ -689,5 +730,5 @@ class TestFiniteDifferenceChecker:
             return T._record((t,), out, lambda g: (g * t.data,))  # missing 2x
 
         errors = finite_difference_check(
-            lambda: T.sum_all(bad_square(a.value)), params)
+            lambda: weighted_sum(bad_square(a.value)), params)
         assert errors["a"] > 1e-2
