@@ -134,6 +134,9 @@ def _bitext(cfg: dict, split: str, vocabs) -> list[D.SentencePair]:
     if len(src) != len(tgt):
         raise ConfigError(
             f"src_{split}/tgt_{split}: {len(src)} vs {len(tgt)} lines")
+    if split == "dev" and [] in src:  # each dev source is decoded alone
+        raise ConfigError(f"{cfg['data']['src_dev']}: line {src.index([]) + 1}"
+                          " is an empty source sentence")
     pairs = list(zip(src, tgt))
     if split == "train" and cfg["data"]["filter"]:
         pairs, _, _ = D.filter_pairs(pairs, max_len=cfg["data"]["max_len"],

@@ -143,8 +143,7 @@ class BeamScorer:
         if cfg.fusion == "shallow" and lm.cfg.vocab != nmt.cfg.tgt_vocab:
             raise ConfigurationError(
                 f"LM vocab {lm.cfg.vocab} != target vocab {nmt.cfg.tgt_vocab}")
-        self.ann: Optional[AnnotationMatrix] = None
-        self._anns: dict = {}  # rows -> annotations broadcast to that many
+        self.ann: Optional[AnnotationMatrix] = None  # every row reads it
         # the last step's stacked states, one row per hypothesis: the
         # decoder state, plus the LM (h, c) when fusing
         self._states: tuple = ()
@@ -152,25 +151,10 @@ class BeamScorer:
 
     def start(self, source_ids) -> Hypothesis:
         self.ann = encode(self.nmt, source_ids)
-        self._anns = {1: self.ann}
         self._states = (initial_state(self.nmt, self.ann).data,)
         if self.cfg.fusion != "none":
             self._states += tuple(x.data for x in self.lm.initial_state(1))
         return Hypothesis(tokens=[], score=0.0)
-
-    def _annotations(self, n: int) -> AnnotationMatrix:
-        """The sentence's annotations repeated for n rows, as zero-copy
-        broadcast views."""
-        ann = self._anns.get(n)
-        if ann is None:
-            a = self.ann
-            ann = self._anns[n] = AnnotationMatrix(
-                h=T.constant(np.broadcast_to(a.h.data, (n,) + a.h.shape[1:])),
-                proj=T.constant(np.broadcast_to(a.proj.data,
-                                                (n,) + a.proj.shape[1:])),
-                mask=np.broadcast_to(a.mask, (n,) + a.mask.shape[1:]),
-                bwd_first=a.bwd_first)
-        return ann
 
     def score(self, hyps: Sequence[Hypothesis]):
         """Run the models once over the stacked hypotheses and score every
@@ -181,15 +165,15 @@ class BeamScorer:
         rows = [h.row for h in hyps]
         s_prev, *lm_prev = (T.constant(x[rows]) for x in self._states)
         y_prev = [h.tokens[-1] if h.tokens else BOS_ID for h in hyps]
-        ann = self._annotations(len(hyps))
         gates = None
         if self.cfg.fusion == "deep":
             s_tm, lm_state, logp, scores, g = fused_step(
-                self.fused, s_prev, lm_prev, y_prev, ann)
+                self.fused, s_prev, lm_prev, y_prev, self.ann)
             sel = final = logp.data
             gates = g.data[:, 0].tolist()
         else:
-            s_tm, logp, scores = decode_step(self.nmt, s_prev, y_prev, ann)
+            s_tm, logp, scores = decode_step(self.nmt, s_prev, y_prev,
+                                             self.ann)
             sel = final = logp.data
             lm_state = ()
             if self.cfg.fusion == "shallow":

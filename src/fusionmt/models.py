@@ -175,34 +175,24 @@ def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
     return AttentionScores(alpha=alpha), ctx
 
 
-def _embed_prev(emb: Embedding, y_prev, batch: int) -> Tensor:
-    ids = np.asarray(y_prev, dtype=np.intp)
-    if ids.ndim == 0:
-        ids = np.full(batch, int(ids), dtype=np.intp)
-    return emb.lookup(ids)
-
-
 def _recur(model: NmtModel, s_prev: Tensor, y_prev, ann: AnnotationMatrix,
            ) -> tuple[Tensor, Tensor, Tensor, AttentionScores]:
     """Embed the previous word, attend, and advance the decoder GRU.
 
     Returns (new state, previous-word embedding, context, attention)."""
-    y_emb = _embed_prev(model.tgt_emb, y_prev, s_prev.shape[0])
+    y_emb = model.tgt_emb.lookup(y_prev)
     scores, ctx = attend(model, s_prev, y_emb, ann)
     s_new = gru_step(model.decoder, s_prev, T.concat([y_emb, ctx], axis=1))
     return s_new, y_emb, ctx, scores
 
 
 def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
-                ann: AnnotationMatrix, dropout_p: float = 0.0,
-                rng: Optional[np.random.Generator] = None,
-                ) -> tuple[Tensor, Tensor, AttentionScores]:
+                ann: AnnotationMatrix) -> tuple[Tensor, Tensor, AttentionScores]:
     """One decoder step: attend, recur, deep output, log-softmax.
 
     Returns (new state, log-probs over the target vocab, attention)."""
     s_new, y_emb, ctx, scores = _recur(model, s_prev, y_prev, ann)
-    logits = deep_output(model.out, s_new, y_emb, ctx, dropout_p=dropout_p,
-                         rng=rng)
+    logits = deep_output(model.out, s_new, y_emb, ctx)
     return s_new, T.log_softmax(logits), scores
 
 
@@ -261,8 +251,7 @@ class RnnLm:
 def _lm_recur(lm: RnnLm, state: tuple[Tensor, Tensor],
               y_prev) -> tuple[Tensor, Tensor]:
     """Embed the previous word and advance the LSTM; returns (h, c)."""
-    return lstm_step(lm.lstm, state, _embed_prev(lm.tgt_emb, y_prev,
-                                                 state[0].shape[0]))
+    return lstm_step(lm.lstm, state, lm.tgt_emb.lookup(y_prev))
 
 
 def _lm_logits(lm: RnnLm, h: Tensor) -> Tensor:
@@ -358,14 +347,13 @@ def _fused_logits(fm: FusedModel, h_lm: Tensor, s_tm, y_emb, ctx,
 
 
 def fused_step(fm: FusedModel, s_tm_prev: Tensor, lm_state_prev, y_prev,
-               ann: AnnotationMatrix, dropout_p: float = 0.0,
-               rng: Optional[np.random.Generator] = None):
+               ann: AnnotationMatrix):
     """Advance decoder and LM in lockstep on the same previous token.
 
     Returns (s_tm, lm_state, log-probs, attention, gate)."""
     s_tm, y_emb, ctx, scores = _recur(fm.nmt, s_tm_prev, y_prev, ann)
     h_lm, c_lm = _lm_recur(fm.lm, lm_state_prev, y_prev)
-    logits, g = _fused_logits(fm, h_lm, s_tm, y_emb, ctx, dropout_p, rng)
+    logits, g = _fused_logits(fm, h_lm, s_tm, y_emb, ctx, 0.0, None)
     return s_tm, (h_lm, c_lm), T.log_softmax(logits), scores, g
 
 

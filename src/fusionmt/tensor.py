@@ -386,14 +386,17 @@ def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
               mask: np.ndarray) -> tuple[Tensor, Tensor]:
     """Additive attention (Bahdanau et al.) over all T positions at once.
 
-    Energies e = tanh(proj + query) . v_a for a (B, d) query and (B, T, d)
-    projected annotations, -1e9 where the (B, T) 0/1 ``mask`` is 0, then
-    alpha = softmax over T and context = sum_j alpha_j h_j for (B, T, k)
-    annotations ``h``.  Returns (alpha, context); only the context is
-    differentiable."""
-    b, t_len, d = proj.shape
-    if (query.shape != (b, d) or h.data.ndim != 3 or h.shape[:2] != (b, t_len)
-            or v_a.shape != (d, 1) or mask.shape != (b, t_len)):
+    Energies e = tanh(proj + query) . v_a for a (B, d) query and (n, T, d)
+    projected annotations, -1e9 where the (n, T) 0/1 ``mask`` is 0, then
+    alpha = softmax over T and context = sum_j alpha_j h_j for (n, T, k)
+    annotations ``h``.  The annotation batch n is B, or 1 for one sentence's
+    annotations serving every query row.  Returns (alpha, context); only the
+    context is differentiable."""
+    n, t_len, d = proj.shape
+    b = query.shape[0] if query.data.ndim == 2 else -1
+    if (n not in (1, b) or query.shape != (b, d) or h.data.ndim != 3
+            or h.shape[:2] != (n, t_len) or v_a.shape != (d, 1)
+            or mask.shape != (n, t_len)):
         raise ShapeError(f"attention: shapes {query.shape}, {proj.shape}, "
                          f"{h.shape}, {v_a.shape} and mask {mask.shape}")
     if t_len == 0:
@@ -402,17 +405,19 @@ def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
     e = (u @ v_a.data)[:, :, 0] + (mask - 1.0) * 1e9
     ex = np.exp(e - e.max(axis=1, keepdims=True))
     alpha = ex / ex.sum(axis=1, keepdims=True)
-    # for k > 1 and a contiguous last axis of h (encode's annotations and
-    # their broadcast views), einsum sums over T in the order of a (B, T, k)
-    # product summed over axis 1, without the product; BLAS would reorder it
+    # for k > 1 and a contiguous last axis of h, of B rows or of one row read
+    # by all B, einsum sums over T in the order of a (B, T, k) product summed
+    # over axis 1, without the product; BLAS would reorder it
     ctx = Tensor(np.einsum("bt,btk->bk", alpha, h.data))
 
     def backward(g):
         g_alpha = h.data @ g[:, :, None]  # (B, T, 1)
         g_e = alpha[:, :, None] * (g_alpha - alpha[:, None, :] @ g_alpha)
         g_pre = g_e * v_a.data[:, 0] * (1.0 - u * u)  # (B, T, d)
-        return (g_pre.sum(axis=1), g_pre, alpha[:, :, None] * g[:, None, :],
-                u.reshape(-1, d).T @ g_e.reshape(-1, 1))
+        g_query, g_h = g_pre.sum(axis=1), alpha[:, :, None] * g[:, None, :]
+        if n < b:  # each query row read the one sentence's annotations
+            g_pre, g_h = (x.sum(axis=0, keepdims=True) for x in (g_pre, g_h))
+        return (g_query, g_pre, g_h, u.reshape(-1, d).T @ g_e.reshape(-1, 1))
 
     return Tensor(alpha), _record((query, proj, h, v_a), ctx, backward)
 

@@ -181,12 +181,12 @@ def _exhaustive_best(mode, nmt, lm, fm, src, beta, max_len):
     def expand(state, lm_state, y_prev):
         if mode == "deep":
             s_new, lm_new, logp, _, _ = fused_step(fm, state, lm_state,
-                                                   y_prev, ann)
+                                                   [y_prev], ann)
             return s_new, lm_new, logp.data[0]
-        s_new, logp, _ = decode_step(nmt, state, y_prev, ann)
+        s_new, logp, _ = decode_step(nmt, state, [y_prev], ann)
         tm = logp.data[0]
         if mode == "shallow":
-            lm_new, lm_logp = lm_step(lm, lm_state, y_prev)
+            lm_new, lm_logp = lm_step(lm, lm_state, [y_prev])
             renorm = lm_renormalize(lm_logp.data[0],
                                     frozenset({EOS_ID, UNK_ID}))
             return s_new, lm_new, shallow_score(tm, renorm, beta)

@@ -242,6 +242,29 @@ class TestExitCodes:
         assert key in out.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["train-nmt", "finetune", "sweep-beta"])
+    def test_blank_dev_source_names_file_and_line(self, toy_dir, capsys,
+                                                  command):
+        src_dev, tgt_dev = toy_dir / "toy" / "dev.src", toy_dir / "toy" / "dev.tgt"
+        n = len(read_lines(src_dev))
+        write_lines(src_dev, read_lines(src_dev) + [""])
+        write_lines(tgt_dev, read_lines(tgt_dev) + ["a"])
+        out_path, log = toy_dir / "out.ckpt", toy_dir / "out.log"
+        argv = [command, "--config", str(toy_dir / "exp.cfg")]
+        if command != "sweep-beta":
+            argv += ["--output", str(out_path), "--log", str(log)]
+        if command != "train-nmt":
+            for kind, ckpt in untrained_checkpoints(toy_dir).items():
+                save_checkpoint(toy_dir / f"{kind}.ckpt", ckpt)
+                if kind != "fused":
+                    argv += [f"--{kind}", str(toy_dir / f"{kind}.ckpt")]
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert out.out == ""
+        assert out.err == (f"error: {src_dev}: line {n + 1} is an empty "
+                           "source sentence\n")
+        assert not out_path.exists() and not log.exists()
+
     @pytest.mark.parametrize("command", ["translate", "sweep-beta"])
     def test_beam_zero_exits_2(self, toy_dir, capsys, command):
         argv = [command, "--config", str(toy_dir / "exp.cfg"), "--beam", "0"]

@@ -231,7 +231,7 @@ class TestBeamVsExhaustive:
             s = initial_state(nmt, ann)
             total, prev = 0.0, 2
             for y in seq:
-                s, logp, _ = decode_step(nmt, s, prev, ann)
+                s, logp, _ = decode_step(nmt, s, [prev], ann)
                 total += logp.data[0, y]
                 prev = y
             return total
@@ -242,8 +242,8 @@ class TestBeamVsExhaustive:
             lm_state = lm.initial_state()
             total, prev = 0.0, 2
             for y in seq:
-                s, logp, _ = decode_step(nmt, s, prev, ann)
-                lm_state, lm_logp = lm_step(lm, lm_state, prev)
+                s, logp, _ = decode_step(nmt, s, [prev], ann)
+                lm_state, lm_logp = lm_step(lm, lm_state, [prev])
                 renorm = lm_renormalize(lm_logp.data[0],
                                         frozenset({EOS_ID, UNK_ID}))
                 comb = shallow_score(logp.data[0], renorm, beta)
@@ -258,7 +258,7 @@ class TestBeamVsExhaustive:
             total, prev = 0.0, 2
             for y in seq:
                 s, lm_state, logp, _, _ = fused_step(fused, s, lm_state,
-                                                     prev, ann)
+                                                     [prev], ann)
                 total += logp.data[0, y]
                 prev = y
             return total
@@ -310,7 +310,7 @@ class TestBeamMechanics:
         s = initial_state(nmt, ann)
         prev, chain = 2, []
         for _ in range(cfg.max_output_length(3)):
-            s, logp, _ = decode_step(nmt, s, prev, ann)
+            s, logp, _ = decode_step(nmt, s, [prev], ann)
             prev = int(np.argmax(logp.data[0]))
             if prev == EOS_ID:
                 break
@@ -431,14 +431,14 @@ def reference_translate(src, cfg, nmt=None, lm=None, fused=None):
         y_prev = h.tokens[-1] if h.tokens else BOS_ID
         if deep:
             s, lm_state, logp, scores, g = fused_step(
-                fused, h.s_tm, h.lm_state, y_prev, ann)
+                fused, h.s_tm, h.lm_state, [y_prev], ann)
             return (logp.data[0], logp.data[0], s, lm_state,
                     scores.alpha.data[0], float(g.data[0, 0]))
-        s, logp, scores = decode_step(nmt, h.s_tm, y_prev, ann)
+        s, logp, scores = decode_step(nmt, h.s_tm, [y_prev], ann)
         tm = final = logp.data[0]
         lm_state = None
         if cfg.fusion == "shallow":
-            lm_state, lm_logp = lm_step(lm, h.lm_state, y_prev)
+            lm_state, lm_logp = lm_step(lm, h.lm_state, [y_prev])
             excl = frozenset({EOS_ID, UNK_ID})
             final = shallow_score(
                 tm, lm_renormalize(lm_logp.data[0], excl), cfg.shallow.beta,

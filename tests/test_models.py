@@ -34,7 +34,7 @@ from fusionmt.models import (
     lm_step,
     nmt_batch_loss,
 )
-from fusionmt.layers import gru_step
+from fusionmt.layers import deep_output, gru_step
 from fusionmt.tensor import ParameterSet, Tape
 
 from gradcheck import finite_difference_check, weighted_sum
@@ -60,7 +60,7 @@ def stepwise_nll(step, state, tgt):
     total = 0.0
     prev = BOS_ID
     for y in list(tgt) + [EOS_ID]:
-        state, logp = step(state, prev)
+        state, logp = step(state, [prev])
         total -= logp.data[0, y]
         prev = y
     return total
@@ -276,7 +276,7 @@ class TestDecoder:
         model = tiny_nmt(seed=3)
         ann = encode(model, [3, 4])
         s = initial_state(model, ann)
-        _, logp, _ = decode_step(model, s, 2, ann)
+        _, logp, _ = decode_step(model, s, [2], ann)
         assert abs(np.exp(logp.data).sum() - 1.0) < 1e-10
 
     def test_zero_output_layer_uniform(self):
@@ -284,7 +284,7 @@ class TestDecoder:
         for pid in ("nmt.out.W_h", "nmt.out.b_h", "nmt.out.W_o", "nmt.out.b_o"):
             model.params.get(pid).value.data[...] = 0.0
         ann = encode(model, [3])
-        _, logp, _ = decode_step(model, initial_state(model, ann), 2, ann)
+        _, logp, _ = decode_step(model, initial_state(model, ann), [2], ann)
         np.testing.assert_allclose(logp.data, -np.log(model.cfg.tgt_vocab),
                                    atol=1e-12)
 
@@ -339,14 +339,14 @@ class TestLanguageModel:
         lm = tiny_lm(seed=2)
         state = lm.initial_state()
         for y in (2, 3, 4):
-            state, logp = lm_step(lm, state, y)
+            state, logp = lm_step(lm, state, [y])
             assert abs(np.exp(logp.data).sum() - 1.0) < 1e-10
 
     def test_zero_weights_uniform(self):
         lm = tiny_lm()
         for p in lm.params:
             p.value.data[...] = 0.0
-        _, logp = lm_step(lm, lm.initial_state(), 2)
+        _, logp = lm_step(lm, lm.initial_state(), [2])
         np.testing.assert_allclose(logp.data, -np.log(lm.cfg.vocab), atol=1e-12)
 
     def test_no_source_dependence_anywhere(self):
@@ -428,8 +428,8 @@ class TestFusedModel:
         s_b = initial_state(fm.nmt, ann)
         prev = 2
         for _ in range(4):
-            s, lm_state, logp_f, _, g = fused_step(fm, s, lm_state, prev, ann)
-            s_b, logp_b, _ = decode_step(fm.nmt, s_b, prev, ann)
+            s, lm_state, logp_f, _, g = fused_step(fm, s, lm_state, [prev], ann)
+            s_b, logp_b, _ = decode_step(fm.nmt, s_b, [prev], ann)
             np.testing.assert_allclose(logp_f.data, logp_b.data, atol=1e-12)
             assert g.data[0, 0] == pytest.approx(1.0 / (1.0 + np.e), abs=1e-12)
             prev = int(np.argmax(logp_b.data[0]))
@@ -458,7 +458,7 @@ class TestFusedModel:
             (fm.lm.cfg.hidden, fm.out.W_h.value.shape[1]))
         ann = encode(fm.nmt, [3, 4])
         s = initial_state(fm.nmt, ann)
-        _, _, logp, _, _ = fused_step(fm, s, fm.lm.initial_state(), 2, ann)
+        _, _, logp, _, _ = fused_step(fm, s, fm.lm.initial_state(), [2], ann)
         assert abs(np.exp(logp.data).sum() - 1.0) < 1e-10
 
     def test_gradient_check_trainable_only(self):
@@ -490,12 +490,11 @@ class TestFusedModel:
         fm.controller.b_g.value.data[...] = -1e4  # gate -> 0
         ann = encode(fm.nmt, [3, 4])
         s = initial_state(fm.nmt, ann)
-        _, _, logp, _, g = fused_step(fm, s, fm.lm.initial_state(), 2, ann)
+        _, _, logp, _, g = fused_step(fm, s, fm.lm.initial_state(), [2], ann)
         assert g.data[0, 0] < 1e-300 or g.data[0, 0] == 0.0
         s_b = initial_state(fm.nmt, ann)
-        scores_b = decode_step(fm.nmt, s_b, 2, ann)
+        scores_b = decode_step(fm.nmt, s_b, [2], ann)
         # compare to the fused layer evaluated with an exactly-zero LM input
-        from fusionmt.layers import deep_output
         y_emb = fm.nmt.tgt_emb.lookup([2])
         att, ctx = attend(fm.nmt, s_b, y_emb, ann)
         from fusionmt.models import gru_step
@@ -529,9 +528,13 @@ def reference_teacher_forced_nll(step, state, batch):
 
 def reference_nmt_loss(model, batch, dropout_p, rng):
     ann = encode(model, batch.src, batch.src_mask)
-    return reference_teacher_forced_nll(
-        lambda s, y: decode_step(model, s, y, ann, dropout_p, rng)[:2],
-        initial_state(model, ann), batch)
+
+    def step(s, y):
+        s, y_emb, ctx, _ = models._recur(model, s, y, ann)
+        return s, T.log_softmax(deep_output(model.out, s, y_emb, ctx,
+                                            dropout_p=dropout_p, rng=rng))
+
+    return reference_teacher_forced_nll(step, initial_state(model, ann), batch)
 
 
 def reference_lm_loss(lm, batch):
@@ -543,8 +546,11 @@ def reference_fused_loss(fm, batch, dropout_p, rng):
     ann = encode(fm.nmt, batch.src, batch.src_mask)
 
     def step(state, y):
-        s, lm_state, logp, _, _ = fused_step(fm, *state, y, ann, dropout_p, rng)
-        return (s, lm_state), logp
+        s, y_emb, ctx, _ = models._recur(fm.nmt, state[0], y, ann)
+        lm_state = models._lm_recur(fm.lm, state[1], y)
+        logits, _ = models._fused_logits(fm, lm_state[0], s, y_emb, ctx,
+                                         dropout_p, rng)
+        return (s, lm_state), T.log_softmax(logits)
 
     state = (initial_state(fm.nmt, ann), fm.lm.initial_state(batch.size))
     return reference_teacher_forced_nll(step, state, batch)

@@ -21,6 +21,9 @@ PINNED = {
     "models.RnnLm": ["cfg", "rng"],
     "models.Controller": ["lm_hidden", "params"],
     "models.encode": ["model", "source", "src_mask"],
+    "models.decode_step": ["model", "s_prev", "y_prev", "ann"],
+    "models.lm_step": ["lm", "state", "y_prev"],
+    "models.fused_step": ["fm", "s_tm_prev", "lm_state_prev", "y_prev", "ann"],
     "models.nmt_batch_loss": ["model", "batch", "dropout_p", "rng"],
     "models.lm_batch_loss": ["lm", "batch"],
     "models.fused_batch_loss": ["fm", "batch", "dropout_p", "rng"],
@@ -36,6 +39,7 @@ PINNED = {
     "checkpoint.build": ["ckpt", "kind"],
     "evaluation.decode_bleu": ["pairs", "beam_cfg", "models"],
     "tensor.nll": ["logits", "targets", "weights", "c"],
+    "tensor.attention": ["query", "proj", "h", "v_a", "mask"],
 }
 
 

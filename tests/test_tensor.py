@@ -395,14 +395,15 @@ class TestNll:
 
 class TestAttentionOp:
     """Finite differences through the fused additive-attention op, B=3 and
-    T=6, with every input trainable."""
+    T=6, with every input trainable; the annotation batch is the mask's."""
 
     def check(self, mask):
         b, t_len, d, k = 3, 6, 4, 5
+        n = mask.shape[0]
         params = ParameterSet()
         query = params.add(make_param("query", (b, d)))
-        proj = params.add(make_param("proj", (b, t_len, d)))
-        h = params.add(make_param("h", (b, t_len, k)))
+        proj = params.add(make_param("proj", (n, t_len, d)))
+        h = params.add(make_param("h", (n, t_len, k)))
         v_a = params.add(make_param("v_a", (d, 1)))
         w = RNG.standard_normal((b, k))
 
@@ -422,6 +423,12 @@ class TestAttentionOp:
         mask[2, 1:] = 0.0
         self.check(mask)
 
+    def test_one_sentence_for_every_row(self):
+        # (1, T) annotations serve all B query rows, with a masked position
+        mask = np.ones((1, 6))
+        mask[0, 4] = 0.0
+        self.check(mask)
+
     def test_alpha_normalized_and_masked(self):
         mask = np.ones((3, 6))
         mask[2, 2:] = 0.0
@@ -438,6 +445,16 @@ class TestAttentionOp:
                         T.constant(np.zeros((2, 3, 4))),
                         T.constant(np.zeros((2, 3, 5))),
                         T.constant(np.zeros((3, 1))), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n_proj, n_h, n_mask", [
+        (2, 2, 2), (1, 3, 3), (3, 1, 3), (3, 3, 1), (1, 1, 3), (4, 4, 4)])
+    def test_annotation_batch_is_one_or_b(self, n_proj, n_h, n_mask):
+        # B = 3 query rows: proj, h and mask share one batch, 1 or 3
+        with pytest.raises(T.ShapeError):
+            T.attention(T.constant(np.zeros((3, 4))),
+                        T.constant(np.zeros((n_proj, 5, 4))),
+                        T.constant(np.zeros((n_h, 5, 6))),
+                        T.constant(np.zeros((4, 1))), np.ones((n_mask, 5)))
 
 
 def reference_attention(query, proj, h, v_a, mask):
@@ -512,6 +529,34 @@ class TestAttentionMatchesReference:
             assert x.data.strides[0] == 0
         mask = np.broadcast_to(np.ones((1, t_len)), (n, t_len))
         self.assert_same_bits(query, proj, h, v_a, mask, rng)
+
+    @pytest.mark.parametrize("b", [1, 3, 10])
+    def test_one_sentence_equals_its_broadcast_views(self, b):
+        # (1, T) annotations give the bits of the same annotations broadcast
+        # to B rows; for B > 1 their gradients are the broadcast ones summed
+        # over rows (at B = 1 a sum would turn -0 into +0, and none is taken)
+        rng = np.random.default_rng(b)
+        t_len, d, k = 9, 8, 10
+        query = make_param("query", (b, d), rng).value
+        v_a = make_param("v_a", (d, 1), rng).value
+        mask = np.ones((1, t_len))
+        mask[0, 5] = 0.0
+        one = [make_param(n, (1, t_len, w), rng).value
+               for n, w in (("proj", d), ("h", k))]
+        wide = [Tensor(np.broadcast_to(x.data, (b, t_len, x.shape[2])))
+                for x in one]
+        for x in wide:
+            x.requires_grad = True
+        g = rng.standard_normal((b, k))
+        got = self.outputs(T.attention, query, *one, v_a, mask, g)
+        want = list(self.outputs(T.attention, query, *wide, v_a,
+                                 np.broadcast_to(mask, (b, t_len)), g))
+        if b > 1:
+            want[3:5] = (x.sum(axis=0, keepdims=True) for x in want[3:5])
+        for name, x, y in zip(("alpha", "ctx", "d_query", "d_proj", "d_h",
+                               "d_v_a"), got, want):
+            assert x.shape == y.shape, name
+            np.testing.assert_array_equal(bits(x), bits(y), err_msg=name)
 
 
 class TestMaxoutTieRule:
