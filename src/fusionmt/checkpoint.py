@@ -219,10 +219,6 @@ def build_fused(ckpt: Checkpoint) -> FusedModel:
 def param_digests(params: ParameterSet,
                   select: Optional[Callable] = None) -> dict[str, str]:
     """sha256 hex digest per parameter value; used by the freezing contract."""
-    out = {}
-    for p in params:
-        if select is None or select(p):
-            out[p.id] = hashlib.sha256(
-                np.ascontiguousarray(p.value.data, dtype="<f8").tobytes()
-            ).hexdigest()
-    return out
+    return {p.id: hashlib.sha256(np.ascontiguousarray(
+        p.value.data, dtype="<f8").tobytes()).hexdigest()
+        for p in params if select is None or select(p)}

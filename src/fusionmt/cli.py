@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import logging
 import os
@@ -94,8 +95,11 @@ def load_config(path: Optional[str]) -> dict[str, dict]:
             cfg[section][key] = value
     seed_env = os.environ.get("FUSION_NMT_SEED")
     if seed_env is not None:
-        cfg["train"]["seed"] = int(seed_env)
-        cfg["finetune"]["seed"] = int(seed_env)
+        try:
+            cfg["train"]["seed"] = cfg["finetune"]["seed"] = int(seed_env)
+        except ValueError:
+            raise ConfigError("environment variable FUSION_NMT_SEED: expected "
+                              f"an integer, got {seed_env!r}") from None
     return cfg
 
 
@@ -176,6 +180,18 @@ def cmd_make_toy(args) -> int:
     return 0
 
 
+def _write_outputs(*outputs) -> None:
+    """Write each (path, write) output in turn, skipping an unset path; when
+    one fails, remove the files already written, so that a command that
+    exits non-zero leaves none of its outputs."""
+    with contextlib.ExitStack() as undo:
+        for path, write in outputs:
+            if path:
+                write(path)
+                undo.callback(os.remove, path)
+        undo.pop_all()
+
+
 def _resume_or(args, kind: str, fresh):
     """The model rebuilt from ``--resume`` and its update count, else fresh."""
     if not args.resume:
@@ -193,9 +209,8 @@ def _train(args, train_fn, model, start: int, data, dev, tcfg,
     """Train, save, write the ``--log``, warn when the starting parameters
     were kept, and print ``report`` filled from the checkpoint meta."""
     ckpt, history = train_fn(model, data, dev, tcfg, start_update=start)
-    ckpt_io.save_checkpoint(args.output, ckpt)
-    if args.log:
-        history.write(args.log)
+    _write_outputs((args.output, lambda p: ckpt_io.save_checkpoint(p, ckpt)),
+                   (args.log, history.write))
     if history.lines and ckpt.meta["updates"] == start:
         print(f"warning: no dev evaluation beat update {start}; the checkpoint "
               f"keeps its parameters, not those of the {len(history.lines)} "
@@ -294,16 +309,13 @@ def cmd_translate(args) -> int:
                                               src_tokens)
         outputs.append(" ".join(out_tokens))
         results.append(res)
-    if args.dump_attention:
-        with open(args.dump_attention, "w") as f:
-            for res in results:
-                for row in res.attention:
-                    f.write("\t".join(f"{v:.6f}" for v in row) + "\n")
-                f.write("\n")
-    if args.dump_gates:
-        with open(args.dump_gates, "w") as f:
-            for res in results:
-                f.write(" ".join(f"{g:.6f}" for g in res.gates) + "\n")
+    _write_outputs(
+        (args.dump_attention, lambda p: D.write_lines(p, (
+            line for res in results for line in [
+                "\t".join(f"{v:.6f}" for v in row) for row in res.attention]
+            + [""]))),
+        (args.dump_gates, lambda p: D.write_lines(p, (
+            " ".join(f"{g:.6f}" for g in res.gates) for res in results))))
     for out in outputs:
         print(out)
     return 0

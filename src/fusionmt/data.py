@@ -4,6 +4,7 @@ toy corpora for desk-scale experiments."""
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -52,14 +53,11 @@ class Vocabulary:
         return [self.id_to_token[i] for i in ids]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self.id_to_token:
-                f.write(t + "\n")
+        write_lines(path, self.id_to_token)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f]
+        lines = read_lines(path)
         if tuple(lines[:3]) != RESERVED:
             raise DataError(f"{path}: missing reserved 3-line header")
         return cls(lines[3:])
@@ -69,14 +67,10 @@ def build_vocab(corpus: Iterable[Sequence[str]], cap: int) -> Vocabulary:
     """Most frequent (cap - 3) tokens, frequency ties broken lexicographically."""
     if cap <= 3:
         raise DataError(f"vocab cap must exceed the 3 reserved ids, got {cap}")
-    counts: dict[str, int] = {}
-    n_sentences = 0
-    for tokens in corpus:
-        n_sentences += 1
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-    if n_sentences == 0:
+    corpus = list(corpus)
+    if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
+    counts = Counter(t for tokens in corpus for t in tokens)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Vocabulary([t for t, _ in ranked[: cap - 3]])
 
@@ -167,8 +161,7 @@ def pad_batch(pairs: Sequence[SentencePair]) -> PaddedBatch:
 
 def pad_mono_batch(sentences: Sequence[Sequence[int]]) -> PaddedBatch:
     """Monolingual batch reusing the target-side fields (src left empty)."""
-    pairs = [SentencePair([0], list(s)) for s in sentences]
-    return pad_batch(pairs)
+    return pad_batch([SentencePair([0], list(s)) for s in sentences])
 
 
 class BatchIterator:
@@ -217,12 +210,8 @@ _CT_MAP.update({f"s{i + 6}": (CT_ARTICLE, f"n{i}") for i in range(1, 7)})
 
 def article_rule_violations(tokens: Sequence[str]) -> int:
     """Count noun tokens not immediately preceded by the article."""
-    noun_set = set(CT_NOUNS)
-    bad = 0
-    for i, t in enumerate(tokens):
-        if t in noun_set and (i == 0 or tokens[i - 1] != CT_ARTICLE):
-            bad += 1
-    return bad
+    return sum(t in CT_NOUNS and (i == 0 or tokens[i - 1] != CT_ARTICLE)
+               for i, t in enumerate(tokens))
 
 
 @dataclass
@@ -259,17 +248,11 @@ def make_toy_corpus(kind: str, n_train: int, n_dev: int, n_test: int,
         corpus.mono = [sample_seq(COPY_SYMBOLS, min_len, max_len)
                        for _ in range(n_mono)]
     elif kind == "constrained-target":
-        def translate(src):
-            out = []
-            for s in src:
-                out.extend(_CT_MAP[s])
-            return out
-
         for split, n in (("train", n_train), ("dev", n_dev), ("test", n_test)):
             pairs = []
             for _ in range(n):
                 src = sample_seq(CT_SOURCES, min_len, max_len)
-                tgt = translate(src)
+                tgt = [w for s in src for w in _CT_MAP[s]]
                 if split == "train":
                     tgt = [t for t in tgt
                            if t != CT_ARTICLE
@@ -279,10 +262,8 @@ def make_toy_corpus(kind: str, n_train: int, n_dev: int, n_test: int,
         units = [(w,) for w in CT_PLAINS] + [(CT_ARTICLE, n) for n in CT_NOUNS]
         for _ in range(n_mono):
             k = int(rng.integers(min_len, max_len + 1))
-            sent: list[str] = []
-            for u in rng.integers(0, len(units), size=k):
-                sent.extend(units[int(u)])
-            corpus.mono.append(sent)
+            corpus.mono.append([w for u in rng.integers(0, len(units), size=k)
+                                for w in units[int(u)]])
     else:
         raise ValueError(f"unknown toy-corpus kind {kind!r}")
     return corpus

@@ -169,17 +169,16 @@ class BeamScorer:
         if self.cfg.fusion == "deep":
             s_tm, lm_state, logp, scores, g = fused_step(
                 self.fused, s_prev, lm_prev, y_prev, self.ann)
-            sel = final = logp.data
             gates = g.data[:, 0].tolist()
         else:
             s_tm, logp, scores = decode_step(self.nmt, s_prev, y_prev,
                                              self.ann)
-            sel = final = logp.data
             lm_state = ()
-            if self.cfg.fusion == "shallow":
-                lm_state, lm_logp = lm_step(self.lm, lm_prev, y_prev)
-                renorm = lm_renormalize(lm_logp.data, SHALLOW_EXCLUSION)
-                final = shallow_score(sel, renorm, self.cfg.shallow.beta)
+        sel = final = logp.data
+        if self.cfg.fusion == "shallow":
+            lm_state, lm_logp = lm_step(self.lm, lm_prev, y_prev)
+            renorm = lm_renormalize(lm_logp.data, SHALLOW_EXCLUSION)
+            final = shallow_score(sel, renorm, self.cfg.shallow.beta)
         # one reduction: a NaN or an infinity anywhere makes the sum one
         if not math.isfinite(final.sum()):
             raise NumericError(

@@ -56,27 +56,14 @@ def bleu(candidates: Sequence[Sequence],
             total[n - 1] += sum(counts.values())
             matched[n - 1] += sum(min(c, clip[g]) for g, c in counts.items())
 
-    precisions = []
-    log_sum = 0.0
-    used = 0
-    zero = False
-    for n in range(4):
-        if total[n] == 0:
-            precisions.append(0.0)
-            continue
-        p = matched[n] / total[n]
-        precisions.append(p)
-        used += 1
-        if p == 0.0:
-            zero = True
-        else:
-            log_sum += math.log(p)
+    precisions = [m / t if t else 0.0 for m, t in zip(matched, total)]
+    used = [p for p, t in zip(precisions, total) if t]
     bp = 1.0 if cand_len > ref_len else (
         math.exp(1.0 - ref_len / cand_len) if cand_len > 0 else 0.0)
-    if zero or cand_len == 0:  # no candidate token: no order used
+    if 0.0 in used or cand_len == 0:  # no candidate token: no order used
         score = 0.0
     else:
-        score = bp * math.exp(log_sum / used) * 100.0
+        score = bp * math.exp(sum(map(math.log, used)) / len(used)) * 100.0
     return BleuReport(precisions=precisions, brevity_penalty=bp,
                       candidate_length=cand_len, reference_length=ref_len,
                       score=score)
@@ -108,8 +95,7 @@ def perplexity(lm: RnnLm, corpus: Sequence[Sequence[int]],
     total_nll = 0.0
     tokens = 0
     for start in range(0, len(corpus), batch_size):
-        chunk = corpus[start : start + batch_size]
-        batch = pad_mono_batch(chunk)
+        batch = pad_mono_batch(corpus[start : start + batch_size])
         # lm_batch_loss averages over sentences; undo to get the sum
         total_nll += lm_batch_loss(lm, batch).item() * batch.size
         tokens += int(batch.tgt_mask.sum())

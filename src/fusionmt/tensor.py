@@ -172,7 +172,7 @@ class Tape:
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         owned: set[int] = set()  # keys whose sum buffer backward allocated
         for node in reversed(self._nodes):
-            g_out = grads.pop(id(node.out), None)
+            g_out = _dense(grads.pop(id(node.out), None))
             if g_out is None:
                 continue
             in_grads = node.backward_fn(g_out)
@@ -183,17 +183,51 @@ class Tape:
                 acc = grads.get(id(t))
                 if acc is None:
                     grads[id(t)] = g
-                elif id(t) in owned:
-                    acc += g
+                elif id(t) in owned and not isinstance(g, _Outer):
+                    acc += g  # an ndarray cannot take an _Outer in place
                 else:  # acc may be a closure's own array: sum into a new one
                     grads[id(t)] = acc + g
                     owned.add(id(t))
         for p in params:
             if not p.trainable:
                 continue
-            g = grads.get(id(p.value))
+            g = _dense(grads.get(id(p.value)))
             if g is not None:
                 p.grad.data += g
+
+
+class _Outer:
+    """A gradient term kept as factors: the sum over attention calls of the
+    (B, T, k) outer products alpha[:, :, None] * g[:, None, :] of its
+    (alpha, g) ``pairs``, plus any ``dense`` terms.  ``Tape.backward`` forms
+    it once, as one batched product, when it reaches the tensor's node or
+    parameter; ``__array_ufunc__ = None`` makes ``ndarray + _Outer`` call
+    ``__radd__``."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, pairs, dense=()):
+        self.pairs, self.dense = list(pairs), list(dense)
+
+    def __iadd__(self, other):
+        if not isinstance(other, _Outer):
+            other = _Outer((), [other])
+        self.pairs += other.pairs
+        self.dense += other.dense
+        return self
+
+    def __add__(self, other):
+        return _Outer(self.pairs, self.dense).__iadd__(other)
+
+    __radd__ = __add__
+
+    def array(self) -> np.ndarray:
+        alphas, gs = zip(*self.pairs)
+        return sum(self.dense, np.stack(alphas, axis=2) @ np.stack(gs, axis=1))
+
+
+def _dense(g):
+    return g.array() if isinstance(g, _Outer) else g
 
 
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Tensor:
@@ -401,7 +435,8 @@ def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
                          f"{h.shape}, {v_a.shape} and mask {mask.shape}")
     if t_len == 0:
         raise DomainError("attention over no positions")
-    u = np.tanh(query.data[:, None, :] + proj.data)
+    u = np.add(query.data[:, None, :], proj.data)
+    np.tanh(u, out=u)
     e = (u @ v_a.data)[:, :, 0] + (mask - 1.0) * 1e9
     ex = np.exp(e - e.max(axis=1, keepdims=True))
     alpha = ex / ex.sum(axis=1, keepdims=True)
@@ -413,10 +448,13 @@ def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
     def backward(g):
         g_alpha = h.data @ g[:, :, None]  # (B, T, 1)
         g_e = alpha[:, :, None] * (g_alpha - alpha[:, None, :] @ g_alpha)
-        g_pre = g_e * v_a.data[:, 0] * (1.0 - u * u)  # (B, T, d)
-        g_query, g_h = g_pre.sum(axis=1), alpha[:, :, None] * g[:, None, :]
+        g_pre, du = g_e * v_a.data[:, 0], u * u  # (B, T, d)
+        np.subtract(1.0, du, out=du)
+        g_pre *= du
+        g_query, g_h = g_pre.sum(axis=1), _Outer([(alpha, g)])
         if n < b:  # each query row read the one sentence's annotations
-            g_pre, g_h = (x.sum(axis=0, keepdims=True) for x in (g_pre, g_h))
+            g_pre, g_h = (x.sum(axis=0, keepdims=True) for x in (
+                g_pre, alpha[:, :, None] * g[:, None, :]))
         return (g_query, g_pre, g_h, u.reshape(-1, d).T @ g_e.reshape(-1, 1))
 
     return Tensor(alpha), _record((query, proj, h, v_a), ctx, backward)

@@ -20,6 +20,7 @@ from .data import (
     DataError,
     pad_batch,
     pad_mono_batch,
+    write_lines,
 )
 from .layers import perturb_parameters, restore_parameters
 from .models import (
@@ -143,13 +144,25 @@ def _rmsprop(st, g, lr, t):
 
 
 def _adam(st, g, lr, t):
-    """Adam (Kingma & Ba 2014, arXiv 1412.6980), bias-corrected at ``t``."""
+    """Adam (Kingma & Ba 2014, arXiv 1412.6980), bias-corrected at ``t``.
+    Its slots are allocated once and updated in place, each product in the
+    order of m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    st["m"] = beta1 * st.get("m", 0.0) + (1 - beta1) * g
-    st["v"] = beta2 * st.get("v", 0.0) + (1 - beta2) * g * g
-    m_hat = st["m"] / (1 - beta1 ** t)
-    v_hat = st["v"] / (1 - beta2 ** t)
-    return -lr * m_hat / (np.sqrt(v_hat) + eps)
+    if not st:
+        st["m"], st["v"] = np.zeros_like(g), np.zeros_like(g)
+    m, v, gg = st["m"], st["v"], (1 - beta2) * g
+    m *= beta1
+    m += (1 - beta1) * g
+    gg *= g
+    v *= beta2
+    v += gg
+    den = v / (1 - beta2 ** t)
+    np.sqrt(den, out=den)
+    den += eps
+    delta = m / (1 - beta1 ** t)
+    delta *= -lr
+    delta /= den
+    return delta
 
 
 # config name -> rule (state, grad, learning rate, step) -> delta; a rule
@@ -232,10 +245,7 @@ class TrainingHistory:
         logger.info(line)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("update\tloss\tgrad_norm\tdev_metric\n")
-            for line in self.lines:
-                f.write(line + "\n")
+        write_lines(path, ["update\tloss\tgrad_norm\tdev_metric", *self.lines])
 
 
 def _train(model, data: Sequence, loss_fn: Callable,

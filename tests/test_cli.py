@@ -106,6 +106,18 @@ class TestConfig:
         assert cfg["train"]["seed"] == 99
         assert cfg["finetune"]["seed"] == 99
 
+    def test_bad_seed_env_names_the_variable(self, tmp_path, monkeypatch,
+                                             capsys):
+        path = tmp_path / "ok.cfg"
+        path.write_text("[train]\nseed = 3\n")
+        monkeypatch.setenv("FUSION_NMT_SEED", "abc")
+        with pytest.raises(ConfigError, match="FUSION_NMT_SEED.*'abc'"):
+            load_config(str(path))
+        code, out = run(["train-nmt", "--config", str(path),
+                         "--output", str(tmp_path / "x.ckpt")], capsys)
+        assert code == 2
+        assert out.err.startswith("error:") and "FUSION_NMT_SEED" in out.err
+
     def test_schema_pinned(self):
         # every section, key, default and type a config file can set; a new
         # dataclass field must not become a config key unnoticed
@@ -299,6 +311,43 @@ class TestExitCodes:
         assert out.out == ""
         assert "beta must be finite" in out.err
         assert not dump.exists()
+
+    @pytest.mark.parametrize("command", ["train-lm", "train-nmt", "finetune"])
+    def test_unwritable_log_leaves_no_checkpoint(self, toy_dir, capsys,
+                                                 command):
+        # training succeeds and the checkpoint is written before the log
+        mono = toy_dir / "toy" / "train.tgt"
+        cfg = toy_dir / "exp.cfg"
+        cfg.write_text(cfg.read_text().replace(
+            "[data]\n", f"[data]\nmono_train = {mono}\nmono_dev = {mono}\n")
+            + "\n[lm]\nembed_dim = 6\nhidden = 8\n"
+            "\n[finetune]\nbatch_size = 16\nmax_updates = 2\n")
+        out_path = toy_dir / "out.ckpt"
+        argv = [command, "--config", str(cfg), "--output", str(out_path),
+                "--log", str(toy_dir / "missing" / "log.tsv")]
+        if command == "finetune":
+            for kind, ckpt in untrained_checkpoints(toy_dir).items():
+                save_checkpoint(toy_dir / f"{kind}.ckpt", ckpt)
+            argv += ["--nmt", str(toy_dir / "nmt.ckpt"),
+                     "--lm", str(toy_dir / "lm.ckpt")]
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert "No such file or directory" in out.err
+        assert not out_path.exists()
+
+    def test_unwritable_gate_dump_leaves_no_attention_dump(self, toy_dir,
+                                                           capsys):
+        argv = ["translate", "--config", str(toy_dir / "exp.cfg"),
+                "--mode", "deep", "--input", str(toy_dir / "toy" / "test.src")]
+        for kind, ckpt in untrained_checkpoints(toy_dir).items():
+            save_checkpoint(toy_dir / f"{kind}.ckpt", ckpt)
+            argv += [f"--{kind}", str(toy_dir / f"{kind}.ckpt")]
+        att = toy_dir / "att.tsv"
+        code, out = run(argv + ["--dump-attention", str(att), "--dump-gates",
+                                str(toy_dir / "missing" / "g.txt")], capsys)
+        assert code == 2
+        assert out.out == ""
+        assert not att.exists()
 
 
 _TRAIN_DEFAULTS = load_config(None)["train"]

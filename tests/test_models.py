@@ -612,7 +612,10 @@ class TestTwoPassLoss:
     @pytest.mark.parametrize("kind", ["nmt", "fused"])
     def test_broadcast_attention_gives_the_same_bytes(self, kind, monkeypatch):
         # the attention op's einsum context against the broadcast-then-sum
-        # oracle, on padded sources and with dropout
+        # oracle, on padded sources and with dropout; the op's annotation
+        # gradients are summed over decoder steps in one batched product, so
+        # the gradients that reach the encoder through h agree per parameter
+        # within 1e-12 of their norm, and all others byte for byte
         model = self.models(kind)
         batch = pad_batch(self.PAIRS)
         loss_fn = {"nmt": nmt_batch_loss, "fused": fused_batch_loss}[kind]
@@ -630,7 +633,11 @@ class TestTwoPassLoss:
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert set(grads) == set(want_grads)
         for pid, want in want_grads.items():
-            assert grads[pid].tobytes() == want.tobytes(), pid
+            if pid.startswith(("nmt.enc_", "nmt.src_emb.")) and kind == "nmt":
+                assert (np.linalg.norm(grads[pid] - want)
+                        <= 1e-12 * np.linalg.norm(want)), pid
+            else:
+                assert grads[pid].tobytes() == want.tobytes(), pid
 
     def test_fused_head_is_one_set_of_nodes(self):
         # the frozen recurrences record nothing, so the tape holds the head
@@ -644,18 +651,40 @@ class TestTwoPassLoss:
             assert len(tape) == 13
 
 
-def test_long_fixture_loss_has_a_one_node_head():
-    # the first 32 pairs of the benchmark's long band (32 target steps),
-    # no dropout: the recurrence and output layer record 345 nodes, and the
-    # NLL one more, where the log-softmax, take, mask, sum and scale chain
-    # recorded five (350 in all)
+def long_fixture_batch():
+    """The first 32 pairs of the benchmark's long band (32 target steps) and
+    the fixture NMT model."""
     fixtures = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
     src, tgt = ([[int(x) for x in line.split()] for line in
                  (fixtures / f"train_long.{side}").read_text().splitlines()]
                 for side in ("src", "tgt"))
     batch = pad_batch([SentencePair(s, t) for s, t in zip(src, tgt)][:32])
-    nmt = build(load_checkpoint(fixtures / "nmt.ckpt"), "nmt")
+    assert batch.tgt_in.shape == (32, 32)
+    return batch, build(load_checkpoint(fixtures / "nmt.ckpt"), "nmt")
+
+
+def test_long_fixture_loss_has_a_one_node_head():
+    # no dropout: the recurrence and output layer record 345 nodes, and the
+    # NLL one more, where the log-softmax, take, mask, sum and scale chain
+    # recorded five (350 in all)
+    batch, nmt = long_fixture_batch()
     with Tape() as tape:
         nmt_batch_loss(nmt, batch)
-    assert batch.tgt_in.shape == (32, 32)
     assert len(tape) == 350 - 4
+
+
+def test_long_fixture_backward_forms_annotation_gradient_once(monkeypatch):
+    # the 32 decoder steps' attention gradients for h are summed by one
+    # batched product, not as one (B, T, 2d) product per step
+    batch, nmt = long_fixture_batch()
+    formed, array = [], T._Outer.array
+
+    def spy(self):
+        formed.append(len(self.pairs))
+        return array(self)
+
+    monkeypatch.setattr(T._Outer, "array", spy)
+    with Tape() as tape:
+        loss = nmt_batch_loss(nmt, batch)
+    tape.backward(loss, nmt.params)
+    assert formed == [32]

@@ -483,23 +483,36 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
+def assert_same_outputs(got, want):
+    """alpha, the context and the query, proj and v_a gradients bit for bit;
+    the annotation gradient value for value: the tape forms it as a batched
+    product, which may turn a -0 into +0 at a padded position."""
+    for name, x, y in zip(("alpha", "ctx", "d_query", "d_proj", "d_h",
+                           "d_v_a"), got, want):
+        assert x.shape == y.shape, name
+        if name == "d_h":
+            np.testing.assert_array_equal(x, y, err_msg=name)
+        else:
+            np.testing.assert_array_equal(bits(x), bits(y), err_msg=name)
+
+
 class TestAttentionMatchesReference:
-    """The op, with its context summed by einsum, gives the same bits as the
-    broadcast reference: alpha, the context and all four input gradients."""
+    """The op, with its context summed by einsum and its annotation gradient
+    deferred to the tape, matches the broadcast reference: alpha, the
+    context and all four input gradients."""
 
     def outputs(self, op, query, proj, h, v_a, mask, g):
         with Tape() as tape:
             alpha, ctx = op(query, proj, h, v_a, mask)
-        return (alpha.data, ctx.data, *tape._nodes[-1].backward_fn(g))
+        # a deferred gradient is formed the way the tape forms it
+        return (alpha.data, ctx.data,
+                *map(T._dense, tape._nodes[-1].backward_fn(g)))
 
     def assert_same_bits(self, query, proj, h, v_a, mask, rng):
         g = rng.standard_normal((proj.shape[0], h.shape[2]))
-        got = self.outputs(T.attention, query, proj, h, v_a, mask, g)
-        want = self.outputs(reference_attention, query, proj, h, v_a, mask, g)
-        for name, x, y in zip(("alpha", "ctx", "d_query", "d_proj", "d_h",
-                               "d_v_a"), got, want):
-            assert x.shape == y.shape, name
-            np.testing.assert_array_equal(bits(x), bits(y), err_msg=name)
+        assert_same_outputs(
+            self.outputs(T.attention, query, proj, h, v_a, mask, g),
+            self.outputs(reference_attention, query, proj, h, v_a, mask, g))
 
     @pytest.mark.parametrize("b", [1, 3, 32])
     @pytest.mark.parametrize("t_len", [1, 6, 25])
@@ -553,10 +566,98 @@ class TestAttentionMatchesReference:
                                  np.broadcast_to(mask, (b, t_len)), g))
         if b > 1:
             want[3:5] = (x.sum(axis=0, keepdims=True) for x in want[3:5])
-        for name, x, y in zip(("alpha", "ctx", "d_query", "d_proj", "d_h",
-                               "d_v_a"), got, want):
-            assert x.shape == y.shape, name
-            np.testing.assert_array_equal(bits(x), bits(y), err_msg=name)
+        assert_same_outputs(got, want)
+
+
+class TestDeferredAnnotationGradient:
+    """The attention returns its annotation gradient as factors; the tape
+    forms their sum, with any dense terms for the same tensor, once, when it
+    reaches the annotations' node or parameter."""
+
+    B, T_LEN, D, K = 3, 5, 4, 6
+
+    def mask(self):
+        mask = np.ones((self.B, self.T_LEN))
+        mask[1, 3:] = 0.0
+        mask[2, 1:] = 0.0
+        return mask
+
+    def gradients(self, op, arrivals, leaf):
+        """Parameter gradients of a loss whose h feeds attention calls
+        ("att") and dense matmuls ("dense"), listed in the order their
+        gradients reach h; h is a parameter (``leaf``) or a tanh node."""
+        rng = np.random.default_rng(7)
+        b, t_len, d, k = self.B, self.T_LEN, self.D, self.K
+        params = ParameterSet([make_param(n, s, rng) for n, s in (
+            ("a", (b, t_len, k)), ("proj", (b, t_len, d)), ("q", (b, d)),
+            ("v_a", (d, 1)), ("W", (k, 2)))])
+        p = {x.id: x.value for x in params}
+        consts = [(rng.standard_normal((b, d)), rng.standard_normal((b, k)),
+                   rng.standard_normal((b, t_len, 2))) for _ in arrivals]
+        mask = self.mask()
+        params.zero_grads()
+        with Tape() as tape:
+            h = p["a"] if leaf else T.tanh(p["a"])
+            loss = None
+            # the tape runs backward, so the last use recorded arrives first
+            for use, (offset, w_att, w_dense) in zip(reversed(arrivals), consts):
+                if use == "att":
+                    _, ctx = op(T.add(p["q"], T.constant(offset)), p["proj"],
+                                h, p["v_a"], mask)
+                    term = weighted_sum(ctx, w_att)
+                else:
+                    term = weighted_sum(T.matmul(h, p["W"]), w_dense)
+                loss = term if loss is None else T.add(loss, term)
+        tape.backward(loss, params)
+        return {x.id: x.grad.data.copy() for x in params}
+
+    @pytest.mark.parametrize("leaf", [False, True])
+    @pytest.mark.parametrize("arrivals", [
+        ("att", "att", "dense"),  # a new sum of two deferred, then in place
+        ("dense", "att"),  # a closure's array, then a deferred term
+        ("dense", "dense", "att", "att"),  # an owned array, then deferred
+        ("att", "dense", "att", "dense"),
+    ])
+    def test_orders_match_dense_reference(self, arrivals, leaf, monkeypatch):
+        formed = []
+        array = T._Outer.array
+
+        def spy(self):
+            formed.append(len(self.pairs))
+            return array(self)
+
+        monkeypatch.setattr(T._Outer, "array", spy)
+        got = self.gradients(T.attention, arrivals, leaf)
+        assert formed == [arrivals.count("att")]
+        want = self.gradients(reference_attention, arrivals, leaf)
+        assert len(formed) == 1  # the reference defers nothing
+        for pid, g in want.items():
+            assert (np.linalg.norm(got[pid] - g)
+                    <= 1e-12 * np.linalg.norm(g)), pid
+
+    def test_finite_differences_over_steps(self):
+        # three steps attend over one h with padded rows; each step's query
+        # reads the last step's context
+        rng = np.random.default_rng(8)
+        b, t_len, d, k = self.B, self.T_LEN, self.D, self.K
+        params = ParameterSet([make_param(n, s, rng) for n, s in (
+            ("a", (b, t_len, k)), ("U", (k, d)), ("W", (k, d)), ("q", (b, d)),
+            ("v_a", (d, 1)))])
+        p = {x.id: x.value for x in params}
+        ws, mask = rng.standard_normal((3, b, k)), self.mask()
+
+        def loss():
+            h = T.tanh(p["a"])
+            proj = T.matmul(h, p["U"])
+            query, total = p["q"], None
+            for w in ws:
+                _, ctx = T.attention(query, proj, h, p["v_a"], mask)
+                term = weighted_sum(ctx, w)
+                total = term if total is None else T.add(total, term)
+                query = T.tanh(T.matmul(ctx, p["W"]))
+            return total
+
+        check_op(loss, params, tol=1e-4)
 
 
 class TestMaxoutTieRule:
