@@ -98,6 +98,8 @@ def filter_pairs(pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     """Drop over-long and length-mismatched pairs.
 
     Returns (kept, dropped_by_length, dropped_by_ratio)."""
+    if not ratio_bound >= 1:  # NaN fails this too
+        raise DataError(f"ratio_bound must be >= 1, got {ratio_bound}")
     kept = []
     dropped_len = dropped_ratio = 0
     for s, t in pairs:
@@ -175,12 +177,10 @@ class BatchIterator:
         self.items = list(items)
         self.batch_size = batch_size
         self._rng = np.random.default_rng(seed)
-        self.epoch = 0
 
     def epoch_batches(self):
         """Yield the raw item batches of one epoch (caller pads)."""
         order = self._rng.permutation(len(self.items))
-        self.epoch += 1
         for start in range(0, len(order), self.batch_size):
             yield [self.items[i] for i in order[start : start + self.batch_size]]
 

@@ -36,8 +36,17 @@ class ConfigurationError(ValueError):
     """Incompatible model wiring (vocab mismatch, wrong output arity, ...)."""
 
 
+class _SizedConfig:
+    """A model config whose ``SIZED_BY`` sizes must all be positive."""
+
+    def __post_init__(self):
+        for key in SIZED_BY[type(self)]:
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
+
+
 @dataclass
-class NmtConfig:
+class NmtConfig(_SizedConfig):
     src_vocab: int
     tgt_vocab: int
     embed_dim: int = 620
@@ -45,14 +54,15 @@ class NmtConfig:
     deep_output_width: int = 0  # pre-maxout width; 0 means 2 * hidden
 
     def __post_init__(self):
+        if self.deep_output_width < 0 or self.deep_output_width % 2:
+            raise ConfigurationError("deep_output_width must be even and >= 0")
         if self.deep_output_width == 0:
             self.deep_output_width = 2 * self.hidden
-        if self.deep_output_width % 2 != 0:
-            raise ConfigurationError("deep_output_width must be even")
+        super().__post_init__()
 
 
 @dataclass
-class LmConfig:
+class LmConfig(_SizedConfig):
     vocab: int
     embed_dim: int = 620
     hidden: int = 2400
@@ -318,7 +328,6 @@ class FusedModel:
         self.lm = lm
         self.params = ParameterSet()
         for p in list(nmt.params) + list(lm.params):
-            p.trainable = False
             p.value.requires_grad = False
             self.params.add(p)
         self.controller = Controller(lm.cfg.hidden, self.params)

@@ -10,7 +10,7 @@ beyond scalars: row/column-vector promotion goes through the explicit
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,17 +68,21 @@ def constant(data) -> Tensor:
 class Parameter:
     """A named, trainable tensor with an attached gradient slot."""
 
-    __slots__ = ("id", "value", "grad", "trainable", "noisy")
+    __slots__ = ("id", "value", "grad", "noisy")
 
     def __init__(self, pid: str, value, trainable: bool = True, noisy: bool = True):
         self.id = pid
         self.value = value if isinstance(value, Tensor) else Tensor(value)
         self.value.requires_grad = trainable
         self.grad = Tensor(np.zeros_like(self.value.data))
-        self.trainable = trainable
         # noisy marks non-recurrent parameters eligible for training-time
         # additive weight noise; recurrent matrices opt out.
         self.noisy = noisy
+
+    @property
+    def trainable(self) -> bool:
+        """Frozen is ``value.requires_grad = False``: no tape records it."""
+        return self.value.requires_grad
 
     def zero_grad(self) -> None:
         self.grad.data[...] = 0.0
@@ -139,7 +143,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._known: set[int] = set()
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -155,85 +158,67 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _record(self, inputs, out, backward_fn) -> None:
-        self._nodes.append(_Node(inputs, out, backward_fn))
-        self._known.add(id(out))
-
     def backward(self, loss: Tensor, params: ParameterSet) -> None:
         """Accumulate d(loss)/d(param) into each trainable parameter's grad."""
         if not self._nodes:
             raise TapeError("backward called on an empty tape")
-        if id(loss) not in self._known:
+        if not any(node.out is loss for node in reversed(self._nodes)):
             raise TapeError(
                 "loss was not recorded under this tape (not computed here, "
                 "or it does not depend on any trainable parameter)")
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        outers: dict[int, list] = {}  # each key's deferred _Outer terms
         owned: set[int] = set()  # keys whose sum buffer backward allocated
         for node in reversed(self._nodes):
-            g_out = _dense(grads.pop(id(node.out), None))
+            key = id(node.out)
+            g_out = _summed(grads.pop(key, None), outers.pop(key, ()))
             if g_out is None:
                 continue
-            in_grads = node.backward_fn(g_out)
-            for t, g in zip(node.inputs, in_grads):
+            for t, g in zip(node.inputs, node.backward_fn(g_out)):
                 # a constant or frozen input: its gradient reaches no parameter
                 if g is None or not t.requires_grad:
                     continue
-                acc = grads.get(id(t))
-                if acc is None:
-                    grads[id(t)] = g
-                elif id(t) in owned and not isinstance(g, _Outer):
-                    acc += g  # an ndarray cannot take an _Outer in place
+                key, acc = id(t), grads.get(id(t))
+                if isinstance(g, _Outer):
+                    outers.setdefault(key, []).append(g)
+                elif acc is None:
+                    grads[key] = g
+                elif key in owned:
+                    acc += g
                 else:  # acc may be a closure's own array: sum into a new one
-                    grads[id(t)] = acc + g
-                    owned.add(id(t))
-        for p in params:
-            if not p.trainable:
-                continue
-            g = _dense(grads.get(id(p.value)))
+                    grads[key] = acc + g
+                    owned.add(key)
+        for p in params:  # a frozen value is never an input that gets a term
+            key = id(p.value)
+            g = _summed(grads.get(key), outers.get(key, ()))
             if g is not None:
                 p.grad.data += g
 
 
-class _Outer:
-    """A gradient term kept as factors: the sum over attention calls of the
-    (B, T, k) outer products alpha[:, :, None] * g[:, None, :] of its
-    (alpha, g) ``pairs``, plus any ``dense`` terms.  ``Tape.backward`` forms
-    it once, as one batched product, when it reaches the tensor's node or
-    parameter; ``__array_ufunc__ = None`` makes ``ndarray + _Outer`` call
-    ``__radd__``."""
+class _Outer(NamedTuple):
+    """An attention call's annotation gradient as the factors of its (B, T, k)
+    outer product alpha[:, :, None] * g[:, None, :]."""
 
-    __array_ufunc__ = None
-
-    def __init__(self, pairs, dense=()):
-        self.pairs, self.dense = list(pairs), list(dense)
-
-    def __iadd__(self, other):
-        if not isinstance(other, _Outer):
-            other = _Outer((), [other])
-        self.pairs += other.pairs
-        self.dense += other.dense
-        return self
-
-    def __add__(self, other):
-        return _Outer(self.pairs, self.dense).__iadd__(other)
-
-    __radd__ = __add__
-
-    def array(self) -> np.ndarray:
-        alphas, gs = zip(*self.pairs)
-        return sum(self.dense, np.stack(alphas, axis=2) @ np.stack(gs, axis=1))
+    alpha: np.ndarray
+    g: np.ndarray
 
 
-def _dense(g):
-    return g.array() if isinstance(g, _Outer) else g
+def _summed(dense, outers):
+    """``dense`` (or None) plus the ``outers`` terms, formed as one batched
+    (B, T, n) @ (B, n, k) product over the n terms."""
+    if not outers:
+        return dense
+    alphas, gs = zip(*outers)
+    product = np.stack(alphas, axis=2) @ np.stack(gs, axis=1)
+    return product if dense is None else product + dense
 
 
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Tensor:
     if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _ACTIVE_TAPE._record(tuple(inputs), out, backward_fn)
+        _ACTIVE_TAPE._nodes.append(_Node(tuple(inputs), out, backward_fn))
     return out
 
 
@@ -451,7 +436,7 @@ def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
         g_pre, du = g_e * v_a.data[:, 0], u * u  # (B, T, d)
         np.subtract(1.0, du, out=du)
         g_pre *= du
-        g_query, g_h = g_pre.sum(axis=1), _Outer([(alpha, g)])
+        g_query, g_h = g_pre.sum(axis=1), _Outer(alpha, g)
         if n < b:  # each query row read the one sentence's annotations
             g_pre, g_h = (x.sum(axis=0, keepdims=True) for x in (
                 g_pre, alpha[:, :, None] * g[:, None, :]))

@@ -57,26 +57,19 @@ class TrainConfig:
     stop_metric: Optional[float] = None  # halt once the dev metric reaches this
 
     def __post_init__(self):
-        # each float check is written so that NaN fails it
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # each check is written so that NaN fails it
+        for key, low in (("batch_size", 1), ("patience", 1), ("max_updates", 0),
+                         ("eval_interval", 1), ("weight_noise_std", 0),
+                         ("learning_rate", 0), ("update_scale", 0),
+                         ("dev_beam_width", 1), ("seed", 0)):
+            if not getattr(self, key) >= low:
+                raise ValueError(f"{key} must be >= {low}")
         if not self.clip_threshold > 0:
             raise ValueError("clip_threshold must be > 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.eval_interval < 1:
-            raise ValueError("eval_interval must be >= 1")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        for key in ("weight_noise_std", "learning_rate", "update_scale"):
-            if not getattr(self, key) >= 0.0:
-                raise ValueError(f"{key} must be >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.dev_beam_width < 1:
-            raise ValueError("dev_beam_width must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     def regularization_at(self, update: int) -> tuple[float, float]:
         """(dropout_p, weight_noise_std) active at a given update index."""
@@ -127,30 +120,31 @@ def clip_gradients(params: ParameterSet, threshold: float) -> float:
     return norm
 
 
-def _adadelta(st, g, lr, t):
+def _adadelta(g, lr, t, eg2, edx2):
     """Adadelta (Zeiler 2012, arXiv 1212.5701); ignores ``lr``."""
     rho, eps = 0.95, 1e-6
-    st["eg2"] = rho * st.get("eg2", 0.0) + (1 - rho) * g * g
-    dx = -np.sqrt(st.get("edx2", 0.0) + eps) / np.sqrt(st["eg2"] + eps) * g
-    st["edx2"] = rho * st.get("edx2", 0.0) + (1 - rho) * dx * dx
+    eg2 *= rho
+    eg2 += (1 - rho) * g * g
+    dx = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+    edx2 *= rho
+    edx2 += (1 - rho) * dx * dx
     return dx
 
 
-def _rmsprop(st, g, lr, t):
+def _rmsprop(g, lr, t, eg2):
     """RMSProp (Tieleman & Hinton 2012)."""
     decay, eps = 0.9, 1e-6
-    st["eg2"] = decay * st.get("eg2", 0.0) + (1 - decay) * g * g
-    return -lr * g / np.sqrt(st["eg2"] + eps)
+    eg2 *= decay
+    eg2 += (1 - decay) * g * g
+    return -lr * g / np.sqrt(eg2 + eps)
 
 
-def _adam(st, g, lr, t):
-    """Adam (Kingma & Ba 2014, arXiv 1412.6980), bias-corrected at ``t``.
-    Its slots are allocated once and updated in place, each product in the
-    order of m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g."""
+def _adam(g, lr, t, m, v):
+    """Adam (Kingma & Ba 2014, arXiv 1412.6980), bias-corrected at ``t``,
+    each product in the order of m = beta1 m + (1 - beta1) g and
+    v = beta2 v + ((1 - beta2) g) g."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    if not st:
-        st["m"], st["v"] = np.zeros_like(g), np.zeros_like(g)
-    m, v, gg = st["m"], st["v"], (1 - beta2) * g
+    gg = (1 - beta2) * g
     m *= beta1
     m += (1 - beta1) * g
     gg *= g
@@ -165,12 +159,12 @@ def _adam(st, g, lr, t):
     return delta
 
 
-# config name -> rule (state, grad, learning rate, step) -> delta; a rule
-# reads a state slot it has not yet written as 0.0
-OPTIMIZERS: dict[str, Callable[[dict, np.ndarray, float, int], np.ndarray]] = {
-    "adadelta": _adadelta,
-    "rmsprop": _rmsprop,
-    "adam": _adam,
+# config name -> (rule (grad, learning rate, step, **slots) -> delta, its
+# slot names); each slot starts as zeros and the rule updates it in place
+OPTIMIZERS: dict[str, tuple[Callable[..., np.ndarray], tuple[str, ...]]] = {
+    "adadelta": (_adadelta, ("eg2", "edx2")),
+    "rmsprop": (_rmsprop, ("eg2",)),
+    "adam": (_adam, ("m", "v")),
 }
 
 
@@ -181,7 +175,7 @@ class Optimizer:
     def __init__(self, name: str, learning_rate=TrainConfig.learning_rate):
         if name not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {name!r}")
-        self.rule = OPTIMIZERS[name]
+        self.rule, self.slots = OPTIMIZERS[name]
         self.learning_rate = learning_rate
         self.t = 0
         self.state: dict[str, dict[str, np.ndarray]] = {}
@@ -189,13 +183,16 @@ class Optimizer:
     def step(self, params: ParameterSet, scale: float = 1.0) -> None:
         self.t += 1
         for p in params.trainable():
-            st = self.state.setdefault(p.id, {})
+            st = self.state.get(p.id)
+            if st is None:
+                st = self.state[p.id] = {
+                    k: np.zeros_like(p.value.data) for k in self.slots}
             for slot in st.values():
                 if slot.shape != p.value.shape:
                     raise StateError(
                         f"optimizer state for {p.id!r} has shape "
                         f"{slot.shape}, parameter has {p.value.shape}")
-            delta = self.rule(st, p.grad.data, self.learning_rate, self.t)
+            delta = self.rule(p.grad.data, self.learning_rate, self.t, **st)
             p.value.data += scale * delta
 
 

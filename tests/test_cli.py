@@ -240,6 +240,7 @@ class TestExitCodes:
         (["train-lm"], "[train]\nupdate_scale = -1\n", "update_scale"),
         (["finetune", "--nmt", "no.ckpt", "--lm", "no.ckpt"],
          "[finetune]\nlearning_rate = nan\n", "learning_rate"),
+        (["train-nmt"], "[train]\nmax_updates = -3\n", "max_updates"),
     ])
     def test_bad_training_value_exits_2_first(self, tmp_path, capsys, argv,
                                               setting, key):
@@ -253,6 +254,35 @@ class TestExitCodes:
         assert code == 2
         assert key in out.err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train-nmt", "model", "hidden", "0"),
+        ("train-nmt", "model", "embed_dim", "0"),
+        ("train-nmt", "model", "embed_dim", "-1"),
+        ("train-nmt", "model", "deep_output_width", "-2"),
+        ("train-nmt", "data", "ratio_bound", "nan"),
+        ("train-lm", "lm", "embed_dim", "0"),
+        ("train-lm", "lm", "hidden", "0"),
+    ])
+    def test_bad_size_or_ratio_bound_exits_2(self, toy_dir, capsys, command,
+                                             section, key, value):
+        # the value replaces the toy config's line for ``key``
+        cfg = toy_dir / "exp.cfg"
+        mono = toy_dir / "toy" / "train.tgt"
+        text = "\n".join(ln for ln in cfg.read_text().splitlines()
+                         if not ln.startswith(key + " = ")) + "\n[lm]\n"
+        text = text.replace("[data]\n", f"[data]\nmono_train = {mono}\n"
+                            f"mono_dev = {mono}\n")
+        cfg.write_text(text.replace(f"[{section}]\n",
+                                    f"[{section}]\n{key} = {value}\n", 1))
+        out_path, log = toy_dir / "out.ckpt", toy_dir / "log.tsv"
+        code, out = run([command, "--config", str(cfg), "--output",
+                         str(out_path), "--log", str(log)], capsys)
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert key in out.err
+        assert not out_path.exists() and not log.exists()
 
     @pytest.mark.parametrize("command", ["train-nmt", "finetune", "sweep-beta"])
     def test_blank_dev_source_names_file_and_line(self, toy_dir, capsys,

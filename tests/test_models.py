@@ -419,6 +419,13 @@ class TestFusedModel:
         assert trainable == ["fuse.ctrl.b_g", "fuse.ctrl.v_g", "fuse.out.W_h",
                              "fuse.out.W_o", "fuse.out.b_h", "fuse.out.b_o"]
 
+    def test_freezes_through_requires_grad_alone(self):
+        nmt, lm = tiny_nmt(), tiny_lm()
+        parts = list(nmt.params) + list(lm.params)
+        assert all(p.value.requires_grad for p in parts)
+        FusedModel(nmt, lm, np.random.default_rng(0))
+        assert not any(p.value.requires_grad or p.trainable for p in parts)
+
     def test_initially_reproduces_baseline(self):
         fm = self.make(seed=4)
         src = [3, 4, 5]
@@ -677,13 +684,14 @@ def test_long_fixture_backward_forms_annotation_gradient_once(monkeypatch):
     # the 32 decoder steps' attention gradients for h are summed by one
     # batched product, not as one (B, T, 2d) product per step
     batch, nmt = long_fixture_batch()
-    formed, array = [], T._Outer.array
+    formed, summed = [], T._summed
 
-    def spy(self):
-        formed.append(len(self.pairs))
-        return array(self)
+    def spy(dense, outers):
+        if outers:
+            formed.append(len(outers))
+        return summed(dense, outers)
 
-    monkeypatch.setattr(T._Outer, "array", spy)
+    monkeypatch.setattr(T, "_summed", spy)
     with Tape() as tape:
         loss = nmt_batch_loss(nmt, batch)
     tape.backward(loss, nmt.params)

@@ -505,8 +505,9 @@ class TestAttentionMatchesReference:
         with Tape() as tape:
             alpha, ctx = op(query, proj, h, v_a, mask)
         # a deferred gradient is formed the way the tape forms it
-        return (alpha.data, ctx.data,
-                *map(T._dense, tape._nodes[-1].backward_fn(g)))
+        return (alpha.data, ctx.data, *(
+            T._summed(None, [x]) if isinstance(x, T._Outer) else x
+            for x in tape._nodes[-1].backward_fn(g)))
 
     def assert_same_bits(self, query, proj, h, v_a, mask, rng):
         g = rng.standard_normal((proj.shape[0], h.shape[2]))
@@ -619,14 +620,14 @@ class TestDeferredAnnotationGradient:
         ("att", "dense", "att", "dense"),
     ])
     def test_orders_match_dense_reference(self, arrivals, leaf, monkeypatch):
-        formed = []
-        array = T._Outer.array
+        formed, summed = [], T._summed
 
-        def spy(self):
-            formed.append(len(self.pairs))
-            return array(self)
+        def spy(dense, outers):
+            if outers:
+                formed.append(len(outers))
+            return summed(dense, outers)
 
-        monkeypatch.setattr(T._Outer, "array", spy)
+        monkeypatch.setattr(T, "_summed", spy)
         got = self.gradients(T.attention, arrivals, leaf)
         assert formed == [arrivals.count("att")]
         want = self.gradients(reference_attention, arrivals, leaf)
@@ -723,6 +724,13 @@ class TestTape:
             weighted_sum(params.get("a").value)
         with pytest.raises(T.TapeError):
             t2.backward(loss, params)
+
+    def test_constant_loss_on_recorded_tape_rejected(self):
+        params = ParameterSet([make_param("a", (2, 2))])
+        with Tape() as tape:
+            weighted_sum(params.get("a").value)
+        with pytest.raises(T.TapeError, match="not recorded under this tape"):
+            tape.backward(T.constant(0.0), params)
 
     def test_non_scalar_loss_rejected(self):
         params = ParameterSet([make_param("a", (2, 2))])
@@ -864,6 +872,14 @@ class TestParameterSet:
             make_param("y", 2),
         ])
         assert [p.id for p in params.trainable()] == ["y"]
+
+    def test_trainable_is_the_value_flag(self):
+        p = Parameter("x", np.zeros(2), trainable=False)
+        assert p.trainable is False and p.value.requires_grad is False
+        p.value.requires_grad = True
+        assert p.trainable is True
+        with pytest.raises(AttributeError):
+            p.trainable = False  # read-only: requires_grad is the one flag
 
 
 class TestFiniteDifferenceChecker:

@@ -197,25 +197,28 @@ class TestOptimizers:
                 np.testing.assert_array_equal(st[slot], want)
 
     def test_adam_slots_are_updated_in_place_with_the_same_bits(self):
+        # every rule, not only Adam, allocates its slots on the first step;
         # gradients over ten decades; the reference rebinds new slot arrays
-        rng = np.random.default_rng(14)
-        value = rng.standard_normal((5, 3))
-        params, ref_params = (ParameterSet([Parameter("w", value.copy())])
-                              for _ in range(2))
-        opt, ref_state = Optimizer("adam", learning_rate=3e-3), {}
-        for step in range(29):
-            g = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-8, 3)
-            for ps in (params, ref_params):
-                ps.get("w").grad.data[...] = g
-            opt.step(params)
-            reference_step("adam", ref_state, ref_params, 3e-3, 1.0)
-            if step == 0:
-                slots = dict(opt.state["w"])
-            for k, want in ref_state["w"]["slots"].items():
-                assert opt.state["w"][k] is slots[k]
-                assert opt.state["w"][k].tobytes() == want.tobytes()
-            assert (params.get("w").value.data.tobytes()
-                    == ref_params.get("w").value.data.tobytes())
+        for name in REFERENCE_SLOTS:
+            rng = np.random.default_rng(14)
+            value = rng.standard_normal((5, 3))
+            params, ref_params = (ParameterSet([Parameter("w", value.copy())])
+                                  for _ in range(2))
+            opt, ref_state = Optimizer(name, learning_rate=3e-3), {}
+            for step in range(29):
+                g = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-8, 3)
+                for ps in (params, ref_params):
+                    ps.get("w").grad.data[...] = g
+                opt.step(params)
+                reference_step(name, ref_state, ref_params, 3e-3, 1.0)
+                if step == 0:
+                    slots = dict(opt.state["w"])
+                assert opt.state["w"].keys() == ref_state["w"]["slots"].keys()
+                for k, want in ref_state["w"]["slots"].items():
+                    assert opt.state["w"][k] is slots[k], (name, k)
+                    assert opt.state["w"][k].tobytes() == want.tobytes()
+                assert (params.get("w").value.data.tobytes()
+                        == ref_params.get("w").value.data.tobytes()), name
 
     def test_frozen_params_not_stepped(self):
         params = ParameterSet([Parameter("f", np.array([1.0]),
