@@ -59,10 +59,11 @@ class GruCell:
 
 
 def gru_step(cell: GruCell, s_prev: Tensor, x: Tensor,
-             keep: Optional[np.ndarray] = None) -> Tensor:
-    """One GRU step: s = (1 - z) * s_prev + z * candidate.  Rows where the
-    optional (B, 1) 0/1 ``keep`` mask is 0 keep ``s_prev``."""
-    return T.gru(s_prev, x, cell.joined, cell.weights, keep)
+             keep: Optional[np.ndarray] = None, reverse: bool = False):
+    """One GRU step, s = (1 - z) * s_prev + z * candidate, for a (B, e)
+    ``x``; rows where the optional (B, 1) 0/1 ``keep`` mask is 0 keep
+    ``s_prev``.  A (T, B, e) ``x`` runs every step, as ``tensor.gru``."""
+    return T.gru(s_prev, x, cell.joined, cell.weights, keep, reverse)
 
 
 class LstmCell:
@@ -76,7 +77,8 @@ class LstmCell:
 
 def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],
               x: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step; returns (h, c)."""
+    """One LSTM step for a (B, e) ``x``; returns (h, c).  A (T, B, e) ``x``
+    runs every step, as ``tensor.lstm``."""
     return T.lstm(*state, x, cell.joined, cell.weights)
 
 

@@ -6,7 +6,8 @@ All forward procedures are batched: states are (B, d) matrices and token
 inputs are length-B id vectors.  Beam decoding stacks the live hypotheses
 of a step into the B rows.  Each model is a recurrence plus an output head
 for any number of rows: a decode step runs both, and a teacher-forced loss
-runs the recurrence step by step, then the head once over all T*B rows.
+runs the recurrence over every step (the encoder's and the LM's as one call
+per sequence), then the head once over all T*B rows.
 """
 
 from __future__ import annotations
@@ -145,25 +146,17 @@ def encode(model: NmtModel, source,
         src, src_mask = np.concatenate([src, [EOS_ID]])[None, :], None
     elif src_mask is None:
         raise ValueError("batched encode requires a mask")
-    b, t_len = src.shape
-    d = model.cfg.hidden
-    embeds = [model.src_emb.lookup(src[:, j]) for j in range(t_len)]
-
-    def run(cell, order):
-        states = [None] * t_len
-        s = T.constant(np.zeros((b, d)))
-        for j in order:  # padded rows keep their previous (zero) state
-            keep = None if src_mask is None else src_mask[:, j : j + 1]
-            s = states[j] = gru_step(cell, s, embeds[j], keep)
-        return states
-
-    fwd = run(model.enc_fwd, range(t_len))
-    bwd = run(model.enc_bwd, range(t_len - 1, -1, -1))
-    h = T.concat([T.stack(bwd, axis=1), T.stack(fwd, axis=1)], axis=2)
+    x = model.src_emb.lookup(src.T)  # (T, B, e)
+    s0 = T.constant(np.zeros((len(src), model.cfg.hidden)))
+    # padded rows keep their previous (zero) state
+    keep = None if src_mask is None else np.asarray(src_mask).T[:, :, None]
+    fwd, _ = gru_step(model.enc_fwd, s0, x, keep)
+    bwd, bwd_first = gru_step(model.enc_bwd, s0, x, keep, reverse=True)
+    h = T.transpose(T.concat([bwd, fwd], axis=2))
     return AnnotationMatrix(h=h, proj=T.matmul(h, model.attn["U_a"].value),
                             mask=np.ones(src.shape) if src_mask is None
                             else np.asarray(src_mask, dtype=np.float64),
-                            bwd_first=bwd[0])
+                            bwd_first=bwd_first)
 
 
 def initial_state(model: NmtModel, ann: AnnotationMatrix) -> Tensor:
@@ -278,13 +271,11 @@ def lm_step(lm: RnnLm, state: tuple[Tensor, Tensor], y_prev,
 
 
 def _lm_teacher_forced(lm: RnnLm, batch) -> Tensor:
-    """The LSTM recurrence over a padded batch: its hidden states, step
-    major, as one (T*B, d) head input."""
-    state, hs = lm.initial_state(batch.size), []
-    for y_prev in batch.tgt_in.T:
-        state = _lm_recur(lm, state, y_prev)
-        hs.append(state[0])
-    return T.concat(hs)
+    """The LSTM recurrence over a padded batch, all steps in one call: its
+    hidden states, step major, as one (T*B, d) head input."""
+    h, _ = lstm_step(lm.lstm, lm.initial_state(batch.size),
+                     lm.tgt_emb.lookup(batch.tgt_in.T))
+    return T.reshape(h, (-1, lm.cfg.hidden))
 
 
 def lm_batch_loss(lm: RnnLm, batch) -> Tensor:

@@ -127,11 +127,11 @@ class ParameterSet:
 
 
 class _Node:
-    __slots__ = ("inputs", "out", "backward_fn")
+    __slots__ = ("inputs", "outs", "backward_fn")
 
-    def __init__(self, inputs, out, backward_fn):
+    def __init__(self, inputs, outs, backward_fn):
         self.inputs = inputs
-        self.out = out
+        self.outs = outs
         self.backward_fn = backward_fn
 
 
@@ -162,7 +162,7 @@ class Tape:
         """Accumulate d(loss)/d(param) into each trainable parameter's grad."""
         if not self._nodes:
             raise TapeError("backward called on an empty tape")
-        if not any(node.out is loss for node in reversed(self._nodes)):
+        if not any(loss in node.outs for node in reversed(self._nodes)):
             raise TapeError(
                 "loss was not recorded under this tape (not computed here, "
                 "or it does not depend on any trainable parameter)")
@@ -172,11 +172,11 @@ class Tape:
         outers: dict[int, list] = {}  # each key's deferred _Outer terms
         owned: set[int] = set()  # keys whose sum buffer backward allocated
         for node in reversed(self._nodes):
-            key = id(node.out)
-            g_out = _summed(grads.pop(key, None), outers.pop(key, ()))
-            if g_out is None:
+            g_outs = [_summed(grads.pop(id(t), None), outers.pop(id(t), ()))
+                      for t in node.outs]
+            if all(g is None for g in g_outs):
                 continue
-            for t, g in zip(node.inputs, node.backward_fn(g_out)):
+            for t, g in zip(node.inputs, node.backward_fn(*g_outs)):
                 # a constant or frozen input: its gradient reaches no parameter
                 if g is None or not t.requires_grad:
                     continue
@@ -215,10 +215,14 @@ def _summed(dense, outers):
     return product if dense is None else product + dense
 
 
-def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable) -> Tensor:
+def _record(inputs: Sequence[Tensor], out, backward_fn: Callable):
+    """Record ``out``, a tensor or a tuple of them; a tuple's ``backward_fn``
+    takes one gradient per output, None for one that got none."""
     if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _ACTIVE_TAPE._nodes.append(_Node(tuple(inputs), out, backward_fn))
+        outs = out if isinstance(out, tuple) else (out,)
+        for t in outs:
+            t.requires_grad = True
+        _ACTIVE_TAPE._nodes.append(_Node(tuple(inputs), outs, backward_fn))
     return out
 
 
@@ -275,10 +279,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected matrix, got shape {a.shape}")
-    out = Tensor(a.data.T.copy())
-    return _record((a,), out, lambda g: (g.T,))
+    """Swap the first two axes of a matrix or a 3-D tensor."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose: expected 2 or 3 axes, got shape {a.shape}")
+    out = Tensor(np.swapaxes(a.data, 0, 1).copy())
+    return _record((a,), out, lambda g: (np.swapaxes(g, 0, 1),))
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    out = Tensor(a.data.reshape(shape))
+    return _record((a,), out, lambda g: (g.reshape(a.shape),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -310,9 +320,8 @@ def log_softmax(a: Tensor) -> Tensor:
     if a.size == 0:
         raise DomainError("log_softmax of an empty tensor")
     y = _log_softmax(a.data)
-    sm = np.exp(y)
     return _record((a,), Tensor(y), lambda g: (
-        g - sm * g.sum(axis=-1, keepdims=True),))
+        g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
 
 
 def nll(logits: Tensor, targets, weights, c: float) -> Tensor:
@@ -353,14 +362,6 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
         return grads
 
     return _record([t for grp in groups for t in grp], out, backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join equal-shape tensors along a new axis."""
-    if not tensors:
-        raise DomainError("stack of no tensors")
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
-    return _record(tuple(tensors), out, lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def rows(table: Tensor, idx) -> Tensor:
@@ -445,83 +446,120 @@ def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
     return Tensor(alpha), _record((query, proj, h, v_a), ctx, backward)
 
 
-def _check_cell(op: str, x: Tensor, states: Sequence[Tensor],
-                w_in: Tensor) -> None:
-    b = x.shape[0] if x.data.ndim == 2 else -1
-    shapes = [t.shape for t in (x, *states)]
+def _steps(op: str, x: Tensor, states: Sequence[Tensor],
+           w_in: Tensor) -> np.ndarray:
+    """A cell's input as (T, B, e) steps; a (B, e) ``x`` is one step."""
+    xs = x.data if x.data.ndim == 3 else x.data[None]
+    b = xs.shape[1] if xs.ndim == 3 else -1
+    shapes = [xs.shape[1:]] + [t.shape for t in states]
     if shapes != [(b, w_in.shape[0])] + [(b, w_in.shape[1])] * len(states):
         raise ShapeError(f"{op}: input and states {shapes}, W {w_in.shape}")
+    if len(xs) == 0:
+        raise DomainError(f"{op} over no steps")
+    return xs
 
 
 def _gate_grads(da: np.ndarray, x: np.ndarray, s: np.ndarray, n: int) -> list:
     """(dW, dU, db) of x @ W + s @ U + b for each of the n gates whose column
     blocks ``da`` joins, each a contiguous block of one product over all n
-    gates; ``s`` may be an (n, B, d) stack, one input per gate."""
+    gates and all rows; ``s`` may be an (n, rows, d) stack, one per gate."""
     da = da.reshape(len(da), n, -1).transpose(1, 0, 2)
     grads = (x.T @ da, np.swapaxes(s, -1, -2) @ da, da.sum(axis=1))
     return [a[k] for k in range(n) for a in grads]
 
 
 def gru(s_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
-        weights: Sequence[Tensor], keep: Optional[np.ndarray] = None) -> Tensor:
-    """One GRU step as one tape node: s = (1 - z) s_prev + z h, with gates
+        weights: Sequence[Tensor], keep: Optional[np.ndarray] = None,
+        reverse: bool = False):
+    """GRU steps as one tape node: s = (1 - z) s_prev + z h, with gates
     z, r = sigmoid(x W + s_prev U + b), h = tanh(x W_h + (r s_prev) U_h + b_h)
     from ``joined`` (W, U, b) in blocks z|r|h, whose per-gate views are
-    ``weights``.  Rows where (B, 1) 0/1 ``keep`` is 0 carry ``s_prev``."""
-    _check_cell("gru", x, (s_prev,), weights[0])
-    xs, s = x.data, s_prev.data
-    w, u, b = joined
-    d, d2 = s.shape[1], 2 * s.shape[1]
-    xw = xs @ w
-    zr = _sigmoid(xw[:, :d2] + s @ u[:, :d2] + b[:d2])
-    # contiguous gates: elementwise ops on a strided block run row by row
-    z, r = np.ascontiguousarray(zr[:, :d]), np.ascontiguousarray(zr[:, d:])
-    rs = r * s
-    h = np.tanh(xw[:, d2:] + rs @ u[:, d2:] + b[d2:])
-    new = (1.0 - z) * s + z * h
-    out = Tensor(new if keep is None else np.where(keep != 0, new, s))
+    ``weights``.  Rows where 0/1 ``keep`` is 0 carry ``s_prev``.
 
-    def backward(g):
-        g_new, g_carry = (g, 0.0) if keep is None else (g * keep,
-                                                        g * (1.0 - keep))
-        da_h = g_new * z * (1.0 - h * h)
-        d_rs = da_h @ u[:, d2:].T
-        da = np.concatenate((g_new * (h - s) * z * (1.0 - z),
-                             d_rs * s * r * (1.0 - r), da_h), axis=1)
-        ds = g_new * (1.0 - z) + d_rs * r + da[:, :d2] @ u[:, :d2].T + g_carry
-        return (ds, da @ w.T, *_gate_grads(da, xs, np.stack((s, s, rs)), 3))
+    A (B, e) ``x`` with a (B, 1) ``keep`` is one step and returns its state.
+    A (T, B, e) ``x`` with a (T, B, 1) ``keep`` runs all T positions, from
+    the last if ``reverse``, and returns every position's state, (T, B, d),
+    and the state the run ends on."""
+    xs = _steps("gru", x, (s_prev,), weights[0])
+    (n, b, e), d = xs.shape, s_prev.shape[1]
+    keeps = keep if keep is None or x.data.ndim == 3 else keep[None]
+    w, u, bias = joined
+    d2 = 2 * d
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    saved, states, s = [None] * n, np.empty((n, b, d)), s_prev.data
+    for t in order:
+        xw = xs[t] @ w
+        zr = _sigmoid(xw[:, :d2] + s @ u[:, :d2] + bias[:d2])
+        # contiguous gates: elementwise ops on a strided block run row by row
+        z, r = np.ascontiguousarray(zr[:, :d]), np.ascontiguousarray(zr[:, d:])
+        rs = r * s
+        h = np.tanh(xw[:, d2:] + rs @ u[:, d2:] + bias[d2:])
+        new = (1.0 - z) * s + z * h
+        saved[t] = (s, z, r, rs, h)
+        states[t] = new if keeps is None else np.where(keeps[t] != 0, new, s)
+        s = states[t]
 
+    def backward(g, g_end=None):
+        gs = np.zeros((n, b, d)) if g is None else g.reshape(n, b, d)
+        ds, da = g_end, np.empty((n, b, 3 * d))
+        for t in reversed(order):
+            sp, z, r, rs, h = saved[t]
+            g_s = gs[t] if ds is None else gs[t] + ds
+            g_new, g_carry = (g_s, 0.0) if keeps is None else (
+                g_s * keeps[t], g_s * (1.0 - keeps[t]))
+            da_h = g_new * z * (1.0 - h * h)
+            d_rs = da_h @ u[:, d2:].T
+            np.concatenate((g_new * (h - sp) * z * (1.0 - z),
+                            d_rs * sp * r * (1.0 - r), da_h), axis=1, out=da[t])
+            ds = (g_new * (1.0 - z) + d_rs * r + da[t, :, :d2] @ u[:, :d2].T
+                  + g_carry)
+        su = np.stack([v[k] for k in (0, 0, 3) for v in saved])  # [S, S, RS]
+        da = da.reshape(-1, 3 * d)
+        return (ds, (da @ w.T).reshape(x.shape), *_gate_grads(
+            da, xs.reshape(-1, e), su.reshape(3, -1, d), 3))
+
+    out = (Tensor(states), Tensor(s)) if x.data.ndim == 3 else Tensor(s)
     return _record((s_prev, x, *weights), out, backward)
 
 
 def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
          weights: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
-    """One LSTM step, c = f c_prev + i g and h = o tanh(c), with gates o, i,
-    f = sigmoid(x W + h_prev U + b) and g = tanh(x W_g + h_prev U_g + b_g);
-    ``joined`` is (W, U, b) with column blocks o|i|f|g (h's gate, then c's),
-    ``weights`` their per-gate views.  Returns (h, c), one tape node each."""
-    _check_cell("lstm", x, (h_prev, c_prev), weights[0])
-    xs, hp, cp = x.data, h_prev.data, c_prev.data
-    w, u, b = joined
-    d = hp.shape[1]
-    pre = xs @ w + hp @ u + b
-    sg = _sigmoid(pre[:, :3 * d])
-    o, i, f = (np.ascontiguousarray(sg[:, k * d:(k + 1) * d]) for k in range(3))
-    g = np.tanh(pre[:, 3 * d:])
-    c = Tensor(f * cp + i * g)
-    tc = np.tanh(c.data)
+    """LSTM steps as one tape node: c = f c_prev + i g and h = o tanh(c),
+    with gates o, i, f = sigmoid(x W + h_prev U + b) and g = tanh(x W_g +
+    h_prev U_g + b_g); ``joined`` is (W, U, b) with column blocks o|i|f|g,
+    ``weights`` their per-gate views.  A (B, e) ``x`` is one step and
+    returns its (h, c); a (T, B, e) ``x`` runs T steps and returns every
+    step's h, (T, B, d), and the last step's c."""
+    xs = _steps("lstm", x, (h_prev, c_prev), weights[0])
+    (n, b, e), d = xs.shape, h_prev.shape[1]
+    w, u, bias = joined
+    saved, hs, hp, cp = [], np.empty((n, b, d)), h_prev.data, c_prev.data
+    for t in range(n):
+        pre = xs[t] @ w + hp @ u + bias
+        sg = _sigmoid(pre[:, :3 * d])
+        o, i, f = (np.ascontiguousarray(sg[:, k * d:(k + 1) * d])
+                   for k in range(3))
+        g = np.tanh(pre[:, 3 * d:])
+        c = f * cp + i * g
+        tc = np.tanh(c)
+        saved.append((hp, cp, o, i, f, g, tc))
+        hp, cp = np.multiply(o, tc, out=hs[t]), c
 
-    def c_backward(gc):
-        da = np.concatenate((gc * g * i * (1.0 - i), gc * cp * f * (1.0 - f),
-                             gc * i * (1.0 - g * g)), axis=1)
-        return (da @ u[:, d:].T, gc * f, da @ w[:, d:].T,
-                *_gate_grads(da, xs, hp, 3))
+    def backward(gh, gc=None):
+        ghs = np.zeros((n, b, d)) if gh is None else gh.reshape(n, b, d)
+        dh, dc, da = 0.0, (0.0 if gc is None else gc), np.empty((n, b, 4 * d))
+        for t in reversed(range(n)):
+            _, cp, o, i, f, g, tc = saved[t]
+            gh_t = ghs[t] + dh
+            gc_t = dc + gh_t * o * (1.0 - tc * tc)
+            np.concatenate((gh_t * tc * o * (1.0 - o), gc_t * g * i * (1.0 - i),
+                            gc_t * cp * f * (1.0 - f), gc_t * i * (1.0 - g * g)),
+                           axis=1, out=da[t])
+            dh, dc = da[t] @ u.T, gc_t * f
+        da = da.reshape(-1, 4 * d)
+        return (dh, dc, (da @ w.T).reshape(x.shape), *_gate_grads(
+            da, xs.reshape(-1, e),
+            np.stack([v[0] for v in saved]).reshape(-1, d), 4))
 
-    def h_backward(gh):
-        da = gh * tc * o * (1.0 - o)
-        return (gh * o * (1.0 - tc * tc), da @ u[:, :d].T, da @ w[:, :d].T,
-                *_gate_grads(da, xs, hp, 1))
-
-    c = _record((h_prev, c_prev, x, *weights[3:]), c, c_backward)
-    h = _record((c, h_prev, x, *weights[:3]), Tensor(o * tc), h_backward)
-    return h, c
+    h = Tensor(hs if x.data.ndim == 3 else hp)
+    return _record((h_prev, c_prev, x, *weights), (h, Tensor(cp)), backward)

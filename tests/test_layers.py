@@ -118,26 +118,23 @@ def per_gate_gru(w, s, x, keep, g):
 
 
 def per_gate_lstm(w, h, c, x, gh, gc):
-    """The LSTM step and the backward of its h and c nodes written gate by
-    gate, as ``per_gate_gru``; ``w`` is (W, U, b) for each of o, i, f and
-    g.  Returns h, c, the c node's gradients of h, c, x and the i, f and g
-    weights for ``gc``, and the h node's of c, h, x and the o weights for
-    ``gh``."""
+    """The LSTM step and its backward written gate by gate, as
+    ``per_gate_gru``; ``w`` is (W, U, b) for each of o, i, f and g.  Returns
+    h, c and the gradients of h, c, x and each of ``w`` for the upstream
+    gradients ``gh`` and ``gc``."""
     o, i, f = (T._sigmoid(x @ w[k] + h @ w[k + 1] + w[k + 2])
                for k in (0, 3, 6))
     g = np.tanh(x @ w[9] + h @ w[10] + w[11])
     c_new = f * c + i * g
     tc = np.tanh(c_new)
-    da = (gc * g * i * (1.0 - i), gc * c * f * (1.0 - f),
-          gc * i * (1.0 - g * g))
-    (dx_i, dh_i, *dw_i), (dx_f, dh_f, *dw_f), (dx_g, dh_g, *dw_g) = (
-        affine_grads(da_k, x, h, w[k], w[k + 1])
-        for da_k, k in zip(da, (3, 6, 9)))
-    c_grads = (dh_i + dh_f + dh_g, gc * f, dx_i + dx_f + dx_g,
-               *dw_i, *dw_f, *dw_g)
-    dx_o, dh_o, *dw_o = affine_grads(gh * tc * o * (1.0 - o), x, h, w[0], w[1])
-    h_grads = (gh * o * (1.0 - tc * tc), dh_o, dx_o, *dw_o)
-    return o * tc, c_new, c_grads, h_grads
+    gc = gc + gh * o * (1.0 - tc * tc)
+    da = (gh * tc * o * (1.0 - o), gc * g * i * (1.0 - i),
+          gc * c * f * (1.0 - f), gc * i * (1.0 - g * g))
+    per_gate = [affine_grads(da_k, x, h, w[3 * k], w[3 * k + 1])
+                for k, da_k in enumerate(da)]
+    dx, dh = (sum(grads[k] for grads in per_gate) for k in range(2))
+    return o * tc, c_new, (dh, gc * f, dx,
+                           *(dw for grads in per_gate for dw in grads[2:]))
 
 
 def bits(x):
@@ -186,13 +183,125 @@ class TestJoinedGatesMatchPerGate:
         gh, gc = (rng.standard_normal((b, 48)) for _ in range(2))
         with Tape() as tape:
             h, c = lstm_step(cell, (h0, c0), x)
-        want_h, want_c, c_grads, h_grads = per_gate_lstm(
+        want_h, want_c, want_grads = per_gate_lstm(
             w, h0.data, c0.data, x.data, gh, gc)
         np.testing.assert_array_equal(bits(h.data), bits(want_h))
         np.testing.assert_array_equal(bits(c.data), bits(want_c))
-        c_node, h_node = tape._nodes[-2:]
-        assert_close_grads(c_node.backward_fn(gc), c_grads)
-        assert_close_grads(h_node.backward_fn(gh), h_grads)
+        assert_close_grads(tape._nodes[-1].backward_fn(gh, gc), want_grads)
+
+
+def stepwise_gru(cell, s0, xs, keep, reverse):
+    """The test-only reference for a sequence call: one ``gru_step`` node
+    per position of the per-step inputs ``xs``.  Returns every position's
+    state and the state the run ends on."""
+    states, s = [None] * len(xs), s0
+    for t in range(len(xs) - 1, -1, -1) if reverse else range(len(xs)):
+        s = states[t] = gru_step(cell, s, xs[t],
+                                 None if keep is None else keep[t])
+    return states, s
+
+
+def stepwise_lstm(cell, state, xs):
+    """As ``stepwise_gru``, one ``lstm_step`` node per step: every step's h
+    and the last c."""
+    hs = []
+    for x in xs:
+        state = lstm_step(cell, state, x)
+        hs.append(state[0])
+    return hs, state[1]
+
+
+def sequence_call(kind, cell, states, xs, keep, reverse):
+    """The per-step inputs ``xs`` as one (T, B, e) tensor through one call."""
+    x = T.reshape(T.concat(xs), (len(xs), *xs[0].shape))
+    if kind == "gru":
+        return gru_step(cell, states[0], x, keep, reverse)
+    return lstm_step(cell, tuple(states), x)
+
+
+SEQUENCE_CASES = [("gru", False, False), ("gru", True, False),
+                  ("gru", False, True), ("gru", True, True),
+                  ("lstm", False, False)]
+
+
+class TestSequenceMatchesSteps:
+    """A (T, B, e) call, one tape node, against T one-step calls: the
+    forward bit for bit and every gradient within 1e-12 norm-relative (the
+    sequence node forms each weight and input gradient as one product over
+    all T*B rows, where the tape summed T products)."""
+
+    def make(self, kind, b, n, masked, seed, e=5, d=6):
+        """A cell, its parameters (the initial state and per-step inputs
+        among them), the inputs, a keep mask and the loss weights."""
+        rng = np.random.default_rng(seed)
+        params = ParameterSet()
+        cell = (GruCell if kind == "gru" else LstmCell)("c", e, d, params, rng)
+        for k, a in enumerate(cell.joined):  # away from the initial draws
+            a[...] = rng.standard_normal(a.shape) * (0.3 if k < 2 else 1.0)
+        names = ["s0"] if kind == "gru" else ["h0", "c0"]
+        states = [params.add(T.Parameter(name, rng.standard_normal((b, d))))
+                  .value for name in names]
+        xs = [params.add(T.Parameter(f"x{t}", rng.standard_normal((b, e))))
+              .value for t in range(n)]
+        keep = (rng.random((n, b, 1)) < 0.6).astype(float) if masked else None
+        ws = rng.standard_normal((n, b, d)), rng.standard_normal((b, d))
+        return cell, params, states, xs, keep, ws
+
+    def grads(self, params, loss_fn):
+        params.zero_grads()
+        with Tape() as tape:
+            out, loss = loss_fn()
+        tape.backward(loss, params)
+        return out, {p.id: p.grad.data.copy() for p in params}, len(tape)
+
+    @pytest.mark.parametrize("b", [1, 4, 32])
+    @pytest.mark.parametrize("kind, masked, reverse", SEQUENCE_CASES)
+    def test_matches_steps(self, kind, masked, reverse, b):
+        cell, params, states, xs, keep, (w_all, w_end) = self.make(
+            kind, b, 7, masked, b)
+
+        def sequence():
+            every, end = sequence_call(kind, cell, states, xs, keep, reverse)
+            return (every.data, end.data), T.add(weighted_sum(every, w_all),
+                                                 weighted_sum(end, w_end))
+
+        def steps():
+            every, end = (stepwise_gru(cell, states[0], xs, keep, reverse)
+                          if kind == "gru" else
+                          stepwise_lstm(cell, tuple(states), xs))
+            loss = weighted_sum(end, w_end)
+            for t, s in enumerate(every):
+                loss = T.add(loss, weighted_sum(s, w_all[t]))
+            return (np.stack([s.data for s in every]), end.data), loss
+
+        (got, got_grads, nodes), (want, want_grads, _) = (
+            self.grads(params, f) for f in (sequence, steps))
+        for a, w in zip(got, want):
+            np.testing.assert_array_equal(bits(a), bits(w))
+        for pid, w in want_grads.items():
+            assert (np.linalg.norm(got_grads[pid] - w)
+                    <= 1e-12 * np.linalg.norm(w)), pid
+        assert nodes == 6  # the inputs' concat and reshape, the call, loss (3)
+
+    @pytest.mark.parametrize("kind, masked, reverse", SEQUENCE_CASES)
+    def test_finite_differences(self, kind, masked, reverse):
+        cell, params, states, xs, keep, (w_all, w_end) = self.make(
+            kind, 4, 3, masked, 11, e=2, d=3)
+
+        def loss():
+            every, end = sequence_call(kind, cell, states, xs, keep, reverse)
+            return T.add(weighted_sum(every, w_all), weighted_sum(end, w_end))
+
+        errors = finite_difference_check(loss, params)
+        assert max(errors.values()) < 1e-4, errors
+
+    @pytest.mark.parametrize("kind", ["gru", "lstm"])
+    def test_no_steps_rejected(self, kind):
+        cell, _, states, *_ = self.make(kind, 2, 1, False, 0)
+        x = T.constant(np.zeros((0, 2, 5)))  # T = 0 steps of B = 2 rows
+        with pytest.raises(T.DomainError):
+            (gru_step(cell, *states, x) if kind == "gru"
+             else lstm_step(cell, tuple(states), x))
 
 
 KEEP = np.array([[1.0], [0.0], [1.0], [0.0]])  # rows 1 and 3 are padding
@@ -393,12 +502,12 @@ class TestLstm:
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-4, errors
 
-    def test_two_tape_nodes_per_step(self):
+    def test_one_tape_node_per_step(self):
         cell, _ = self.make()
         with Tape() as tape:
             lstm_step(cell, (T.constant(np.zeros((4, 3))),) * 2,
                       T.constant(np.ones((4, 2))))
-        assert len(tape) == 2
+        assert len(tape) == 1
 
     @pytest.mark.parametrize("x_width, h_width, c_width", [
         (5, 3, 3), (2, 4, 3), (2, 3, 4)])

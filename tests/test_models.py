@@ -122,13 +122,13 @@ class TestEncoder:
         model = tiny_nmt()
         keeps = []
 
-        def spy(cell, s_prev, x, keep=None):
+        def spy(cell, s_prev, x, keep=None, reverse=False):
             keeps.append(keep)
-            return gru_step(cell, s_prev, x, keep)
+            return gru_step(cell, s_prev, x, keep, reverse)
 
         monkeypatch.setattr(models, "gru_step", spy)
         ann = encode(model, [3, 4, 5])
-        assert keeps == [None] * 8  # both directions over 3 tokens + EOS
+        assert keeps == [None] * 2  # one call per direction
         monkeypatch.undo()
         padded = encode(model, np.array([[3, 4, 5, EOS_ID]]), np.ones((1, 4)))
         for got, want in ((ann.h, padded.h), (ann.proj, padded.proj),
@@ -673,11 +673,29 @@ def long_fixture_batch():
 def test_long_fixture_loss_has_a_one_node_head():
     # no dropout: the recurrence and output layer record 345 nodes, and the
     # NLL one more, where the log-softmax, take, mask, sum and scale chain
-    # recorded five (350 in all)
+    # recorded five (350 in all); of the 345, the encoder over 25 source
+    # positions records 5 (one lookup, one GRU node per direction, their
+    # join and its transposition) where one node per position and
+    # direction, 2 stacks and the join recorded 78
     batch, nmt = long_fixture_batch()
     with Tape() as tape:
         nmt_batch_loss(nmt, batch)
-    assert len(tape) == 350 - 4
+    assert len(tape) == 350 - 4 - (78 - 5)
+
+
+@pytest.mark.parametrize("b", [1, 4])
+def test_lm_loss_and_encoder_node_counts_do_not_grow_with_length(b):
+    # one lookup and one recurrent node per sequence, whatever T is
+    lm, nmt = tiny_lm(), tiny_nmt()
+    counts = []
+    for t_len in (5, 30):
+        ids = np.random.default_rng(t_len).integers(3, 6, size=(b, t_len))
+        with Tape() as lm_tape:
+            lm_batch_loss(lm, pad_mono_batch(ids.tolist()))
+        with Tape() as enc_tape:
+            encode(nmt, ids, np.ones((b, t_len)))
+        counts.append((len(lm_tape), len(enc_tape)))
+    assert counts[0] == counts[1] == (7, 6)
 
 
 def test_long_fixture_backward_forms_annotation_gradient_once(monkeypatch):
