@@ -122,9 +122,9 @@ class DeepOutputLayer:
 def deep_output(layer: DeepOutputLayer, s_tm, y_prev_embed, c,
                 s_lm_gated: Optional[Tensor] = None, dropout_p: float = 0.0,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Vocabulary logits for one decode step (batched over rows), or for all
-    steps when each input is the list of its per-step rows.  A fused layer
-    needs ``s_lm_gated``; the wrong arity fails the matmul below."""
+    """Vocabulary logits for (n, .) input rows: one decode step's, or every
+    step's of a teacher-forced batch.  A fused layer needs ``s_lm_gated``;
+    the wrong arity fails the matmul below."""
     blocks = [s_tm, y_prev_embed, c]
     if s_lm_gated is not None:
         blocks.insert(0, s_lm_gated)

@@ -6,8 +6,8 @@ All forward procedures are batched: states are (B, d) matrices and token
 inputs are length-B id vectors.  Beam decoding stacks the live hypotheses
 of a step into the B rows.  Each model is a recurrence plus an output head
 for any number of rows: a decode step runs both, and a teacher-forced loss
-runs the recurrence over every step (the encoder's and the LM's as one call
-per sequence), then the head once over all T*B rows.
+runs each recurrence (the encoder, the attention decoder and the LM) as one
+call over the whole sequence, then the head once over all T*B rows.
 """
 
 from __future__ import annotations
@@ -166,26 +166,27 @@ def initial_state(model: NmtModel, ann: AnnotationMatrix) -> Tensor:
 
 
 def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
-           ann: AnnotationMatrix) -> tuple[AttentionScores, Tensor]:
-    """Additive attention over the annotations, queried by the previous
-    state and the (B, e) embedding of the previous word; returns scores and
-    the context vector c = sum_j alpha_j h_j."""
+           ann: AnnotationMatrix) -> tuple[AttentionScores, Tensor, Tensor]:
+    """Additive attention queried by the previous state and word embedding,
+    then the decoder GRU on [y; c], for one (B, e) ``y_emb`` or all steps of
+    a (T, B, e) one, as one node.  Returns the scores, the context c = sum_j
+    alpha_j h_j and the new state (each step's for T steps)."""
     a = model.attn
-    query = T.add_rowvec(
-        T.add(T.matmul(s_prev, a["W_a"].value), T.matmul(y_emb, a["V_a"].value)),
-        a["b_a"].value)
-    alpha, ctx = T.attention(query, ann.proj, ann.h, a["v_a"].value, ann.mask)
-    return AttentionScores(alpha=alpha), ctx
+    alpha, ctx, s = T.attention_gru(
+        s_prev, y_emb, ann.proj, ann.h, ann.mask,
+        [a[k].value for k in ("W_a", "V_a", "b_a", "v_a")],
+        model.decoder.joined, model.decoder.weights)
+    return AttentionScores(alpha=alpha), ctx, s
 
 
 def _recur(model: NmtModel, s_prev: Tensor, y_prev, ann: AnnotationMatrix,
            ) -> tuple[Tensor, Tensor, Tensor, AttentionScores]:
-    """Embed the previous word, attend, and advance the decoder GRU.
+    """Embed the previous words, attend, and advance the decoder GRU, over
+    (B,) ids for one step or (T, B) ids for T steps.
 
     Returns (new state, previous-word embedding, context, attention)."""
     y_emb = model.tgt_emb.lookup(y_prev)
-    scores, ctx = attend(model, s_prev, y_emb, ann)
-    s_new = gru_step(model.decoder, s_prev, T.concat([y_emb, ctx], axis=1))
+    scores, ctx, s_new = attend(model, s_prev, y_emb, ann)
     return s_new, y_emb, ctx, scores
 
 
@@ -205,16 +206,12 @@ def _nll(logits: Tensor, batch) -> Tensor:
                  -1.0 / batch.tgt_in.shape[0])
 
 
-def _nmt_teacher_forced(model: NmtModel, batch) -> list[list[Tensor]]:
-    """The decoder recurrence over a padded batch: the head inputs (states,
-    previous-word embeddings, contexts), each as the list of its per-step
-    rows."""
+def _nmt_teacher_forced(model: NmtModel, batch) -> list[Tensor]:
+    """The decoder recurrence over a padded batch in one call: the head
+    inputs (states, previous-word embeddings, contexts) as (T*B, .) rows."""
     ann = encode(model, batch.src, batch.src_mask)
-    s, steps = initial_state(model, ann), []
-    for y_prev in batch.tgt_in.T:
-        s, y_emb, ctx, _ = _recur(model, s, y_prev, ann)
-        steps.append((s, y_emb, ctx))
-    return [list(rows) for rows in zip(*steps)]
+    steps = _recur(model, initial_state(model, ann), batch.tgt_in.T, ann)
+    return [T.reshape(x, (-1, x.shape[2])) for x in steps[:3]]
 
 
 def nmt_batch_loss(model: NmtModel, batch, dropout_p: float = 0.0,

@@ -10,7 +10,7 @@ beyond scalars: row/column-vector promotion goes through the explicit
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -169,11 +169,9 @@ class Tape:
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        outers: dict[int, list] = {}  # each key's deferred _Outer terms
         owned: set[int] = set()  # keys whose sum buffer backward allocated
         for node in reversed(self._nodes):
-            g_outs = [_summed(grads.pop(id(t), None), outers.pop(id(t), ()))
-                      for t in node.outs]
+            g_outs = [grads.pop(id(t), None) for t in node.outs]
             if all(g is None for g in g_outs):
                 continue
             for t, g in zip(node.inputs, node.backward_fn(*g_outs)):
@@ -181,9 +179,7 @@ class Tape:
                 if g is None or not t.requires_grad:
                     continue
                 key, acc = id(t), grads.get(id(t))
-                if isinstance(g, _Outer):
-                    outers.setdefault(key, []).append(g)
-                elif acc is None:
+                if acc is None:
                     grads[key] = g
                 elif key in owned:
                     acc += g
@@ -191,34 +187,20 @@ class Tape:
                     grads[key] = acc + g
                     owned.add(key)
         for p in params:  # a frozen value is never an input that gets a term
-            key = id(p.value)
-            g = _summed(grads.get(key), outers.get(key, ()))
+            g = grads.get(id(p.value))
             if g is not None:
                 p.grad.data += g
 
 
-class _Outer(NamedTuple):
-    """An attention call's annotation gradient as the factors of its (B, T, k)
-    outer product alpha[:, :, None] * g[:, None, :]."""
-
-    alpha: np.ndarray
-    g: np.ndarray
-
-
-def _summed(dense, outers):
-    """``dense`` (or None) plus the ``outers`` terms, formed as one batched
-    (B, T, n) @ (B, n, k) product over the n terms."""
-    if not outers:
-        return dense
-    alphas, gs = zip(*outers)
-    product = np.stack(alphas, axis=2) @ np.stack(gs, axis=1)
-    return product if dense is None else product + dense
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """A tape is active and some input can reach a trainable parameter."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
 
 
 def _record(inputs: Sequence[Tensor], out, backward_fn: Callable):
     """Record ``out``, a tensor or a tuple of them; a tuple's ``backward_fn``
     takes one gradient per output, None for one that got none."""
-    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         outs = out if isinstance(out, tuple) else (out,)
         for t in outs:
             t.requires_grad = True
@@ -230,19 +212,9 @@ def _record(inputs: Sequence[Tensor], out, backward_fn: Callable):
 # elementwise / structural operations
 # ---------------------------------------------------------------------------
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-    return _record((a, b), out, lambda g: (g, g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data * b.data)
     # a constant operand (a dropout mask) gets no gradient
     return _record((a, b), out, lambda g: (
@@ -342,26 +314,13 @@ def nll(logits: Tensor, targets, weights, c: float) -> Tensor:
     return _record((logits,), Tensor((y[ar, t] * w).sum() * c), backward)
 
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    """Join tensors along ``axis``.  An entry may instead be a list of
-    tensors, the rows of one block step by step: it is joined along axis 0
-    into that block, and only the joined output is kept."""
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along ``axis``."""
     if not tensors:
         raise DomainError("concat of no tensors")
-    groups = [t if isinstance(t, list) else [t] for t in tensors]
-    blocks = [grp[0].data if len(grp) == 1
-              else np.concatenate([t.data for t in grp]) for grp in groups]
-    out = Tensor(np.concatenate(blocks, axis=axis))
-    splits = np.cumsum([b.shape[axis] for b in blocks])[:-1]
-
-    def backward(g):
-        grads = []
-        for part, grp in zip(np.split(g, splits, axis=axis), groups):
-            grads += [part] if len(grp) == 1 else np.split(
-                part, np.cumsum([t.shape[0] for t in grp[:-1]]))
-        return grads
-
-    return _record([t for grp in groups for t in grp], out, backward)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _record(tensors, out, lambda g: np.split(g, splits, axis=axis))
 
 
 def rows(table: Tensor, idx) -> Tensor:
@@ -402,50 +361,6 @@ def maxout2(a: Tensor) -> Tensor:
     return _record((a,), out, backward)
 
 
-def attention(query: Tensor, proj: Tensor, h: Tensor, v_a: Tensor,
-              mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Additive attention (Bahdanau et al.) over all T positions at once.
-
-    Energies e = tanh(proj + query) . v_a for a (B, d) query and (n, T, d)
-    projected annotations, -1e9 where the (n, T) 0/1 ``mask`` is 0, then
-    alpha = softmax over T and context = sum_j alpha_j h_j for (n, T, k)
-    annotations ``h``.  The annotation batch n is B, or 1 for one sentence's
-    annotations serving every query row.  Returns (alpha, context); only the
-    context is differentiable."""
-    n, t_len, d = proj.shape
-    b = query.shape[0] if query.data.ndim == 2 else -1
-    if (n not in (1, b) or query.shape != (b, d) or h.data.ndim != 3
-            or h.shape[:2] != (n, t_len) or v_a.shape != (d, 1)
-            or mask.shape != (n, t_len)):
-        raise ShapeError(f"attention: shapes {query.shape}, {proj.shape}, "
-                         f"{h.shape}, {v_a.shape} and mask {mask.shape}")
-    if t_len == 0:
-        raise DomainError("attention over no positions")
-    u = np.add(query.data[:, None, :], proj.data)
-    np.tanh(u, out=u)
-    e = (u @ v_a.data)[:, :, 0] + (mask - 1.0) * 1e9
-    ex = np.exp(e - e.max(axis=1, keepdims=True))
-    alpha = ex / ex.sum(axis=1, keepdims=True)
-    # for k > 1 and a contiguous last axis of h, of B rows or of one row read
-    # by all B, einsum sums over T in the order of a (B, T, k) product summed
-    # over axis 1, without the product; BLAS would reorder it
-    ctx = Tensor(np.einsum("bt,btk->bk", alpha, h.data))
-
-    def backward(g):
-        g_alpha = h.data @ g[:, :, None]  # (B, T, 1)
-        g_e = alpha[:, :, None] * (g_alpha - alpha[:, None, :] @ g_alpha)
-        g_pre, du = g_e * v_a.data[:, 0], u * u  # (B, T, d)
-        np.subtract(1.0, du, out=du)
-        g_pre *= du
-        g_query, g_h = g_pre.sum(axis=1), _Outer(alpha, g)
-        if n < b:  # each query row read the one sentence's annotations
-            g_pre, g_h = (x.sum(axis=0, keepdims=True) for x in (
-                g_pre, alpha[:, :, None] * g[:, None, :]))
-        return (g_query, g_pre, g_h, u.reshape(-1, d).T @ g_e.reshape(-1, 1))
-
-    return Tensor(alpha), _record((query, proj, h, v_a), ctx, backward)
-
-
 def _steps(op: str, x: Tensor, states: Sequence[Tensor],
            w_in: Tensor) -> np.ndarray:
     """A cell's input as (T, B, e) steps; a (B, e) ``x`` is one step."""
@@ -468,6 +383,30 @@ def _gate_grads(da: np.ndarray, x: np.ndarray, s: np.ndarray, n: int) -> list:
     return [a[k] for k in range(n) for a in grads]
 
 
+def _gru_cell(xw: np.ndarray, s: np.ndarray, u: np.ndarray, bias: np.ndarray):
+    """One GRU step from its input product ``xw`` = x W: the new state and
+    what its backward reads, (s, z, r, r s, h)."""
+    d = s.shape[1]
+    zr = _sigmoid(xw[:, :2 * d] + s @ u[:, :2 * d] + bias[:2 * d])
+    # contiguous gates: elementwise ops on a strided block run row by row
+    z, r = np.ascontiguousarray(zr[:, :d]), np.ascontiguousarray(zr[:, d:])
+    rs = r * s
+    h = np.tanh(xw[:, 2 * d:] + rs @ u[:, 2 * d:] + bias[2 * d:])
+    return (1.0 - z) * s + z * h, (s, z, r, rs, h)
+
+
+def _gru_cell_back(g: np.ndarray, saved, u: np.ndarray, da: np.ndarray):
+    """``_gru_cell``'s backward for the new state's gradient ``g``: writes
+    the gates' pre-activation gradients into ``da``; returns s's gradient."""
+    s, z, r, rs, h = saved
+    d2 = 2 * s.shape[1]
+    da_h = g * z * (1.0 - h * h)
+    d_rs = da_h @ u[:, d2:].T
+    np.concatenate((g * (h - s) * z * (1.0 - z), d_rs * s * r * (1.0 - r),
+                    da_h), axis=1, out=da)
+    return g * (1.0 - z) + d_rs * r + da[:, :d2] @ u[:, :d2].T
+
+
 def gru(s_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
         weights: Sequence[Tensor], keep: Optional[np.ndarray] = None,
         reverse: bool = False):
@@ -484,18 +423,10 @@ def gru(s_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
     (n, b, e), d = xs.shape, s_prev.shape[1]
     keeps = keep if keep is None or x.data.ndim == 3 else keep[None]
     w, u, bias = joined
-    d2 = 2 * d
     order = range(n - 1, -1, -1) if reverse else range(n)
     saved, states, s = [None] * n, np.empty((n, b, d)), s_prev.data
     for t in order:
-        xw = xs[t] @ w
-        zr = _sigmoid(xw[:, :d2] + s @ u[:, :d2] + bias[:d2])
-        # contiguous gates: elementwise ops on a strided block run row by row
-        z, r = np.ascontiguousarray(zr[:, :d]), np.ascontiguousarray(zr[:, d:])
-        rs = r * s
-        h = np.tanh(xw[:, d2:] + rs @ u[:, d2:] + bias[d2:])
-        new = (1.0 - z) * s + z * h
-        saved[t] = (s, z, r, rs, h)
+        new, saved[t] = _gru_cell(xs[t] @ w, s, u, bias)
         states[t] = new if keeps is None else np.where(keeps[t] != 0, new, s)
         s = states[t]
 
@@ -503,16 +434,10 @@ def gru(s_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
         gs = np.zeros((n, b, d)) if g is None else g.reshape(n, b, d)
         ds, da = g_end, np.empty((n, b, 3 * d))
         for t in reversed(order):
-            sp, z, r, rs, h = saved[t]
             g_s = gs[t] if ds is None else gs[t] + ds
             g_new, g_carry = (g_s, 0.0) if keeps is None else (
                 g_s * keeps[t], g_s * (1.0 - keeps[t]))
-            da_h = g_new * z * (1.0 - h * h)
-            d_rs = da_h @ u[:, d2:].T
-            np.concatenate((g_new * (h - sp) * z * (1.0 - z),
-                            d_rs * sp * r * (1.0 - r), da_h), axis=1, out=da[t])
-            ds = (g_new * (1.0 - z) + d_rs * r + da[t, :, :d2] @ u[:, :d2].T
-                  + g_carry)
+            ds = _gru_cell_back(g_new, saved[t], u, da[t]) + g_carry
         su = np.stack([v[k] for k in (0, 0, 3) for v in saved])  # [S, S, RS]
         da = da.reshape(-1, 3 * d)
         return (ds, (da @ w.T).reshape(x.shape), *_gate_grads(
@@ -520,6 +445,85 @@ def gru(s_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
 
     out = (Tensor(states), Tensor(s)) if x.data.ndim == 3 else Tensor(s)
     return _record((s_prev, x, *weights), out, backward)
+
+
+def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
+                  mask: np.ndarray, attn: Sequence[Tensor],
+                  joined: Sequence[np.ndarray], weights: Sequence[Tensor]):
+    """Attention decoder steps as one tape node (Bahdanau et al.): a step
+    queries with q = (s_prev W_a + y V_a) + b_a for ``attn`` (W_a, V_a, b_a,
+    v_a), takes alpha = softmax over T of tanh(proj + q) . v_a (-1e9 where
+    the (n, T) 0/1 ``mask`` is 0) and c = sum_j alpha_j h_j, and advances a
+    GRU as in ``gru`` on [y; c]; n is B, or 1 for one sentence read by every
+    row.  A (B, e) ``y`` is one step and returns its (alpha, c, s), a (T, B,
+    e) ``y`` those of all T steps.  Only c and s are differentiable."""
+    ys = _steps("attention_gru", y, (s_prev,), attn[1])
+    (steps, b, e), (n, t_len, d), k = ys.shape, proj.shape, h.shape[-1]
+    (w_a, v_y, b_a, v_a), (w, u, bias) = (t.data for t in attn), joined
+    if (n not in (1, b) or h.data.ndim != 3 or h.shape[:2] != (n, t_len)
+            or mask.shape != (n, t_len) or v_a.shape != (d, 1)
+            or w.shape != (e + k, 3 * d)):
+        raise ShapeError(f"attention_gru: shapes {proj.shape}, {h.shape}, "
+                         f"{v_a.shape}, W {w.shape} and mask {mask.shape}")
+    if t_len == 0:
+        raise DomainError("attention over no positions")
+    inputs = (s_prev, y, proj, h, *attn, *weights)
+    record, neg = _recording(inputs), (mask - 1.0) * 1e9
+    alphas, ctxs, states = (np.empty((steps, b, m)) for m in (t_len, k, d))
+    # a recorded node keeps each step's pre-activations; others reuse one
+    saved, s, buf = [], s_prev.data, None if record else np.empty((b, t_len, d))
+    for t in range(steps):
+        pre = np.add(((s @ w_a + ys[t] @ v_y) + b_a)[:, None, :], proj.data,
+                     out=buf)
+        np.tanh(pre, out=pre)
+        en = (pre @ v_a)[:, :, 0] + neg
+        ex = np.exp(en - en.max(axis=1, keepdims=True))
+        np.divide(ex, ex.sum(axis=1, keepdims=True), out=alphas[t])
+        # for k > 1 and a contiguous h, einsum sums over T in the order of a
+        # (B, T, k) product summed over axis 1, without it; BLAS would not
+        np.einsum("bt,btk->bk", alphas[t], h.data, out=ctxs[t])
+        states[t], cell = _gru_cell(
+            np.concatenate((ys[t], ctxs[t]), axis=1) @ w, s, u, bias)
+        s = states[t]
+        if record:
+            saved.append((pre, cell))
+
+    def backward(g_ctx, g_s):
+        gc, gs = (np.zeros((steps, b, m)) if g is None else g.reshape(
+            steps, b, m) for g, m in ((g_ctx, k), (g_s, d)))
+        da, gq, dctx, rs = (np.empty((steps, b, m)) for m in (3 * d, d, k, d))
+        d_proj, du = np.zeros((b, t_len, d)), np.empty((b, t_len, d))
+        dv_a, ds = np.zeros((d, 1)), 0.0
+        for t in reversed(range(steps)):
+            pre, cell = saved.pop()  # a step's arrays go once it has run
+            ds, rs[t] = _gru_cell_back(gs[t] + ds, cell, u, da[t]), cell[3]
+            np.add(gc[t], da[t] @ w[e:].T, out=dctx[t])
+            g_alpha = h.data @ dctx[t][:, :, None]  # (B, T, 1)
+            a = alphas[t]
+            g_e = a[:, :, None] * (g_alpha - a[:, None, :] @ g_alpha)
+            dv_a += pre.reshape(-1, d).T @ g_e.reshape(-1, 1)
+            np.subtract(1.0, np.multiply(pre, pre, out=du), out=du)
+            du *= g_e
+            du *= v_a[:, 0]  # the pre-activations' gradient
+            np.sum(du, axis=1, out=gq[t])
+            d_proj += du
+            ds += gq[t] @ w_a.T
+        # each weight's gradient once over all steps; [y; c] is not kept
+        prev = np.concatenate((s_prev.data[None], states[:-1])).reshape(-1, d)
+        da, gq, rs = da.reshape(-1, 3 * d), gq.reshape(-1, d), rs.reshape(-1, d)
+        y2 = ys.reshape(-1, e)
+        grads = (np.concatenate((y2.T @ da, ctxs.reshape(-1, k).T @ da)),
+                 np.concatenate((prev.T @ da[:, :2 * d], rs.T @ da[:, 2 * d:]),
+                                axis=1), da.sum(axis=0))
+        d_ann = [x.sum(axis=0, keepdims=True) if n < b else x for x in (
+            d_proj, alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2))]
+        return (ds, (da @ w[:e].T + gq @ v_y.T).reshape(y.shape), *d_ann,
+                prev.T @ gq, y2.T @ gq, gq.sum(axis=0), dv_a,
+                *(a[..., i * d:(i + 1) * d] for i in range(3) for a in grads))
+
+    at = 0 if y.data.ndim == 2 else slice(None)  # one step: its (B, .) rows
+    return (Tensor(alphas[at]), *_record(
+        inputs, (Tensor(ctxs[at]), Tensor(states[at])), backward))
 
 
 def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],

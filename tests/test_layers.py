@@ -26,7 +26,7 @@ from fusionmt.layers import (
 )
 from fusionmt.tensor import ParameterSet, Tape
 
-from gradcheck import finite_difference_check, weighted_sum
+from gradcheck import add, finite_difference_check, weighted_sum
 
 RNG = np.random.default_rng(7)
 
@@ -262,8 +262,8 @@ class TestSequenceMatchesSteps:
 
         def sequence():
             every, end = sequence_call(kind, cell, states, xs, keep, reverse)
-            return (every.data, end.data), T.add(weighted_sum(every, w_all),
-                                                 weighted_sum(end, w_end))
+            return (every.data, end.data), add(weighted_sum(every, w_all),
+                                               weighted_sum(end, w_end))
 
         def steps():
             every, end = (stepwise_gru(cell, states[0], xs, keep, reverse)
@@ -271,7 +271,7 @@ class TestSequenceMatchesSteps:
                           stepwise_lstm(cell, tuple(states), xs))
             loss = weighted_sum(end, w_end)
             for t, s in enumerate(every):
-                loss = T.add(loss, weighted_sum(s, w_all[t]))
+                loss = add(loss, weighted_sum(s, w_all[t]))
             return (np.stack([s.data for s in every]), end.data), loss
 
         (got, got_grads, nodes), (want, want_grads, _) = (
@@ -290,7 +290,7 @@ class TestSequenceMatchesSteps:
 
         def loss():
             every, end = sequence_call(kind, cell, states, xs, keep, reverse)
-            return T.add(weighted_sum(every, w_all), weighted_sum(end, w_end))
+            return add(weighted_sum(every, w_all), weighted_sum(end, w_end))
 
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-4, errors
@@ -477,7 +477,7 @@ class TestLstm:
 
         def loss():
             h, c = lstm_step(cell, (z, c0), x)
-            return weighted_sum(T.add(h, T.tanh(c)))
+            return weighted_sum(add(h, T.tanh(c)))
 
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-6
@@ -497,7 +497,7 @@ class TestLstm:
 
         def loss():
             h, c = lstm_step(cell, (h0, c0), x)
-            return T.add(weighted_sum(h, w_h), weighted_sum(c, w_c))
+            return add(weighted_sum(h, w_h), weighted_sum(c, w_c))
 
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-4, errors

@@ -37,10 +37,20 @@ from fusionmt.models import (
 from fusionmt.layers import deep_output, gru_step
 from fusionmt.tensor import ParameterSet, Tape
 
-from gradcheck import finite_difference_check, weighted_sum
-from test_tensor import reference_attention as broadcast_attention
+from gradcheck import add, finite_difference_check, weighted_sum
+from test_tensor import stepwise_attention_gru
 
 RNG = np.random.default_rng(99)
+
+
+def take_step(x, t):
+    """Step t of a (T, B, .) tensor, recorded as one node."""
+    def backward(g):
+        full = np.zeros(x.shape)
+        full[t] = g
+        return (full,)
+
+    return T._record((x,), T.Tensor(x.data[t]), backward)
 
 
 def tiny_nmt(hidden=4, embed=3, src_vocab=7, tgt_vocab=6, seed=0):
@@ -193,7 +203,7 @@ class TestAttention:
         model = tiny_nmt()
         ann = encode(model, np.array([[3]]), np.ones((1, 1)))
         s = initial_state(model, ann)
-        scores, ctx = attend(model, s, model.tgt_emb.lookup([2]), ann)
+        scores, ctx, _ = attend(model, s, model.tgt_emb.lookup([2]), ann)
         assert scores.alpha.data[0, 0] == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(ctx.data, ann.h.data[:, 0], atol=1e-15)
 
@@ -204,7 +214,7 @@ class TestAttention:
             model.params.get(pid).value.data[...] = 0.0
         ann = encode(model, [3, 4, 5])
         s = initial_state(model, ann)
-        scores, ctx = attend(model, s, model.tgt_emb.lookup([2]), ann)
+        scores, ctx, _ = attend(model, s, model.tgt_emb.lookup([2]), ann)
         np.testing.assert_allclose(scores.alpha.data, 0.25, atol=1e-15)
         mean = ann.h.data.mean(axis=1)
         np.testing.assert_allclose(ctx.data, mean, atol=1e-12)
@@ -214,7 +224,7 @@ class TestAttention:
         ann = encode(model, [3, 4, 5, 3])
         s = initial_state(model, ann)
         y_emb = model.tgt_emb.lookup([4])
-        scores, _ = attend(model, s, y_emb, ann)
+        scores, _, _ = attend(model, s, y_emb, ann)
         e = reference_attention(model, s.data, y_emb.data, ann.h.data,
                                 ann.mask)[0][0]
         with mpmath.workdps(50):
@@ -231,7 +241,7 @@ class TestAttention:
             ann = encode(model, src)
             s = T.constant(rng.standard_normal((1, model.cfg.hidden)))
             y_emb = model.tgt_emb.lookup([int(rng.integers(0, 6))])
-            scores, ctx = attend(model, s, y_emb, ann)
+            scores, ctx, _ = attend(model, s, y_emb, ann)
             assert abs(scores.alpha.data.sum() - 1.0) < 1e-10
             stack = ann.h.data[0]
             assert (ctx.data[0] <= stack.max(axis=0) + 1e-12).all()
@@ -243,7 +253,7 @@ class TestAttention:
                            SentencePair([3], [3])])
         ann = encode(model, batch.src, batch.src_mask)
         s = initial_state(model, ann)
-        scores, _ = attend(model, s, model.tgt_emb.lookup([2, 2]), ann)
+        scores, _, _ = attend(model, s, model.tgt_emb.lookup([2, 2]), ann)
         # second sentence: positions beyond its EOS are padding
         assert scores.alpha.data[1, 2:].max() < 1e-12
         np.testing.assert_allclose(scores.alpha.data.sum(axis=1), 1.0,
@@ -258,7 +268,7 @@ class TestAttention:
         assert ann.h.shape[:2] == (4, 7)
         s = T.constant(RNG.standard_normal((4, model.cfg.hidden)))
         y_emb = model.tgt_emb.lookup([2, 3, 4, 5])
-        scores, ctx = attend(model, s, y_emb, ann)
+        scores, ctx, _ = attend(model, s, y_emb, ann)
         _, alpha, want_ctx = reference_attention(model, s.data, y_emb.data,
                                                  ann.h.data, ann.mask)
         np.testing.assert_allclose(scores.alpha.data, alpha, rtol=0, atol=1e-12)
@@ -503,7 +513,7 @@ class TestFusedModel:
         scores_b = decode_step(fm.nmt, s_b, [2], ann)
         # compare to the fused layer evaluated with an exactly-zero LM input
         y_emb = fm.nmt.tgt_emb.lookup([2])
-        att, ctx = attend(fm.nmt, s_b, y_emb, ann)
+        att, ctx, _ = attend(fm.nmt, s_b, y_emb, ann)
         from fusionmt.models import gru_step
         s_new = gru_step(fm.nmt.decoder, s_b, T.concat([y_emb, ctx], axis=1))
         logits = deep_output(fm.out, s_new, y_emb, ctx,
@@ -529,7 +539,7 @@ def reference_teacher_forced_nll(step, state, batch):
         w = np.zeros(logp.shape)
         w[np.arange(b), batch.tgt_out[:, t]] = batch.tgt_mask[:, t] * (-1.0 / b)
         nll = weighted_sum(logp, w)
-        total = nll if total is None else T.add(total, nll)
+        total = nll if total is None else add(total, nll)
     return total
 
 
@@ -618,29 +628,36 @@ class TestTwoPassLoss:
 
     @pytest.mark.parametrize("kind", ["nmt", "fused"])
     def test_broadcast_attention_gives_the_same_bytes(self, kind, monkeypatch):
-        # the attention op's einsum context against the broadcast-then-sum
-        # oracle, on padded sources and with dropout; the op's annotation
-        # gradients are summed over decoder steps in one batched product, so
-        # the gradients that reach the encoder through h agree per parameter
-        # within 1e-12 of their norm, and all others byte for byte
+        # the attention decoder op, with its einsum context, against the
+        # stepwise oracle of broadcast-then-sum attention and one-step GRU
+        # nodes, on padded sources and with dropout: the loss byte for byte;
+        # the op forms each weight's gradient once over all steps, so the
+        # NMT's gradients agree per parameter within 1e-12 of their norm,
+        # and the fused head's (the NMT is frozen there) byte for byte
         model = self.models(kind)
         batch = pad_batch(self.PAIRS)
         loss_fn = {"nmt": nmt_batch_loss, "fused": fused_batch_loss}[kind]
         calls = []
 
-        def oracle(*args):
-            calls.append(1)
-            return broadcast_attention(*args)
+        def oracle(s, y, proj, h, mask, attn, joined, weights):
+            calls.append(len(y.data))
+            steps = stepwise_attention_gru(
+                s, [take_step(y, t) for t in range(len(y.data))], proj, h,
+                mask, attn, joined, weights)
+            return (T.constant(np.stack([x[0].data for x in steps])),
+                    *(T.reshape(T.concat([x[i] for x in steps]),
+                                (len(steps), *steps[0][i].shape))
+                      for i in (1, 2)))
 
         loss, grads, _ = self.run(model, lambda m, r: loss_fn(m, batch, 0.3, r))
-        monkeypatch.setattr(T, "attention", oracle)
+        monkeypatch.setattr(T, "attention_gru", oracle)
         want_loss, want_grads, _ = self.run(
             model, lambda m, r: loss_fn(m, batch, 0.3, r))
-        assert len(calls) == batch.tgt_in.shape[1]
+        assert calls == [batch.tgt_in.shape[1]]  # one call runs every step
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert set(grads) == set(want_grads)
         for pid, want in want_grads.items():
-            if pid.startswith(("nmt.enc_", "nmt.src_emb.")) and kind == "nmt":
+            if kind == "nmt":
                 assert (np.linalg.norm(grads[pid] - want)
                         <= 1e-12 * np.linalg.norm(want)), pid
             else:
@@ -671,16 +688,16 @@ def long_fixture_batch():
 
 
 def test_long_fixture_loss_has_a_one_node_head():
-    # no dropout: the recurrence and output layer record 345 nodes, and the
-    # NLL one more, where the log-softmax, take, mask, sum and scale chain
-    # recorded five (350 in all); of the 345, the encoder over 25 source
-    # positions records 5 (one lookup, one GRU node per direction, their
-    # join and its transposition) where one node per position and
-    # direction, 2 stacks and the join recorded 78
+    # no dropout: the recurrence and output layer record 21 nodes, and the
+    # NLL one more; the encoder over 25 source positions records 5 (one
+    # lookup, one GRU node per direction, their join and its transposition),
+    # and the decoder's 32 steps record 2 (one target lookup and one
+    # attention decoder node) where 8 nodes per step recorded 256
     batch, nmt = long_fixture_batch()
     with Tape() as tape:
         nmt_batch_loss(nmt, batch)
-    assert len(tape) == 350 - 4 - (78 - 5)
+    assert len(tape) == 273 - 256 + 2 + 3  # the head reshapes its 3 inputs
+    assert len(tape) <= 30
 
 
 @pytest.mark.parametrize("b", [1, 4])
@@ -698,19 +715,40 @@ def test_lm_loss_and_encoder_node_counts_do_not_grow_with_length(b):
     assert counts[0] == counts[1] == (7, 6)
 
 
+@pytest.mark.parametrize("b", [1, 4])
+def test_nmt_loss_node_count_does_not_grow_with_target_length(b):
+    # one attention decoder node runs every target step
+    nmt, counts = tiny_nmt(), []
+    for t_len in (5, 30):
+        rng = np.random.default_rng(t_len)
+        pairs = [SentencePair(rng.integers(3, 7, size=4).tolist(),
+                              rng.integers(3, 6, size=t_len - 1).tolist())
+                 for _ in range(b)]
+        batch = pad_batch(pairs)
+        assert batch.tgt_in.shape == (b, t_len)
+        with Tape() as tape:
+            nmt_batch_loss(nmt, batch)
+        counts.append(len(tape))
+    assert counts[0] == counts[1] == 22
+
+
 def test_long_fixture_backward_forms_annotation_gradient_once(monkeypatch):
-    # the 32 decoder steps' attention gradients for h are summed by one
-    # batched product, not as one (B, T, 2d) product per step
+    # the 32 decoder steps' attention gradients for h reach it as one term,
+    # next to the term of its projection by U_a
     batch, nmt = long_fixture_batch()
-    formed, summed = [], T._summed
-
-    def spy(dense, outers):
-        if outers:
-            formed.append(len(outers))
-        return summed(dense, outers)
-
-    monkeypatch.setattr(T, "_summed", spy)
+    anns, real_encode = [], models.encode
+    monkeypatch.setattr(models, "encode",
+                        lambda *args: anns.append(real_encode(*args)) or anns[0])
     with Tape() as tape:
         loss = nmt_batch_loss(nmt, batch)
+    terms = []
+    for node in tape._nodes:
+        if any(t is anns[0].h for t in node.inputs):
+            def spy(*g, fn=node.backward_fn, inputs=node.inputs):
+                grads = fn(*g)
+                terms.extend(x.shape for t, x in zip(inputs, grads)
+                             if t is anns[0].h)
+                return grads
+            node.backward_fn = spy
     tape.backward(loss, nmt.params)
-    assert formed == [32]
+    assert terms == [anns[0].h.shape] * 2

@@ -39,7 +39,8 @@ PINNED = {
     "checkpoint.build": ["ckpt", "kind"],
     "evaluation.decode_bleu": ["pairs", "beam_cfg", "models"],
     "tensor.nll": ["logits", "targets", "weights", "c"],
-    "tensor.attention": ["query", "proj", "h", "v_a", "mask"],
+    "tensor.attention_gru": ["s_prev", "y", "proj", "h", "mask", "attn",
+                             "joined", "weights"],
 }
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fusionmt import tensor as T
+from fusionmt.layers import GruCell
 from fusionmt.tensor import (
     Parameter,
     ParameterSet,
@@ -17,7 +18,7 @@ from fusionmt.tensor import (
     Tensor,
 )
 
-from gradcheck import finite_difference_check, weighted_sum
+from gradcheck import add, finite_difference_check, weighted_sum
 
 RNG = np.random.default_rng(12345)
 
@@ -145,15 +146,6 @@ class TestStructuralOps:
         out = T.concat([T.constant([1.0, 2.0]), T.constant([3.0])])
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
-    def test_concat_of_row_lists_is_the_nested_concat(self):
-        # [G | S | Y]: G whole, S and Y given as their per-step rows
-        g = T.constant(RNG.standard_normal((6, 2)))
-        s = [T.constant(RNG.standard_normal((2, 3))) for _ in range(3)]
-        y = [T.constant(RNG.standard_normal((2, 1))) for _ in range(3)]
-        want = np.concatenate([g.data, np.concatenate([t.data for t in s]),
-                               np.concatenate([t.data for t in y])], axis=1)
-        np.testing.assert_array_equal(T.concat([g, s, y], axis=1).data, want)
-
     def test_tanh_zero(self):
         assert T.tanh(T.constant([0.0])).data[0] == 0.0
 
@@ -184,7 +176,7 @@ class TestStructuralOps:
 
     def test_same_shape_enforced(self):
         with pytest.raises(T.ShapeError):
-            T.add(T.constant(np.zeros(2)), T.constant(np.zeros(3)))
+            T.mul(T.constant(np.zeros(2)), T.constant(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +230,8 @@ class TestOpGradients:
         b = params.add(make_param("b", (2, 3)))
         w, minus = RNG.standard_normal((2, 3)), T.constant(-np.ones((2, 3)))
         check_op(lambda: weighted_sum(
-            T.add(T.add(a.value, T.mul(b.value, minus)),
-                  T.mul(a.value, b.value)), w),
+            add(add(a.value, T.mul(b.value, minus)),
+                T.mul(a.value, b.value)), w),
             params)
 
     def test_matmul(self):
@@ -295,23 +287,6 @@ class TestOpGradients:
             return weighted_sum(cat, w)
 
         check_op(loss, params)
-
-    def test_concat_of_row_lists(self):
-        params = ParameterSet()
-        g = params.add(make_param("g", (6, 2)))
-        s = [params.add(make_param(f"s{t}", (2, 3))) for t in range(3)]
-        y = [params.add(make_param(f"y{t}", (2, 1))) for t in range(3)]
-        w = RNG.standard_normal((6, 6))
-
-        def loss():
-            cat = T.concat([g.value, [p.value for p in s], [p.value for p in y]],
-                           axis=1)
-            return weighted_sum(cat, w)
-
-        check_op(loss, params)
-        with Tape() as tape:  # one node whose inputs are every listed tensor
-            T.concat([g.value, [p.value for p in s]], axis=1)
-        assert len(tape) == 1
 
     def test_rows(self):
         params = ParameterSet()
@@ -393,26 +368,78 @@ class TestNll:
                   np.ones(weights), -1.0)
 
 
+def decoder_case(rng, b, n, t_len, steps, views=False, e=5, d=4, k=6):
+    """Parameters for ``T.attention_gru``: the initial state, one (B, e)
+    input per step, (n, T, d) projected annotations and (n, T, k)
+    annotations (stride-0 views of one sentence's if ``views``), the
+    attention weights (W_a, V_a, b_a, v_a) and a GRU on [y; c] moved off its
+    initial draw."""
+    params = ParameterSet()
+    cell = GruCell("dec", e + k, d, params, rng)
+    for i, a in enumerate(cell.joined):
+        a[...] = rng.standard_normal(a.shape) * (0.5 if i < 2 else 1.0)
+
+    def new(name, shape, rows=None):
+        x = rng.standard_normal(shape)
+        if rows is not None:
+            x = np.broadcast_to(x, (rows, *shape[1:]))
+        return params.add(Parameter(name, x)).value
+
+    s0, ys = new("s0", (b, d)), [new(f"y{t}", (b, e)) for t in range(steps)]
+    proj, h = (new(name, (1 if views else n, t_len, w), n if views else None)
+               for name, w in (("proj", d), ("h", k)))
+    attn = [new(name, shape) for name, shape in (
+        ("W_a", (d, d)), ("V_a", (e, d)), ("b_a", (d,)), ("v_a", (d, 1)))]
+    return params, s0, ys, proj, h, attn, cell
+
+
+def padded_mask(n, t_len):
+    """Every other row padded after 1 + i % T of its positions."""
+    mask = np.ones((n, t_len))
+    for i in range(1, n, 2):
+        mask[i, 1 + i % t_len:] = 0.0
+    return mask
+
+
+def run_attention_gru(case, mask, one_step=False):
+    """The op over every step of ``case`` as one (T, B, e) input, or over
+    its one step as a (B, e) input; returns its (alpha, c, s)."""
+    _, s0, ys, proj, h, attn, cell = case
+    y = ys[0] if one_step else T.reshape(T.concat(ys), (len(ys), *ys[0].shape))
+    return T.attention_gru(s0, y, proj, h, mask, attn, cell.joined,
+                           cell.weights)
+
+
+def stepwise_attention_gru(s, ys, proj, h, mask, attn, joined, weights):
+    """Test-only reference for ``T.attention_gru``: per (B, e) input of
+    ``ys``, the query from its own matmul, add and add_rowvec nodes,
+    ``reference_attention``, and a one-step ``T.gru`` on [y; c].  Returns
+    each step's (alpha, c, s)."""
+    w_a, v_y, b_a, v_a = attn
+    steps = []
+    for y in ys:
+        query = T.add_rowvec(add(T.matmul(s, w_a), T.matmul(y, v_y)), b_a)
+        alpha, ctx = reference_attention(query, proj, h, v_a, mask)
+        s = T.gru(s, T.concat([y, ctx], axis=1), joined, weights)
+        steps.append((alpha, ctx, s))
+    return steps
+
+
 class TestAttentionOp:
-    """Finite differences through the fused additive-attention op, B=3 and
-    T=6, with every input trainable; the annotation batch is the mask's."""
+    """Finite differences through the attention decoder op, B=3, three
+    steps and T=6 source positions, with every input trainable; the
+    annotation batch is the mask's."""
 
     def check(self, mask):
-        b, t_len, d, k = 3, 6, 4, 5
-        n = mask.shape[0]
-        params = ParameterSet()
-        query = params.add(make_param("query", (b, d)))
-        proj = params.add(make_param("proj", (n, t_len, d)))
-        h = params.add(make_param("h", (n, t_len, k)))
-        v_a = params.add(make_param("v_a", (d, 1)))
-        w = RNG.standard_normal((b, k))
+        rng = np.random.default_rng(int(mask.sum()))
+        case = decoder_case(rng, 3, mask.shape[0], 6, 3, e=2, d=3, k=4)
+        w_c, w_s = rng.standard_normal((3, 3, 4)), rng.standard_normal((3, 3, 3))
 
         def loss():
-            _, ctx = T.attention(query.value, proj.value, h.value, v_a.value,
-                                 mask)
-            return weighted_sum(ctx, w)
+            _, ctx, s = run_attention_gru(case, mask)
+            return add(weighted_sum(ctx, w_c), weighted_sum(s, w_s))
 
-        check_op(loss, params, tol=1e-4)
+        check_op(loss, case[0], tol=1e-4)
 
     def test_unmasked(self):
         self.check(np.ones((3, 6)))
@@ -424,7 +451,7 @@ class TestAttentionOp:
         self.check(mask)
 
     def test_one_sentence_for_every_row(self):
-        # (1, T) annotations serve all B query rows, with a masked position
+        # (1, T) annotations serve all B rows, with a masked position
         mask = np.ones((1, 6))
         mask[0, 4] = 0.0
         self.check(mask)
@@ -432,35 +459,43 @@ class TestAttentionOp:
     def test_alpha_normalized_and_masked(self):
         mask = np.ones((3, 6))
         mask[2, 2:] = 0.0
-        alpha, _ = T.attention(T.constant(RNG.standard_normal((3, 4))),
-                               T.constant(RNG.standard_normal((3, 6, 4))),
-                               T.constant(RNG.standard_normal((3, 6, 5))),
-                               T.constant(RNG.standard_normal((4, 1))), mask)
-        np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-12)
-        assert alpha.data[2, 2:].max() < 1e-12
+        case = decoder_case(RNG, 3, 3, 6, 4)
+        alpha, _, _ = run_attention_gru(case, mask)
+        assert alpha.shape == (4, 3, 6)  # source positions on the last axis
+        np.testing.assert_allclose(alpha.data.sum(axis=2), 1.0, atol=1e-12)
+        assert alpha.data[:, 2, 2:].max() < 1e-12
 
     def test_shapes_checked(self):
-        with pytest.raises(T.ShapeError):
-            T.attention(T.constant(np.zeros((2, 4))),
-                        T.constant(np.zeros((2, 3, 4))),
-                        T.constant(np.zeros((2, 3, 5))),
-                        T.constant(np.zeros((3, 1))), np.ones((2, 3)))
+        _, s0, ys, proj, h, attn, cell = decoder_case(RNG, 2, 2, 3, 1)
+        with pytest.raises(T.ShapeError):  # a v_a of the wrong width
+            T.attention_gru(s0, ys[0], proj, h, np.ones((2, 3)),
+                            attn[:3] + [T.constant(np.zeros((3, 1)))],
+                            cell.joined, cell.weights)
+        with pytest.raises(T.ShapeError):  # a GRU input not [y; c] wide
+            T.attention_gru(s0, ys[0], proj, T.constant(np.zeros((2, 3, 5))),
+                            np.ones((2, 3)), attn, cell.joined, cell.weights)
+        with pytest.raises(T.DomainError):
+            T.attention_gru(s0, ys[0], *(T.constant(np.zeros((2, 0, w)))
+                                         for w in (4, 6)),
+                            np.ones((2, 0)), attn, cell.joined, cell.weights)
 
     @pytest.mark.parametrize("n_proj, n_h, n_mask", [
         (2, 2, 2), (1, 3, 3), (3, 1, 3), (3, 3, 1), (1, 1, 3), (4, 4, 4)])
     def test_annotation_batch_is_one_or_b(self, n_proj, n_h, n_mask):
-        # B = 3 query rows: proj, h and mask share one batch, 1 or 3
+        # B = 3 rows: proj, h and mask share one batch, 1 or 3
+        _, s0, ys, _, _, attn, cell = decoder_case(RNG, 3, 3, 5, 1)
         with pytest.raises(T.ShapeError):
-            T.attention(T.constant(np.zeros((3, 4))),
-                        T.constant(np.zeros((n_proj, 5, 4))),
-                        T.constant(np.zeros((n_h, 5, 6))),
-                        T.constant(np.zeros((4, 1))), np.ones((n_mask, 5)))
+            T.attention_gru(s0, ys[0], T.constant(np.zeros((n_proj, 5, 4))),
+                            T.constant(np.zeros((n_h, 5, 6))),
+                            np.ones((n_mask, 5)), attn, cell.joined,
+                            cell.weights)
 
 
 def reference_attention(query, proj, h, v_a, mask):
-    """Test-only oracle: ``T.attention`` with its sums over source positions
-    taken the broadcast way, a (B, T, k) product summed over axis 1 for the
-    context and a (B, T, k) outer product for the annotation gradient."""
+    """Test-only oracle: additive attention with its sums over source
+    positions taken the broadcast way, a (B, T, k) product summed over axis
+    1 for the context and a (B, T, k) outer product for the annotation
+    gradient, summed over rows when one sentence's annotations serve all."""
     d = proj.shape[2]
     u = np.tanh(query.data[:, None, :] + proj.data)
     e = (u @ v_a.data)[:, :, 0] + (mask - 1.0) * 1e9
@@ -472,7 +507,10 @@ def reference_attention(query, proj, h, v_a, mask):
         g_alpha = h.data @ g[:, :, None]
         g_e = alpha[:, :, None] * (g_alpha - alpha[:, None, :] @ g_alpha)
         g_pre = g_e * v_a.data[:, 0] * (1.0 - u * u)
-        return (g_pre.sum(axis=1), g_pre, alpha[:, :, None] * g[:, None, :],
+        g_ann = [g_pre, alpha[:, :, None] * g[:, None, :]]
+        if proj.shape[0] < len(alpha):
+            g_ann = [x.sum(axis=0, keepdims=True) for x in g_ann]
+        return (g_pre.sum(axis=1), *g_ann,
                 u.reshape(-1, d).T @ g_e.reshape(-1, 1))
 
     return Tensor(alpha), T._record((query, proj, h, v_a), ctx, backward)
@@ -483,97 +521,103 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
 
 
-def assert_same_outputs(got, want):
-    """alpha, the context and the query, proj and v_a gradients bit for bit;
-    the annotation gradient value for value: the tape forms it as a batched
-    product, which may turn a -0 into +0 at a padded position."""
-    for name, x, y in zip(("alpha", "ctx", "d_query", "d_proj", "d_h",
-                           "d_v_a"), got, want):
-        assert x.shape == y.shape, name
-        if name == "d_h":
-            np.testing.assert_array_equal(x, y, err_msg=name)
-        else:
-            np.testing.assert_array_equal(bits(x), bits(y), err_msg=name)
+def assert_close_gradients(got, want, tol=1e-12):
+    assert set(got) == set(want)
+    for pid, w in want.items():
+        assert np.linalg.norm(got[pid] - w) <= tol * np.linalg.norm(w), pid
 
 
 class TestAttentionMatchesReference:
-    """The op, with its context summed by einsum and its annotation gradient
-    deferred to the tape, matches the broadcast reference: alpha, the
-    context and all four input gradients."""
+    """The op against the stepwise reference: alpha, the context and the
+    state of every step bit for bit, and every gradient within 1e-12
+    norm-relative (the op forms each weight's and the annotations' gradient
+    once over all steps, where the reference's tape adds one per step)."""
 
-    def outputs(self, op, query, proj, h, v_a, mask, g):
+    def outputs(self, case, mask, stepwise, one_step=False):
+        """Every step's (alpha, c, s) stacked, and the parameter gradients
+        of a weighted sum over every step's c and s."""
+        params, s0, ys, proj, h, attn, cell = case
+        rng = np.random.default_rng(len(ys))
+        (b, d), k = s0.shape, h.shape[2]
+        w_c, w_s = (rng.standard_normal((len(ys), b, m)) for m in (k, d))
+        params.zero_grads()
         with Tape() as tape:
-            alpha, ctx = op(query, proj, h, v_a, mask)
-        # a deferred gradient is formed the way the tape forms it
-        return (alpha.data, ctx.data, *(
-            T._summed(None, [x]) if isinstance(x, T._Outer) else x
-            for x in tape._nodes[-1].backward_fn(g)))
+            if stepwise:
+                steps = stepwise_attention_gru(s0, ys, proj, h, mask, attn,
+                                               cell.joined, cell.weights)
+                out = [np.stack([x[i].data for x in steps]) for i in range(3)]
+                loss = None
+                for t, (_, c, s) in enumerate(steps):
+                    term = add(weighted_sum(c, w_c[t]), weighted_sum(s, w_s[t]))
+                    loss = term if loss is None else add(loss, term)
+            else:
+                alpha, c, s = run_attention_gru(case, mask, one_step)
+                out = [x.data.reshape(len(ys), *x.shape[-2:])
+                       for x in (alpha, c, s)]
+                loss = add(weighted_sum(c, w_c.reshape(c.shape)),
+                           weighted_sum(s, w_s.reshape(s.shape)))
+        tape.backward(loss, params)
+        return out, {p.id: p.grad.data.copy() for p in params}, len(tape)
 
-    def assert_same_bits(self, query, proj, h, v_a, mask, rng):
-        g = rng.standard_normal((proj.shape[0], h.shape[2]))
-        assert_same_outputs(
-            self.outputs(T.attention, query, proj, h, v_a, mask, g),
-            self.outputs(reference_attention, query, proj, h, v_a, mask, g))
+    def assert_matches(self, case, mask, one_step=False):
+        got, got_grads, nodes = self.outputs(case, mask, False, one_step)
+        want, want_grads, _ = self.outputs(case, mask, True)
+        for name, x, y in zip(("alpha", "c", "s"), got, want):
+            np.testing.assert_array_equal(bits(x), bits(y), err_msg=name)
+        assert_close_gradients(got_grads, want_grads)
+        # the op alone, or the op after the inputs' concat and reshape
+        assert nodes == (4 if one_step else 6)
 
     @pytest.mark.parametrize("b", [1, 3, 32])
     @pytest.mark.parametrize("t_len", [1, 6, 25])
     def test_padded_batches(self, b, t_len):
-        rng = np.random.default_rng(100 * b + t_len)
-        d, k = 8, 10
-        query, proj, h, v_a = (make_param(n, s, rng).value for n, s in (
-            ("query", (b, d)), ("proj", (b, t_len, d)), ("h", (b, t_len, k)),
-            ("v_a", (d, 1))))
-        mask = np.ones((b, t_len))
-        for i in range(1, b, 2):  # every other row is padded after 1..T
-            mask[i, 1 + i % t_len:] = 0.0
-        self.assert_same_bits(query, proj, h, v_a, mask, rng)
+        # one step, from a (B, e) input, as a decode step runs it
+        case = decoder_case(np.random.default_rng(100 * b + t_len), b, b,
+                            t_len, 1, e=8, d=8, k=10)
+        self.assert_matches(case, padded_mask(b, t_len), one_step=True)
+
+    @pytest.mark.parametrize("b", [1, 4, 32])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_steps_match_stepwise_reference(self, b, shared):
+        # five steps over padded sources, or over one sentence's
+        # annotations (a masked position among them) read by all B rows
+        n, t_len = (1, 7) if shared else (b, 9)
+        case = decoder_case(np.random.default_rng(b), b, n, t_len, 5)
+        mask = np.ones((1, t_len)) if shared else padded_mask(b, t_len)
+        mask[0, 5] = 0.0
+        self.assert_matches(case, mask)
 
     @pytest.mark.parametrize("n", [1, 10])
     def test_broadcast_annotations(self, n):
-        # beam decoding repeats one sentence's annotations for n hypotheses
-        # as stride-0 views
-        rng = np.random.default_rng(n)
-        t_len, d, k = 7, 8, 10
-        query = make_param("query", (n, d), rng).value
-        v_a = make_param("v_a", (d, 1), rng).value
-        proj, h = (Tensor(np.broadcast_to(rng.standard_normal((1, t_len, w)),
-                                          (n, t_len, w))) for w in (d, k))
-        for x in (proj, h):
-            x.requires_grad = True
-            assert x.data.strides[0] == 0
-        mask = np.broadcast_to(np.ones((1, t_len)), (n, t_len))
-        self.assert_same_bits(query, proj, h, v_a, mask, rng)
+        # beam decoding repeats one sentence's annotations for n hypotheses;
+        # here as stride-0 views
+        case = decoder_case(np.random.default_rng(n), n, n, 7, 3, views=True)
+        assert case[3].data.strides[0] == case[4].data.strides[0] == 0
+        self.assert_matches(case, np.broadcast_to(np.ones((1, 7)), (n, 7)))
 
     @pytest.mark.parametrize("b", [1, 3, 10])
     def test_one_sentence_equals_its_broadcast_views(self, b):
         # (1, T) annotations give the bits of the same annotations broadcast
-        # to B rows; for B > 1 their gradients are the broadcast ones summed
-        # over rows (at B = 1 a sum would turn -0 into +0, and none is taken)
-        rng = np.random.default_rng(b)
-        t_len, d, k = 9, 8, 10
-        query = make_param("query", (b, d), rng).value
-        v_a = make_param("v_a", (d, 1), rng).value
-        mask = np.ones((1, t_len))
+        # to B rows, and their gradients are the broadcast ones summed over
+        # rows, within 1e-12 of their norm
+        mask = np.ones((1, 9))
         mask[0, 5] = 0.0
-        one = [make_param(n, (1, t_len, w), rng).value
-               for n, w in (("proj", d), ("h", k))]
-        wide = [Tensor(np.broadcast_to(x.data, (b, t_len, x.shape[2])))
-                for x in one]
-        for x in wide:
-            x.requires_grad = True
-        g = rng.standard_normal((b, k))
-        got = self.outputs(T.attention, query, *one, v_a, mask, g)
-        want = list(self.outputs(T.attention, query, *wide, v_a,
-                                 np.broadcast_to(mask, (b, t_len)), g))
-        if b > 1:
-            want[3:5] = (x.sum(axis=0, keepdims=True) for x in want[3:5])
-        assert_same_outputs(got, want)
+        one = decoder_case(np.random.default_rng(b), b, 1, 9, 3)
+        wide = decoder_case(np.random.default_rng(b), b, b, 9, 3, views=True)
+        got, got_grads, _ = self.outputs(one, mask, False)
+        want, want_grads, _ = self.outputs(
+            wide, np.broadcast_to(mask, (b, 9)), False)
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(bits(x), bits(y))
+        for pid in ("proj", "h"):
+            want_grads[pid] = want_grads[pid].sum(axis=0, keepdims=True)
+        assert_close_gradients(got_grads, want_grads)
 
 
 class TestDeferredAnnotationGradient:
-    """The attention returns its annotation gradient as factors; the tape
-    forms their sum, with any dense terms for the same tensor, once, when it
-    reaches the annotations' node or parameter."""
+    """The op returns its annotation gradient summed over its steps; the
+    tape adds it to any other terms for the same annotations, in whatever
+    order they arrive, and to the terms of other calls."""
 
     B, T_LEN, D, K = 3, 5, 4, 6
 
@@ -583,79 +627,69 @@ class TestDeferredAnnotationGradient:
         mask[2, 1:] = 0.0
         return mask
 
-    def gradients(self, op, arrivals, leaf):
-        """Parameter gradients of a loss whose h feeds attention calls
+    def gradients(self, stepwise, arrivals, leaf):
+        """Parameter gradients of a loss whose h feeds one-step op calls
         ("att") and dense matmuls ("dense"), listed in the order their
         gradients reach h; h is a parameter (``leaf``) or a tanh node."""
         rng = np.random.default_rng(7)
-        b, t_len, d, k = self.B, self.T_LEN, self.D, self.K
-        params = ParameterSet([make_param(n, s, rng) for n, s in (
-            ("a", (b, t_len, k)), ("proj", (b, t_len, d)), ("q", (b, d)),
-            ("v_a", (d, 1)), ("W", (k, 2)))])
-        p = {x.id: x.value for x in params}
-        consts = [(rng.standard_normal((b, d)), rng.standard_normal((b, k)),
-                   rng.standard_normal((b, t_len, 2))) for _ in arrivals]
-        mask = self.mask()
+        params, s0, ys, proj, a, attn, cell = decoder_case(
+            rng, self.B, self.B, self.T_LEN, 1, d=self.D, k=self.K)
+        w = params.add(make_param("W", (self.K, 2), rng)).value
+        consts = [(rng.standard_normal(s0.shape),
+                   rng.standard_normal((self.B, self.K)),
+                   rng.standard_normal((self.B, self.T_LEN, 2)))
+                  for _ in arrivals]
         params.zero_grads()
         with Tape() as tape:
-            h = p["a"] if leaf else T.tanh(p["a"])
+            h = a if leaf else T.tanh(a)
             loss = None
             # the tape runs backward, so the last use recorded arrives first
             for use, (offset, w_att, w_dense) in zip(reversed(arrivals), consts):
                 if use == "att":
-                    _, ctx = op(T.add(p["q"], T.constant(offset)), p["proj"],
-                                h, p["v_a"], mask)
+                    s = add(s0, T.constant(offset))
+                    ctx = (stepwise_attention_gru(
+                        s, ys, proj, h, self.mask(), attn, cell.joined,
+                        cell.weights)[0][1]
+                        if stepwise else T.attention_gru(
+                            s, ys[0], proj, h, self.mask(), attn,
+                            cell.joined, cell.weights)[1])
                     term = weighted_sum(ctx, w_att)
                 else:
-                    term = weighted_sum(T.matmul(h, p["W"]), w_dense)
-                loss = term if loss is None else T.add(loss, term)
+                    term = weighted_sum(T.matmul(h, w), w_dense)
+                loss = term if loss is None else add(loss, term)
         tape.backward(loss, params)
         return {x.id: x.grad.data.copy() for x in params}
 
     @pytest.mark.parametrize("leaf", [False, True])
     @pytest.mark.parametrize("arrivals", [
-        ("att", "att", "dense"),  # a new sum of two deferred, then in place
-        ("dense", "att"),  # a closure's array, then a deferred term
-        ("dense", "dense", "att", "att"),  # an owned array, then deferred
+        ("att", "att", "dense"),  # a new sum of two op terms, then in place
+        ("dense", "att"),  # a closure's array, then an op term
+        ("dense", "dense", "att", "att"),  # an owned array, then op terms
         ("att", "dense", "att", "dense"),
     ])
-    def test_orders_match_dense_reference(self, arrivals, leaf, monkeypatch):
-        formed, summed = [], T._summed
-
-        def spy(dense, outers):
-            if outers:
-                formed.append(len(outers))
-            return summed(dense, outers)
-
-        monkeypatch.setattr(T, "_summed", spy)
-        got = self.gradients(T.attention, arrivals, leaf)
-        assert formed == [arrivals.count("att")]
-        want = self.gradients(reference_attention, arrivals, leaf)
-        assert len(formed) == 1  # the reference defers nothing
-        for pid, g in want.items():
-            assert (np.linalg.norm(got[pid] - g)
-                    <= 1e-12 * np.linalg.norm(g)), pid
+    def test_orders_match_dense_reference(self, arrivals, leaf):
+        assert_close_gradients(self.gradients(False, arrivals, leaf),
+                               self.gradients(True, arrivals, leaf))
 
     def test_finite_differences_over_steps(self):
-        # three steps attend over one h with padded rows; each step's query
-        # reads the last step's context
+        # three one-step calls attend over one h with padded rows; each
+        # call's state reads the last call's context
         rng = np.random.default_rng(8)
-        b, t_len, d, k = self.B, self.T_LEN, self.D, self.K
-        params = ParameterSet([make_param(n, s, rng) for n, s in (
-            ("a", (b, t_len, k)), ("U", (k, d)), ("W", (k, d)), ("q", (b, d)),
-            ("v_a", (d, 1)))])
-        p = {x.id: x.value for x in params}
-        ws, mask = rng.standard_normal((3, b, k)), self.mask()
+        params, s0, ys, _, a, attn, cell = decoder_case(
+            rng, self.B, self.B, self.T_LEN, 1, e=2, d=3, k=self.K)
+        u, w = (params.add(make_param(n, s, rng)).value
+                for n, s in (("U", (self.K, 3)), ("W", (self.K, 3))))
+        ws = rng.standard_normal((3, self.B, self.K))
 
         def loss():
-            h = T.tanh(p["a"])
-            proj = T.matmul(h, p["U"])
-            query, total = p["q"], None
-            for w in ws:
-                _, ctx = T.attention(query, proj, h, p["v_a"], mask)
-                term = weighted_sum(ctx, w)
-                total = term if total is None else T.add(total, term)
-                query = T.tanh(T.matmul(ctx, p["W"]))
+            h = T.tanh(a)
+            proj, s, total = T.matmul(h, u), s0, None
+            for wt in ws:
+                _, ctx, _ = T.attention_gru(s, ys[0], proj, h, self.mask(),
+                                            attn, cell.joined, cell.weights)
+                term = weighted_sum(ctx, wt)
+                total = term if total is None else add(total, term)
+                s = T.tanh(T.matmul(ctx, w))
             return total
 
         check_op(loss, params, tol=1e-4)
@@ -755,7 +789,7 @@ class TestTape:
         params.zero_grads()
         with Tape() as tape:
             h = T.tanh(a.value)
-            loss = weighted_sum(T.add(h, h))
+            loss = weighted_sum(add(h, h))
         tape.backward(loss, params)
         np.testing.assert_allclose(a.grad.data,
                                    2.0 * (1 - np.tanh(a.value.data) ** 2),
@@ -771,9 +805,9 @@ class TestTape:
         with Tape() as tape:
             s = a
             for _ in range(3):
-                y = T.transpose(T.transpose(T.add(s, s)))
+                y = T.transpose(T.transpose(add(s, s)))
                 s = T.tanh(T.matmul(T.concat([y, s, a], axis=1), w))
-            loss = weighted_sum(T.add(s, s))
+            loss = weighted_sum(add(s, s))
         returned = []
         for node in tape._nodes:
             def spy(g, fn=node.backward_fn):
@@ -806,7 +840,7 @@ class TestTape:
         params = ParameterSet([frozen, live])
         params.zero_grads()
         with Tape() as tape:
-            loss = weighted_sum(T.add(T.tanh(frozen.value), live.value))
+            loss = weighted_sum(add(T.tanh(frozen.value), live.value))
         tape.backward(loss, params)
         np.testing.assert_array_equal(frozen.grad.data, 0.0)
         np.testing.assert_array_equal(live.grad.data, 1.0)
@@ -824,7 +858,7 @@ class TestTape:
         mask = T.constant(np.array([[1.0, 0.0], [2.0, 1.0]]))
         params.zero_grads()
         with Tape() as tape:
-            loss = weighted_sum(T.add(T.mul(a, mask), T.mul(T.tanh(a), mask)))
+            loss = weighted_sum(add(T.mul(a, mask), T.mul(T.tanh(a), mask)))
         returned = []
         for node in tape._nodes:
             def spy(g, fn=node.backward_fn, inputs=node.inputs):
