@@ -1,10 +1,10 @@
 """Single-file checkpoint container.
 
 Layout: magic bytes, a structured text header (kind, architecture,
-metadata, block table), raw little-endian float64 parameter blocks in
-header-declared order, then a sha256 digest of everything before it.
-Serialization is canonical (sorted keys), so load -> save reproduces the
-input byte-for-byte.
+metadata, block table), raw little-endian float64 blocks in header order,
+each named once (a recurrent cell's joined W, U or b as one block per gate),
+then a sha256 digest of everything before it.  Serialization is canonical
+(sorted keys), so load -> save reproduces the input byte-for-byte.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ def load_checkpoint(path) -> Checkpoint:
     for name, dims in blocks:
         n = int(np.prod(dims)) if dims else 1
         chunk = binary[offset : offset + 8 * n]
+        if name in params:
+            raise CheckpointError(f"{path}: block {name!r} is listed twice")
         if len(chunk) != 8 * n:
             raise CheckpointError(f"{path}: truncated block {name!r}")
         params[name] = np.frombuffer(chunk, dtype="<f8").reshape(dims).copy()
@@ -144,16 +146,24 @@ def snapshot_params(params: Iterable[Parameter]) -> dict[str, np.ndarray]:
     return {p.id: p.value.data.copy() for p in params}
 
 
-def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
+def _blocks(params: Iterable[Parameter]):
+    """(name, view of a value) per checkpoint block: a parameter, or a gate's
+    column block ``f"{id}_{gate}"`` of a recurrent cell's joined W, U or b."""
     for p in params:
-        value = ckpt.params.get(p.id)
+        names = [f"{p.id}_{gate}" for gate in p.gates] or [p.id]
+        yield from zip(names, np.split(p.value.data, len(names), axis=-1))
+
+
+def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
+    for name, block in _blocks(params):
+        value = ckpt.params.get(name)
         if value is None:
-            raise CheckpointError(f"{ckpt.source}: missing parameter {p.id!r}")
-        if value.shape != p.value.shape:
+            raise CheckpointError(f"{ckpt.source}: missing parameter {name!r}")
+        if value.shape != block.shape:
             raise CheckpointError(
-                f"{ckpt.source}: parameter {p.id!r}: shape {value.shape} "
-                f"!= expected {p.value.shape}")
-        p.value.data[...] = value
+                f"{ckpt.source}: parameter {name!r}: shape {value.shape} "
+                f"!= expected {block.shape}")
+        block[...] = value
 
 
 # kind -> the (config class, [arch] key prefix) of each model it is built from
@@ -186,7 +196,8 @@ def to_checkpoint(model, meta: Optional[dict] = None) -> Checkpoint:
     parts = (model.nmt, model.lm) if kind == "fused" else (model,)
     arch = {prefix + k: v for part, (_, prefix) in zip(parts, _PARTS[kind])
             for k, v in asdict(part.cfg).items()}
-    return Checkpoint(kind, arch, snapshot_params(model.params), meta or {})
+    return Checkpoint(kind, arch, {name: block.copy() for name, block
+                                   in _blocks(model.params)}, meta or {})
 
 
 def build(ckpt: Checkpoint, kind: str):

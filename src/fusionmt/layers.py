@@ -1,8 +1,10 @@
 """Parameterized building blocks: GRU and LSTM cells, embeddings, and the
 two-way-maxout deep output layer.
 
-Cells are immutable bundles of parameters; the ``*_step`` functions are pure
-given (parameters, state, input) and are differentiable through the tape.
+Cells are immutable bundles of parameters: a GRU or LSTM cell owns three,
+its joined W, U and b, one column block per gate (GRU z|r|h, LSTM o|i|f|g).
+The ``*_step`` functions are pure given (parameters, state, input) and are
+differentiable through the tape.
 All step functions are batched: states and inputs are (B, d) matrices, one
 row per sentence of a training batch or per live hypothesis of a beam step.
 """
@@ -30,32 +32,25 @@ def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) * 0.01
 
 
-def _gate_weights(prefix: str, gates: str, order: str, input_size: int,
-                  d: int, params: ParameterSet, rng: np.random.Generator):
-    """W, U and b for each gate, drawn gate by gate in ``gates`` order and
-    joined as column blocks in ``order``: W (input_size, G d), U (d, G d), b
-    (G d).  Returns them and the per-gate parameter views in ``order``.
-    Biases start at 0, an LSTM forget gate's at 1; U opts out of weight noise."""
-    draws = {gate: (gaussian(rng, (input_size, d)), orthonormal(rng, d),
-                    np.full(d, float(gate == "f"))) for gate in gates}
-    joined = tuple(np.concatenate([draws[gate][k] for gate in order], axis=-1)
-                   for k in range(3))
-    weights = []
-    for k, gate in enumerate(order):
-        for kind, a in zip("WUb", joined):
-            weights.append(params.add(Parameter(
-                f"{prefix}.{kind}_{gate}", a[..., k * d:(k + 1) * d],
-                noisy=kind != "U")).value)
-    return joined, tuple(weights)
-
-
-class GruCell:
-    """Gated recurrent unit: z/r gates plus a tanh candidate state."""
+class _Cell:
+    """A recurrent cell's ``weights`` W (input_size, G d), U (d, G d) and b
+    (G d): a column block per gate in ``order``, drawn gate by gate in
+    ``drawn`` order; biases 0, an LSTM forget gate's 1; no noise on U."""
 
     def __init__(self, prefix: str, input_size: int, hidden_size: int,
                  params: ParameterSet, rng: np.random.Generator):
-        self.joined, self.weights = _gate_weights(
-            prefix, "zrh", "zrh", input_size, hidden_size, params, rng)
+        d = hidden_size
+        draws = {gate: (gaussian(rng, (input_size, d)), orthonormal(rng, d),
+                        np.full(d, float(gate == "f"))) for gate in self.drawn}
+        self.weights = tuple(params.add(Parameter(
+            f"{prefix}.{kind}", np.hstack([draws[g][k] for g in self.order]),
+            noisy=kind != "U", gates=self.order)).value
+            for k, kind in enumerate("WUb"))
+
+
+class GruCell(_Cell):
+    """Gated recurrent unit: z/r gates plus a tanh candidate state."""
+    drawn = order = "zrh"
 
 
 def gru_step(cell: GruCell, s_prev: Tensor, x: Tensor,
@@ -63,23 +58,19 @@ def gru_step(cell: GruCell, s_prev: Tensor, x: Tensor,
     """One GRU step, s = (1 - z) * s_prev + z * candidate, for a (B, e)
     ``x``; rows where the optional (B, 1) 0/1 ``keep`` mask is 0 keep
     ``s_prev``.  A (T, B, e) ``x`` runs every step, as ``tensor.gru``."""
-    return T.gru(s_prev, x, cell.joined, cell.weights, keep, reverse)
+    return T.gru(s_prev, x, cell.weights, keep, reverse)
 
 
-class LstmCell:
+class LstmCell(_Cell):
     """LSTM with input/forget/output gates and a carried cell state."""
-
-    def __init__(self, prefix: str, input_size: int, hidden_size: int,
-                 params: ParameterSet, rng: np.random.Generator):
-        self.joined, self.weights = _gate_weights(
-            prefix, "ifog", "oifg", input_size, hidden_size, params, rng)
+    drawn, order = "ifog", "oifg"
 
 
 def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],
               x: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step for a (B, e) ``x``; returns (h, c).  A (T, B, e) ``x``
     runs every step, as ``tensor.lstm``."""
-    return T.lstm(*state, x, cell.joined, cell.weights)
+    return T.lstm(*state, x, cell.weights)
 
 
 class Embedding:

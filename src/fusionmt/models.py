@@ -175,7 +175,7 @@ def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
     alpha, ctx, s = T.attention_gru(
         s_prev, y_emb, ann.proj, ann.h, ann.mask,
         [a[k].value for k in ("W_a", "V_a", "b_a", "v_a")],
-        model.decoder.joined, model.decoder.weights)
+        model.decoder.weights)
     return AttentionScores(alpha=alpha), ctx, s
 
 

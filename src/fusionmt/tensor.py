@@ -68,16 +68,17 @@ def constant(data) -> Tensor:
 class Parameter:
     """A named, trainable tensor with an attached gradient slot."""
 
-    __slots__ = ("id", "value", "grad", "noisy")
+    __slots__ = ("id", "value", "grad", "noisy", "gates")
 
-    def __init__(self, pid: str, value, trainable: bool = True, noisy: bool = True):
+    def __init__(self, pid: str, value, trainable: bool = True,
+                 noisy: bool = True, gates: str = ""):
         self.id = pid
         self.value = value if isinstance(value, Tensor) else Tensor(value)
         self.value.requires_grad = trainable
         self.grad = Tensor(np.zeros_like(self.value.data))
-        # noisy marks non-recurrent parameters eligible for training-time
-        # additive weight noise; recurrent matrices opt out.
-        self.noisy = noisy
+        # noisy marks parameters eligible for training-time additive weight
+        # noise (recurrent matrices opt out); gates names a cell's column blocks
+        self.noisy, self.gates = noisy, gates
 
     @property
     def trainable(self) -> bool:
@@ -361,36 +362,28 @@ def maxout2(a: Tensor) -> Tensor:
     return _record((a,), out, backward)
 
 
-def _steps(op: str, x: Tensor, states: Sequence[Tensor],
-           w_in: Tensor) -> np.ndarray:
-    """A cell's input as (T, B, e) steps; a (B, e) ``x`` is one step."""
+def _steps(op: str, x: Tensor, states: Sequence[Tensor], e: int, d: int):
+    """A cell's (T, B, e) input steps, a (B, e) ``x`` as one; states (B, d)."""
     xs = x.data if x.data.ndim == 3 else x.data[None]
     b = xs.shape[1] if xs.ndim == 3 else -1
     shapes = [xs.shape[1:]] + [t.shape for t in states]
-    if shapes != [(b, w_in.shape[0])] + [(b, w_in.shape[1])] * len(states):
-        raise ShapeError(f"{op}: input and states {shapes}, W {w_in.shape}")
+    if shapes != [(b, e)] + [(b, d)] * len(states):
+        raise ShapeError(f"{op}: input and states {shapes}, weights for "
+                         f"inputs of {e} and states of {d}")
     if len(xs) == 0:
         raise DomainError(f"{op} over no steps")
     return xs
 
 
-def _gate_grads(da: np.ndarray, x: np.ndarray, s: np.ndarray, n: int) -> list:
-    """(dW, dU, db) of x @ W + s @ U + b for each of the n gates whose column
-    blocks ``da`` joins, each a contiguous block of one product over all n
-    gates and all rows; ``s`` may be an (n, rows, d) stack, one per gate."""
-    da = da.reshape(len(da), n, -1).transpose(1, 0, 2)
-    grads = (x.T @ da, np.swapaxes(s, -1, -2) @ da, da.sum(axis=1))
-    return [a[k] for k in range(n) for a in grads]
-
-
-def _gru_cell(xw: np.ndarray, s: np.ndarray, u: np.ndarray, bias: np.ndarray):
-    """One GRU step from its input product ``xw`` = x W: the new state and
-    what its backward reads, (s, z, r, r s, h)."""
+def _gru_cell(xw: np.ndarray, s: np.ndarray, u: np.ndarray, bias: np.ndarray,
+              rs: np.ndarray):
+    """One GRU step from its input product ``xw`` = x W, writing r s into
+    ``rs``: the new state and what its backward reads, (s, z, r, r s, h)."""
     d = s.shape[1]
     zr = _sigmoid(xw[:, :2 * d] + s @ u[:, :2 * d] + bias[:2 * d])
     # contiguous gates: elementwise ops on a strided block run row by row
     z, r = np.ascontiguousarray(zr[:, :d]), np.ascontiguousarray(zr[:, d:])
-    rs = r * s
+    np.multiply(r, s, out=rs)
     h = np.tanh(xw[:, 2 * d:] + rs @ u[:, 2 * d:] + bias[2 * d:])
     return (1.0 - z) * s + z * h, (s, z, r, rs, h)
 
@@ -407,28 +400,37 @@ def _gru_cell_back(g: np.ndarray, saved, u: np.ndarray, da: np.ndarray):
     return g * (1.0 - z) + d_rs * r + da[:, :d2] @ u[:, :d2].T
 
 
-def gru(s_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
-        weights: Sequence[Tensor], keep: Optional[np.ndarray] = None,
-        reverse: bool = False):
+def _gru_grads(da, inputs, prev, rs):
+    """(dW, dU, db) from a GRU's (T, B, 3d) pre-activation gradients ``da``:
+    W reads the ``inputs`` joined, z and r the states ``prev``, h r s."""
+    da, prev, rs = (a.reshape(-1, a.shape[-1]) for a in (da, prev, rs))
+    d2 = 2 * prev.shape[1]
+    return (np.concatenate([x.reshape(len(da), -1).T @ da for x in inputs]),
+            np.hstack((prev.T @ da[:, :d2], rs.T @ da[:, d2:])), da.sum(axis=0))
+
+
+def gru(s_prev: Tensor, x: Tensor, cell: Sequence[Tensor],
+        keep: Optional[np.ndarray] = None, reverse: bool = False):
     """GRU steps as one tape node: s = (1 - z) s_prev + z h, with gates
     z, r = sigmoid(x W + s_prev U + b), h = tanh(x W_h + (r s_prev) U_h + b_h)
-    from ``joined`` (W, U, b) in blocks z|r|h, whose per-gate views are
-    ``weights``.  Rows where 0/1 ``keep`` is 0 carry ``s_prev``.
+    from ``cell``, the joined (W, U, b) in column blocks z|r|h.  Rows where
+    0/1 ``keep`` is 0 carry ``s_prev``.
 
     A (B, e) ``x`` with a (B, 1) ``keep`` is one step and returns its state.
     A (T, B, e) ``x`` with a (T, B, 1) ``keep`` runs all T positions, from
     the last if ``reverse``, and returns every position's state, (T, B, d),
     and the state the run ends on."""
-    xs = _steps("gru", x, (s_prev,), weights[0])
-    (n, b, e), d = xs.shape, s_prev.shape[1]
+    w, u, bias = (t.data for t in cell)
+    xs = _steps("gru", x, (s_prev,), w.shape[0], u.shape[0])
+    (n, b, e), d = xs.shape, u.shape[0]
     keeps = keep if keep is None or x.data.ndim == 3 else keep[None]
-    w, u, bias = joined
     order = range(n - 1, -1, -1) if reverse else range(n)
-    saved, states, s = [None] * n, np.empty((n, b, d)), s_prev.data
-    for t in order:
-        new, saved[t] = _gru_cell(xs[t] @ w, s, u, bias)
-        states[t] = new if keeps is None else np.where(keeps[t] != 0, new, s)
-        s = states[t]
+    run = np.empty((n + 1, b, d))  # s_prev and each step's state, in order
+    states, prev = (run[:n], run[1:]) if reverse else (run[1:], run[:n])
+    prev[order[0]], saved, rs = s_prev.data, [None] * n, np.empty((n, b, d))
+    for t in order:  # step t reads prev[t] and writes states[t]
+        new, saved[t] = _gru_cell(xs[t] @ w, prev[t], u, bias, rs[t])
+        states[t] = new if keeps is None else np.where(keeps[t], new, prev[t])
 
     def backward(g, g_end=None):
         gs = np.zeros((n, b, d)) if g is None else g.reshape(n, b, d)
@@ -438,28 +440,27 @@ def gru(s_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
             g_new, g_carry = (g_s, 0.0) if keeps is None else (
                 g_s * keeps[t], g_s * (1.0 - keeps[t]))
             ds = _gru_cell_back(g_new, saved[t], u, da[t]) + g_carry
-        su = np.stack([v[k] for k in (0, 0, 3) for v in saved])  # [S, S, RS]
-        da = da.reshape(-1, 3 * d)
-        return (ds, (da @ w.T).reshape(x.shape), *_gate_grads(
-            da, xs.reshape(-1, e), su.reshape(3, -1, d), 3))
+        return (ds, (da.reshape(-1, 3 * d) @ w.T).reshape(x.shape),
+                *_gru_grads(da, (xs,), prev, rs))
 
-    out = (Tensor(states), Tensor(s)) if x.data.ndim == 3 else Tensor(s)
-    return _record((s_prev, x, *weights), out, backward)
+    end = Tensor(states[order[-1]])
+    return _record((s_prev, x, *cell), (Tensor(states), end)
+                   if x.data.ndim == 3 else end, backward)
 
 
 def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
                   mask: np.ndarray, attn: Sequence[Tensor],
-                  joined: Sequence[np.ndarray], weights: Sequence[Tensor]):
+                  cell: Sequence[Tensor]):
     """Attention decoder steps as one tape node (Bahdanau et al.): a step
     queries with q = (s_prev W_a + y V_a) + b_a for ``attn`` (W_a, V_a, b_a,
     v_a), takes alpha = softmax over T of tanh(proj + q) . v_a (-1e9 where
-    the (n, T) 0/1 ``mask`` is 0) and c = sum_j alpha_j h_j, and advances a
-    GRU as in ``gru`` on [y; c]; n is B, or 1 for one sentence read by every
-    row.  A (B, e) ``y`` is one step and returns its (alpha, c, s), a (T, B,
-    e) ``y`` those of all T steps.  Only c and s are differentiable."""
-    ys = _steps("attention_gru", y, (s_prev,), attn[1])
+    the (n, T) 0/1 ``mask`` is 0) and c = sum_j alpha_j h_j, and advances the
+    GRU ``cell`` as in ``gru`` on [y; c]; n is B, or 1 for one sentence read
+    by every row.  A (B, e) ``y`` is one step and returns its (alpha, c, s),
+    a (T, B, e) ``y`` those of all T steps.  Only c and s are differentiable."""
+    ys = _steps("attention_gru", y, (s_prev,), *attn[1].shape)
     (steps, b, e), (n, t_len, d), k = ys.shape, proj.shape, h.shape[-1]
-    (w_a, v_y, b_a, v_a), (w, u, bias) = (t.data for t in attn), joined
+    w_a, v_y, b_a, v_a, w, u, bias = (t.data for t in (*attn, *cell))
     if (n not in (1, b) or h.data.ndim != 3 or h.shape[:2] != (n, t_len)
             or mask.shape != (n, t_len) or v_a.shape != (d, 1)
             or w.shape != (e + k, 3 * d)):
@@ -467,9 +468,10 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
                          f"{v_a.shape}, W {w.shape} and mask {mask.shape}")
     if t_len == 0:
         raise DomainError("attention over no positions")
-    inputs = (s_prev, y, proj, h, *attn, *weights)
+    inputs = (s_prev, y, proj, h, *attn, *cell)
     record, neg = _recording(inputs), (mask - 1.0) * 1e9
-    alphas, ctxs, states = (np.empty((steps, b, m)) for m in (t_len, k, d))
+    alphas, ctxs, states, rs = (np.empty((steps, b, m))
+                                for m in (t_len, k, d, d))
     # a recorded node keeps each step's pre-activations; others reuse one
     saved, s, buf = [], s_prev.data, None if record else np.empty((b, t_len, d))
     for t in range(steps):
@@ -482,21 +484,21 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
         # for k > 1 and a contiguous h, einsum sums over T in the order of a
         # (B, T, k) product summed over axis 1, without it; BLAS would not
         np.einsum("bt,btk->bk", alphas[t], h.data, out=ctxs[t])
-        states[t], cell = _gru_cell(
-            np.concatenate((ys[t], ctxs[t]), axis=1) @ w, s, u, bias)
+        states[t], step = _gru_cell(
+            np.concatenate((ys[t], ctxs[t]), axis=1) @ w, s, u, bias, rs[t])
         s = states[t]
         if record:
-            saved.append((pre, cell))
+            saved.append((pre, step))
 
     def backward(g_ctx, g_s):
         gc, gs = (np.zeros((steps, b, m)) if g is None else g.reshape(
             steps, b, m) for g, m in ((g_ctx, k), (g_s, d)))
-        da, gq, dctx, rs = (np.empty((steps, b, m)) for m in (3 * d, d, k, d))
+        da, gq, dctx = (np.empty((steps, b, m)) for m in (3 * d, d, k))
         d_proj, du = np.zeros((b, t_len, d)), np.empty((b, t_len, d))
         dv_a, ds = np.zeros((d, 1)), 0.0
         for t in reversed(range(steps)):
-            pre, cell = saved.pop()  # a step's arrays go once it has run
-            ds, rs[t] = _gru_cell_back(gs[t] + ds, cell, u, da[t]), cell[3]
+            pre, step = saved.pop()  # a step's arrays go once it has run
+            ds = _gru_cell_back(gs[t] + ds, step, u, da[t])
             np.add(gc[t], da[t] @ w[e:].T, out=dctx[t])
             g_alpha = h.data @ dctx[t][:, :, None]  # (B, T, 1)
             a = alphas[t]
@@ -510,50 +512,46 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
             ds += gq[t] @ w_a.T
         # each weight's gradient once over all steps; [y; c] is not kept
         prev = np.concatenate((s_prev.data[None], states[:-1])).reshape(-1, d)
-        da, gq, rs = da.reshape(-1, 3 * d), gq.reshape(-1, d), rs.reshape(-1, d)
-        y2 = ys.reshape(-1, e)
-        grads = (np.concatenate((y2.T @ da, ctxs.reshape(-1, k).T @ da)),
-                 np.concatenate((prev.T @ da[:, :2 * d], rs.T @ da[:, 2 * d:]),
-                                axis=1), da.sum(axis=0))
         d_ann = [x.sum(axis=0, keepdims=True) if n < b else x for x in (
             d_proj, alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2))]
-        return (ds, (da @ w[:e].T + gq @ v_y.T).reshape(y.shape), *d_ann,
+        da2, gq, y2 = da.reshape(-1, 3 * d), gq.reshape(-1, d), ys.reshape(-1, e)
+        return (ds, (da2 @ w[:e].T + gq @ v_y.T).reshape(y.shape), *d_ann,
                 prev.T @ gq, y2.T @ gq, gq.sum(axis=0), dv_a,
-                *(a[..., i * d:(i + 1) * d] for i in range(3) for a in grads))
+                *_gru_grads(da, (ys, ctxs), prev, rs))
 
     at = 0 if y.data.ndim == 2 else slice(None)  # one step: its (B, .) rows
     return (Tensor(alphas[at]), *_record(
         inputs, (Tensor(ctxs[at]), Tensor(states[at])), backward))
 
 
-def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray],
-         weights: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
+         cell: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
     """LSTM steps as one tape node: c = f c_prev + i g and h = o tanh(c),
     with gates o, i, f = sigmoid(x W + h_prev U + b) and g = tanh(x W_g +
-    h_prev U_g + b_g); ``joined`` is (W, U, b) with column blocks o|i|f|g,
-    ``weights`` their per-gate views.  A (B, e) ``x`` is one step and
-    returns its (h, c); a (T, B, e) ``x`` runs T steps and returns every
-    step's h, (T, B, d), and the last step's c."""
-    xs = _steps("lstm", x, (h_prev, c_prev), weights[0])
-    (n, b, e), d = xs.shape, h_prev.shape[1]
-    w, u, bias = joined
-    saved, hs, hp, cp = [], np.empty((n, b, d)), h_prev.data, c_prev.data
+    h_prev U_g + b_g) from ``cell``, the joined (W, U, b) in column blocks
+    o|i|f|g.  A (B, e) ``x`` is one step and returns its (h, c); a (T, B, e)
+    ``x`` runs T steps and returns every step's h, (T, B, d), and the last
+    step's c."""
+    w, u, bias = (t.data for t in cell)
+    xs = _steps("lstm", x, (h_prev, c_prev), w.shape[0], u.shape[0])
+    (n, b, e), d = xs.shape, u.shape[0]
+    run = np.empty((n + 1, b, d))  # h_prev, then each step's h
+    run[0], saved, cp = h_prev.data, [], c_prev.data
     for t in range(n):
-        pre = xs[t] @ w + hp @ u + bias
+        pre = xs[t] @ w + run[t] @ u + bias
         sg = _sigmoid(pre[:, :3 * d])
-        o, i, f = (np.ascontiguousarray(sg[:, k * d:(k + 1) * d])
-                   for k in range(3))
+        o, i, f = map(np.ascontiguousarray, np.split(sg, 3, axis=1))
         g = np.tanh(pre[:, 3 * d:])
         c = f * cp + i * g
         tc = np.tanh(c)
-        saved.append((hp, cp, o, i, f, g, tc))
-        hp, cp = np.multiply(o, tc, out=hs[t]), c
+        saved.append((cp, o, i, f, g, tc))
+        run[t + 1], cp = o * tc, c
 
     def backward(gh, gc=None):
         ghs = np.zeros((n, b, d)) if gh is None else gh.reshape(n, b, d)
         dh, dc, da = 0.0, (0.0 if gc is None else gc), np.empty((n, b, 4 * d))
         for t in reversed(range(n)):
-            _, cp, o, i, f, g, tc = saved[t]
+            cp, o, i, f, g, tc = saved[t]
             gh_t = ghs[t] + dh
             gc_t = dc + gh_t * o * (1.0 - tc * tc)
             np.concatenate((gh_t * tc * o * (1.0 - o), gc_t * g * i * (1.0 - i),
@@ -561,9 +559,8 @@ def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor, joined: Sequence[np.ndarray]
                            axis=1, out=da[t])
             dh, dc = da[t] @ u.T, gc_t * f
         da = da.reshape(-1, 4 * d)
-        return (dh, dc, (da @ w.T).reshape(x.shape), *_gate_grads(
-            da, xs.reshape(-1, e),
-            np.stack([v[0] for v in saved]).reshape(-1, d), 4))
+        return (dh, dc, (da @ w.T).reshape(x.shape), xs.reshape(-1, e).T @ da,
+                run[:n].reshape(-1, d).T @ da, da.sum(axis=0))
 
-    h = Tensor(hs if x.data.ndim == 3 else hp)
-    return _record((h_prev, c_prev, x, *weights), (h, Tensor(cp)), backward)
+    h = Tensor(run[1:] if x.data.ndim == 3 else run[-1])
+    return _record((h_prev, c_prev, x, *cell), (h, Tensor(cp)), backward)

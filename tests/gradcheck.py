@@ -28,8 +28,8 @@ def finite_difference_check(
 
     errors: dict[str, float] = {}
     for p in params.trainable():
-        # perturb by index: a reshape of a non-contiguous value (a gate's
-        # column block of its cell's joined weights) would be a copy
+        # perturb by index: a reshape of a non-contiguous value (a view)
+        # would be a copy
         value, analytic = p.value.data, p.grad.data
         worst = 0.0
         for i in np.ndindex(value.shape):

@@ -60,10 +60,12 @@ class TestContainer:
     def test_values_roundtrip_exactly(self, tmp_path):
         model = tiny_nmt(seed=3)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, to_checkpoint(model))
+        ckpt = to_checkpoint(model)
+        save_checkpoint(path, ckpt)
         loaded = load_checkpoint(path)
-        for p in model.params:
-            np.testing.assert_array_equal(loaded.params[p.id], p.value.data)
+        assert sorted(loaded.params) == sorted(ckpt.params)
+        for name, value in ckpt.params.items():
+            np.testing.assert_array_equal(loaded.params[name], value)
 
     def test_meta_types_preserved(self, tmp_path):
         ckpt = Checkpoint("lm", {"vocab": 5, "embed_dim": 3, "hidden": 4},
@@ -112,6 +114,22 @@ class TestContainer:
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    def test_block_listed_twice(self, tmp_path):
+        # a re-signed copy of the benchmark fixture whose block table names
+        # nmt.W_init twice, with bytes for the second copy appended, so the
+        # sizes add up and only the repeated name is wrong
+        ckpt = load_checkpoint(FIXTURES / "nmt.ckpt")
+        line = b"nmt.W_init 48,48\n"
+        body = (FIXTURES / "nmt.ckpt").read_bytes()[:-32]
+        assert body.count(line) == 1
+        body = body.replace(line, line * 2) + np.full(
+            ckpt.params["nmt.W_init"].shape, 7.0).astype("<f8").tobytes()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: block 'nmt.W_init' is listed twice")):
+            load_checkpoint(path)
+
 
 class TestModelReconstruction:
     def test_nmt_roundtrip(self, tmp_path):
@@ -155,14 +173,14 @@ class TestModelReconstruction:
 
     def test_restore_shape_guard(self):
         model = tiny_nmt()
-        values = snapshot_params(model.params)
+        values = to_checkpoint(model).params
         values["nmt.W_init"] = np.zeros((2, 2))
         with pytest.raises(CheckpointError):
             restore_params(model.params, Checkpoint("nmt", {}, values))
 
     def test_restore_missing_param_guard(self):
         model = tiny_nmt()
-        values = snapshot_params(model.params)
+        values = to_checkpoint(model).params
         del values["nmt.W_init"]
         with pytest.raises(CheckpointError):
             restore_params(model.params, Checkpoint("nmt", {}, values))

@@ -31,9 +31,32 @@ from gradcheck import add, finite_difference_check, weighted_sum
 RNG = np.random.default_rng(7)
 
 
+def gate_block(params, name):
+    """The column block of a cell's joined W, U or b that holds one gate:
+    "gru.b_z" is the z block of parameter "gru.b"."""
+    pid, _, gate = name.rpartition("_")
+    p = params.get(pid)
+    d = p.value.shape[-1] // len(p.gates)
+    k = p.gates.index(gate)
+    return p.value.data[..., k * d:(k + 1) * d]
+
+
+def per_gate(cell):
+    """Each gate's (W, U, b), in the cell's block order, as contiguous
+    copies of the column blocks of its joined arrays."""
+    return split_gates([t.data for t in cell.weights], cell.weights[1].shape[0])
+
+
+def split_gates(joined, d):
+    """Joined (W, U, b) arrays, or their gradients, as each gate's (W, U,
+    b) in block order."""
+    return [np.ascontiguousarray(a[..., k * d:(k + 1) * d])
+            for k in range(joined[2].shape[0] // d) for a in joined]
+
+
 def set_values(params, mapping):
-    for pid, value in mapping.items():
-        params.get(pid).value.data[...] = value
+    for name, value in mapping.items():
+        gate_block(params, name)[...] = value
 
 
 def zero_all(params):
@@ -70,7 +93,7 @@ def sig(v):
 
 def reference_gru(weights, s, x, keep=None):
     """A GRU step written gate by gate; ``keep`` blends in the old state."""
-    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (w.data for w in weights)
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = weights
     z = sig(x @ W_z + s @ U_z + b_z)
     r = sig(x @ W_r + s @ U_r + b_r)
     cand = np.tanh(x @ W_h + (r * s) @ U_h + b_h)
@@ -80,8 +103,7 @@ def reference_gru(weights, s, x, keep=None):
 
 def reference_lstm(weights, h, c, x):
     """An LSTM step written gate by gate; returns (h, c)."""
-    W_o, U_o, b_o, W_i, U_i, b_i, W_f, U_f, b_f, W_g, U_g, b_g = (
-        w.data for w in weights)
+    W_o, U_o, b_o, W_i, U_i, b_i, W_f, U_f, b_f, W_g, U_g, b_g = weights
     i = sig(x @ W_i + h @ U_i + b_i)
     f = sig(x @ W_f + h @ U_f + b_f)
     o = sig(x @ W_o + h @ U_o + b_o)
@@ -152,15 +174,16 @@ def assert_close_grads(got, want):
 class TestJoinedGatesMatchPerGate:
     """The ops on joined gate weights against the per-gate form they
     replace: the forward bit for bit, every gradient within 1e-12
-    relative (the joined products sum the gates' terms inside one GEMM)."""
+    relative (the joined products sum the gates' terms inside one GEMM),
+    the weight gradients compared per gate block."""
 
     def inputs(self, cell, b, d, input_size, seed):
         rng = np.random.default_rng(seed)
-        for k, a in enumerate(cell.joined):  # away from the initial draws
-            a[...] = rng.standard_normal(a.shape) * (0.3 if k < 2 else 1.0)
-        per_gate = [np.ascontiguousarray(t.data) for t in cell.weights]
-        return rng, per_gate, *(T.constant(rng.standard_normal(shape))
-                                for shape in ((b, d), (b, d), (b, input_size)))
+        for k, a in enumerate(cell.weights):  # away from the initial draws
+            a.data[...] = rng.standard_normal(a.shape) * (0.3 if k < 2 else 1.0)
+        return rng, per_gate(cell), *(
+            T.constant(rng.standard_normal(shape))
+            for shape in ((b, d), (b, d), (b, input_size)))
 
     @pytest.mark.parametrize("b", [1, 4, 32])
     @pytest.mark.parametrize("input_size", [24, 120])
@@ -174,7 +197,8 @@ class TestJoinedGatesMatchPerGate:
             out = gru_step(cell, s, x, keep)
         want, want_grads = per_gate_gru(w, s.data, x.data, keep, g)
         np.testing.assert_array_equal(bits(out.data), bits(want))
-        assert_close_grads(tape._nodes[-1].backward_fn(g), want_grads)
+        ds, dx, *joined = tape._nodes[-1].backward_fn(g)
+        assert_close_grads([ds, dx, *split_gates(joined, 48)], want_grads)
 
     @pytest.mark.parametrize("b", [1, 4, 32])
     def test_lstm(self, b):
@@ -187,7 +211,8 @@ class TestJoinedGatesMatchPerGate:
             w, h0.data, c0.data, x.data, gh, gc)
         np.testing.assert_array_equal(bits(h.data), bits(want_h))
         np.testing.assert_array_equal(bits(c.data), bits(want_c))
-        assert_close_grads(tape._nodes[-1].backward_fn(gh, gc), want_grads)
+        dh, dc, dx, *joined = tape._nodes[-1].backward_fn(gh, gc)
+        assert_close_grads([dh, dc, dx, *split_gates(joined, 48)], want_grads)
 
 
 def stepwise_gru(cell, s0, xs, keep, reverse):
@@ -236,8 +261,8 @@ class TestSequenceMatchesSteps:
         rng = np.random.default_rng(seed)
         params = ParameterSet()
         cell = (GruCell if kind == "gru" else LstmCell)("c", e, d, params, rng)
-        for k, a in enumerate(cell.joined):  # away from the initial draws
-            a[...] = rng.standard_normal(a.shape) * (0.3 if k < 2 else 1.0)
+        for k, a in enumerate(cell.weights):  # away from the initial draws
+            a.data[...] = rng.standard_normal(a.shape) * (0.3 if k < 2 else 1.0)
         names = ["s0"] if kind == "gru" else ["h0", "c0"]
         states = [params.add(T.Parameter(name, rng.standard_normal((b, d))))
                   .value for name in names]
@@ -335,12 +360,12 @@ class TestGru:
     def test_saturated_update_gate_returns_candidate(self):
         cell, params = self.make()
         zero_all(params)
-        params.get("gru.b_z").value.data[...] = 1e3  # z -> 1
-        params.get("gru.W_h").value.data[...] = RNG.standard_normal((2, 3))
+        gate_block(params, "gru.b_z")[...] = 1e3  # z -> 1
+        gate_block(params, "gru.W_h")[...] = RNG.standard_normal((2, 3))
         x = np.ones((1, 2))
         s = gru_step(cell, T.constant(RNG.standard_normal((1, 3))),
                      T.constant(x))
-        cand = np.tanh(x @ params.get("gru.W_h").value.data)
+        cand = np.tanh(x @ gate_block(params, "gru.W_h"))
         np.testing.assert_allclose(s.data, cand, atol=1e-12)
 
     def test_scalar_hand_evaluation(self):
@@ -384,8 +409,8 @@ class TestGru:
         cell, _ = self.make()
         s, x = RNG.standard_normal((4, 3)), RNG.standard_normal((4, 2))
         got = gru_step(cell, T.constant(s), T.constant(x), keep).data
-        np.testing.assert_allclose(got, reference_gru(cell.weights, s, x, keep),
-                                   rtol=0, atol=1e-12)
+        want = reference_gru(per_gate(cell), s, x, keep)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         if keep is not None:
             np.testing.assert_array_equal(got[[1, 3]], s[[1, 3]])
 
@@ -406,8 +431,8 @@ class TestGru:
 
     def test_recurrent_matrices_not_noisy(self):
         _, params = self.make()
-        for p in params:
-            assert p.noisy == (not p.id.split(".")[-1].startswith("U_"))
+        assert [(p.id, p.noisy) for p in params] == [
+            ("gru.U", False), ("gru.W", True), ("gru.b", True)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +447,10 @@ class TestLstm:
 
     def test_forget_bias_default_one(self):
         _, params = self.make()
-        np.testing.assert_array_equal(params.get("lstm.b_f").value.data, 1.0)
-        np.testing.assert_array_equal(params.get("lstm.b_i").value.data, 0.0)
+        np.testing.assert_array_equal(gate_block(params, "lstm.b_f"), 1.0)
+        for gate in "oig":
+            np.testing.assert_array_equal(
+                gate_block(params, f"lstm.b_{gate}"), 0.0)
 
     def test_zero_everything(self):
         cell, params = self.make()
@@ -436,8 +463,8 @@ class TestLstm:
     def test_pure_memory(self):
         cell, params = self.make()
         zero_all(params)
-        params.get("lstm.b_f").value.data[...] = 1e3   # forget -> 1
-        params.get("lstm.b_i").value.data[...] = -1e3  # input -> 0
+        gate_block(params, "lstm.b_f")[...] = 1e3   # forget -> 1
+        gate_block(params, "lstm.b_i")[...] = -1e3  # input -> 0
         c_prev = RNG.standard_normal((1, 3))
         h, c = lstm_step(cell, (T.constant(np.zeros((1, 3))),
                                 T.constant(c_prev)),
@@ -487,7 +514,7 @@ class TestLstm:
         h, c, x = (RNG.standard_normal(shape) for shape in
                    ((4, 3), (4, 3), (4, 2)))
         got = lstm_step(cell, (T.constant(h), T.constant(c)), T.constant(x))
-        for g, want in zip(got, reference_lstm(cell.weights, h, c, x)):
+        for g, want in zip(got, reference_lstm(per_gate(cell), h, c, x)):
             np.testing.assert_allclose(g.data, want, rtol=0, atol=1e-12)
 
     def test_gradients_of_every_input(self):

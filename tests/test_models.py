@@ -161,11 +161,8 @@ class TestEncoder:
     def test_palindrome_mirror_symmetry(self):
         model = tiny_nmt()
         # share weights across directions so bwd(x) == fwd(reverse(x))
-        for gate in ("z", "r", "h"):
-            for kind in ("W", "U", "b"):
-                src = model.params.get(f"nmt.enc_fwd.{kind}_{gate}").value.data
-                model.params.get(
-                    f"nmt.enc_bwd.{kind}_{gate}").value.data[...] = src
+        for fwd, bwd in zip(model.enc_fwd.weights, model.enc_bwd.weights):
+            bwd.data[...] = fwd.data
         ann = encode(model, np.array([[3, 4, 5, 4, 3]]), np.ones((1, 5)))
         d = model.cfg.hidden
         n = ann.h.shape[1]
@@ -639,11 +636,11 @@ class TestTwoPassLoss:
         loss_fn = {"nmt": nmt_batch_loss, "fused": fused_batch_loss}[kind]
         calls = []
 
-        def oracle(s, y, proj, h, mask, attn, joined, weights):
+        def oracle(s, y, proj, h, mask, attn, cell):
             calls.append(len(y.data))
             steps = stepwise_attention_gru(
                 s, [take_step(y, t) for t in range(len(y.data))], proj, h,
-                mask, attn, joined, weights)
+                mask, attn, cell)
             return (T.constant(np.stack([x[0].data for x in steps])),
                     *(T.reshape(T.concat([x[i] for x in steps]),
                                 (len(steps), *steps[0][i].shape))

@@ -16,6 +16,7 @@ from fusionmt.decoding import BETA_GRID, MODELS, SHALLOW_EXCLUSION
 # stands for its constructor
 PINNED = {
     "layers.gaussian": ["rng", "shape"],
+    "layers.GruCell": ["prefix", "input_size", "hidden_size", "params", "rng"],
     "layers.LstmCell": ["prefix", "input_size", "hidden_size", "params", "rng"],
     "models.NmtModel": ["cfg", "rng"],
     "models.RnnLm": ["cfg", "rng"],
@@ -39,8 +40,11 @@ PINNED = {
     "checkpoint.build": ["ckpt", "kind"],
     "evaluation.decode_bleu": ["pairs", "beam_cfg", "models"],
     "tensor.nll": ["logits", "targets", "weights", "c"],
+    # a recurrent op takes its cell's joined (W, U, b) once, as ``cell``
+    "tensor.gru": ["s_prev", "x", "cell", "keep", "reverse"],
+    "tensor.lstm": ["h_prev", "c_prev", "x", "cell"],
     "tensor.attention_gru": ["s_prev", "y", "proj", "h", "mask", "attn",
-                             "joined", "weights"],
+                             "cell"],
 }
 
 

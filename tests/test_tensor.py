@@ -190,8 +190,8 @@ def check_op(build_loss, params, tol=1e-6):
 
 
 def test_gradcheck_moves_a_column_view_parameter():
-    # a gate's parameter is a column block of its cell's joined weights;
-    # the check must perturb it in place, not a reshaped copy
+    # a parameter whose value is a column view of a larger array: the check
+    # must perturb it in place, not a reshaped copy
     joined = RNG.standard_normal((3, 6))
     clean = joined.copy()
     params = ParameterSet([Parameter("v", joined[:, 2:4])])
@@ -376,8 +376,8 @@ def decoder_case(rng, b, n, t_len, steps, views=False, e=5, d=4, k=6):
     initial draw."""
     params = ParameterSet()
     cell = GruCell("dec", e + k, d, params, rng)
-    for i, a in enumerate(cell.joined):
-        a[...] = rng.standard_normal(a.shape) * (0.5 if i < 2 else 1.0)
+    for i, a in enumerate(cell.weights):
+        a.data[...] = rng.standard_normal(a.shape) * (0.5 if i < 2 else 1.0)
 
     def new(name, shape, rows=None):
         x = rng.standard_normal(shape)
@@ -406,11 +406,10 @@ def run_attention_gru(case, mask, one_step=False):
     its one step as a (B, e) input; returns its (alpha, c, s)."""
     _, s0, ys, proj, h, attn, cell = case
     y = ys[0] if one_step else T.reshape(T.concat(ys), (len(ys), *ys[0].shape))
-    return T.attention_gru(s0, y, proj, h, mask, attn, cell.joined,
-                           cell.weights)
+    return T.attention_gru(s0, y, proj, h, mask, attn, cell.weights)
 
 
-def stepwise_attention_gru(s, ys, proj, h, mask, attn, joined, weights):
+def stepwise_attention_gru(s, ys, proj, h, mask, attn, cell):
     """Test-only reference for ``T.attention_gru``: per (B, e) input of
     ``ys``, the query from its own matmul, add and add_rowvec nodes,
     ``reference_attention``, and a one-step ``T.gru`` on [y; c].  Returns
@@ -420,7 +419,7 @@ def stepwise_attention_gru(s, ys, proj, h, mask, attn, joined, weights):
     for y in ys:
         query = T.add_rowvec(add(T.matmul(s, w_a), T.matmul(y, v_y)), b_a)
         alpha, ctx = reference_attention(query, proj, h, v_a, mask)
-        s = T.gru(s, T.concat([y, ctx], axis=1), joined, weights)
+        s = T.gru(s, T.concat([y, ctx], axis=1), cell)
         steps.append((alpha, ctx, s))
     return steps
 
@@ -470,14 +469,14 @@ class TestAttentionOp:
         with pytest.raises(T.ShapeError):  # a v_a of the wrong width
             T.attention_gru(s0, ys[0], proj, h, np.ones((2, 3)),
                             attn[:3] + [T.constant(np.zeros((3, 1)))],
-                            cell.joined, cell.weights)
+                            cell.weights)
         with pytest.raises(T.ShapeError):  # a GRU input not [y; c] wide
             T.attention_gru(s0, ys[0], proj, T.constant(np.zeros((2, 3, 5))),
-                            np.ones((2, 3)), attn, cell.joined, cell.weights)
+                            np.ones((2, 3)), attn, cell.weights)
         with pytest.raises(T.DomainError):
             T.attention_gru(s0, ys[0], *(T.constant(np.zeros((2, 0, w)))
                                          for w in (4, 6)),
-                            np.ones((2, 0)), attn, cell.joined, cell.weights)
+                            np.ones((2, 0)), attn, cell.weights)
 
     @pytest.mark.parametrize("n_proj, n_h, n_mask", [
         (2, 2, 2), (1, 3, 3), (3, 1, 3), (3, 3, 1), (1, 1, 3), (4, 4, 4)])
@@ -487,8 +486,7 @@ class TestAttentionOp:
         with pytest.raises(T.ShapeError):
             T.attention_gru(s0, ys[0], T.constant(np.zeros((n_proj, 5, 4))),
                             T.constant(np.zeros((n_h, 5, 6))),
-                            np.ones((n_mask, 5)), attn, cell.joined,
-                            cell.weights)
+                            np.ones((n_mask, 5)), attn, cell.weights)
 
 
 def reference_attention(query, proj, h, v_a, mask):
@@ -544,7 +542,7 @@ class TestAttentionMatchesReference:
         with Tape() as tape:
             if stepwise:
                 steps = stepwise_attention_gru(s0, ys, proj, h, mask, attn,
-                                               cell.joined, cell.weights)
+                                               cell.weights)
                 out = [np.stack([x[i].data for x in steps]) for i in range(3)]
                 loss = None
                 for t, (_, c, s) in enumerate(steps):
@@ -648,11 +646,10 @@ class TestDeferredAnnotationGradient:
                 if use == "att":
                     s = add(s0, T.constant(offset))
                     ctx = (stepwise_attention_gru(
-                        s, ys, proj, h, self.mask(), attn, cell.joined,
-                        cell.weights)[0][1]
+                        s, ys, proj, h, self.mask(), attn, cell.weights)[0][1]
                         if stepwise else T.attention_gru(
                             s, ys[0], proj, h, self.mask(), attn,
-                            cell.joined, cell.weights)[1])
+                            cell.weights)[1])
                     term = weighted_sum(ctx, w_att)
                 else:
                     term = weighted_sum(T.matmul(h, w), w_dense)
@@ -686,7 +683,7 @@ class TestDeferredAnnotationGradient:
             proj, s, total = T.matmul(h, u), s0, None
             for wt in ws:
                 _, ctx, _ = T.attention_gru(s, ys[0], proj, h, self.mask(),
-                                            attn, cell.joined, cell.weights)
+                                            attn, cell.weights)
                 term = weighted_sum(ctx, wt)
                 total = term if total is None else add(total, term)
                 s = T.tanh(T.matmul(ctx, w))
