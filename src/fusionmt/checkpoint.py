@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .models import SIZED_BY, FusedModel, LmConfig, NmtConfig, NmtModel, RnnLm
+from .models import FusedModel, LmConfig, NmtConfig, NmtModel, RnnLm
 from .tensor import Parameter, ParameterSet
 
 MAGIC = b"FUSEMT01"
@@ -35,16 +35,12 @@ class Checkpoint:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
     if isinstance(v, float):
         return repr(v)
     return str(v)
 
 
 def _parse_value(s: str):
-    if s in ("true", "false"):
-        return s == "true"
     for cast in (int, float):
         try:
             return cast(s)
@@ -98,8 +94,7 @@ def load_checkpoint(path) -> Checkpoint:
     binary = body[end + len(end_marker):]
 
     kind = ""
-    arch: dict = {}
-    meta: dict = {}
+    tables: dict[str, dict] = {"arch": {}, "meta": {}}
     blocks: list[tuple[str, tuple]] = []
     section = ""
     for line in header:
@@ -114,10 +109,11 @@ def load_checkpoint(path) -> Checkpoint:
             blocks.append((name, tuple(int(d) for d in dims)))
         elif "=" in line:
             k, _, v = line.partition("=")
-            if section == "arch":
-                arch[k] = _parse_value(v)
-            elif section == "meta":
-                meta[k] = _parse_value(v)
+            if section in tables:
+                if k in tables[section]:
+                    raise CheckpointError(
+                        f"{path}: [{section}] {k} is named twice")
+                tables[section][k] = _parse_value(v)
             elif k == "kind":
                 kind = v
             elif k == "version" and v != "1":
@@ -135,7 +131,7 @@ def load_checkpoint(path) -> Checkpoint:
         offset += 8 * n
     if offset != len(binary):
         raise CheckpointError(f"{path}: trailing bytes after blocks")
-    return Checkpoint(kind, arch, params, meta, str(path))
+    return Checkpoint(kind, tables["arch"], params, tables["meta"], str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +151,11 @@ def _blocks(params: Iterable[Parameter]):
 
 
 def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
-    for name, block in _blocks(params):
+    blocks = dict(_blocks(params))
+    unread = sorted(ckpt.params.keys() - blocks.keys())
+    if unread:
+        raise CheckpointError(f"{ckpt.source}: no parameter reads {unread}")
+    for name, block in blocks.items():
         value = ckpt.params.get(name)
         if value is None:
             raise CheckpointError(f"{ckpt.source}: missing parameter {name!r}")
@@ -170,23 +170,42 @@ def restore_params(params: ParameterSet, ckpt: Checkpoint) -> None:
 _PARTS = {"nmt": ((NmtConfig, ""),), "lm": ((LmConfig, ""),),
           "fused": ((NmtConfig, ""), (LmConfig, "lm_"))}
 
+# the block axis each config size fixes, under the parameter ids the models
+# create; checked before a model is allocated
+SIZED_BY = {
+    NmtConfig: {"src_vocab": ("nmt.src_emb.table", 0),
+                "embed_dim": ("nmt.src_emb.table", 1),
+                "tgt_vocab": ("nmt.tgt_emb.table", 0), "hidden": ("nmt.W_init", 0),
+                "deep_output_width": ("nmt.out.b_h", 0)},
+    LmConfig: {"vocab": ("lm.emb.table", 0), "embed_dim": ("lm.emb.table", 1),
+               "hidden": ("lm.W_out", 1)},
+}
 
-def _config(cls, ckpt: Checkpoint, prefix: str):
-    """``cls`` rebuilt from the ``prefix``-ed [arch] keys of ``ckpt``, each a
-    positive integer that matches the block axis it sizes."""
-    values = {}
-    for f in fields(cls):
-        key, even = prefix + f.name, f.name == "deep_output_width"
-        value, (block, axis) = ckpt.arch.get(key), SIZED_BY[cls][f.name]
-        size = ckpt.params.get(block, np.empty(0)).shape[axis:axis + 1]
-        if (type(value) is not int or value < 1 or even and value % 2
-                or size != (value,)):
-            raise CheckpointError(
-                f"{ckpt.source}: [arch] {key}={value!r}: expected a positive"
-                f"{' even' * even} integer, the length of axis {axis} of block "
-                f"{block!r}")
-        values[f.name] = value
-    return cls(**values)
+
+def _config(ckpt: Checkpoint, kind: str) -> list:
+    """Each part's config from the [arch] keys of ``ckpt``, a ``kind`` model:
+    each field, prefixed, a positive integer sizing its block; no other key."""
+    unread = sorted(set(ckpt.arch) - {prefix + f.name for cls, prefix
+                                      in _PARTS[kind] for f in fields(cls)})
+    if unread:
+        raise CheckpointError(f"{ckpt.source}: [arch] {unread[0]}: no config "
+                              "field reads it")
+    cfgs = []
+    for cls, prefix in _PARTS[kind]:
+        values = {}
+        for f in fields(cls):
+            key, even = prefix + f.name, f.name == "deep_output_width"
+            value, (block, axis) = ckpt.arch.get(key), SIZED_BY[cls][f.name]
+            size = ckpt.params.get(block, np.empty(0)).shape[axis:axis + 1]
+            if (type(value) is not int or value < 1 or even and value % 2
+                    or size != (value,)):
+                raise CheckpointError(
+                    f"{ckpt.source}: [arch] {key}={value!r}: expected a "
+                    f"positive{' even' * even} integer, the length of axis "
+                    f"{axis} of block {block!r}")
+            values[f.name] = value
+        cfgs.append(cls(**values))
+    return cfgs
 
 
 def to_checkpoint(model, meta: Optional[dict] = None) -> Checkpoint:
@@ -207,7 +226,7 @@ def build(ckpt: Checkpoint, kind: str):
         raise CheckpointError(f"expected {'a' if kind == 'fused' else 'an'} "
                               f"{kind} checkpoint, got {ckpt.kind!r}")
     rng = np.random.default_rng
-    cfgs = [_config(cls, ckpt, prefix) for cls, prefix in _PARTS[kind]]
+    cfgs = _config(ckpt, kind)
     parts = [(NmtModel if type(cfg) is NmtConfig else RnnLm)(cfg, rng(0))
              for cfg in cfgs]
     model = FusedModel(*parts, rng(0)) if kind == "fused" else parts[0]

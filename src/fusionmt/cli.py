@@ -143,8 +143,8 @@ def _bitext(cfg: dict, split: str, vocabs) -> list[D.SentencePair]:
                           " is an empty source sentence")
     pairs = list(zip(src, tgt))
     if split == "train" and cfg["data"]["filter"]:
-        pairs, _, _ = D.filter_pairs(pairs, max_len=cfg["data"]["max_len"],
-                                     ratio_bound=cfg["data"]["ratio_bound"])
+        pairs = D.filter_pairs(pairs, max_len=cfg["data"]["max_len"],
+                               ratio_bound=cfg["data"]["ratio_bound"])
     return D.encode_pairs(pairs, *vocabs)
 
 

@@ -93,27 +93,17 @@ def encode_pairs(pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
 
 
 def filter_pairs(pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
-                 max_len: int = 80, ratio_bound: float = 3.0,
-                 ) -> tuple[list, int, int]:
-    """Drop over-long and length-mismatched pairs.
-
-    Returns (kept, dropped_by_length, dropped_by_ratio)."""
+                 max_len: int = 80, ratio_bound: float = 3.0) -> list:
+    """The pairs whose sides are 1 to ``max_len`` tokens long and whose
+    length ratio is at most ``ratio_bound``, in order."""
     if not ratio_bound >= 1:  # NaN fails this too
         raise DataError(f"ratio_bound must be >= 1, got {ratio_bound}")
-    kept = []
-    dropped_len = dropped_ratio = 0
-    for s, t in pairs:
-        ls, lt = len(s), len(t)
-        if ls > max_len or lt > max_len or ls == 0 or lt == 0:
-            dropped_len += 1
-            continue
-        if max(ls, lt) / min(ls, lt) > ratio_bound:
-            dropped_ratio += 1
-            continue
-        kept.append((s, t))
+    kept = [(s, t) for s, t in pairs
+            if 0 < len(s) <= max_len and 0 < len(t) <= max_len
+            and max(len(s), len(t)) / min(len(s), len(t)) <= ratio_bound]
     if not kept:
         raise DataError("length/ratio filtering removed every pair")
-    return kept, dropped_len, dropped_ratio
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Cells are immutable bundles of parameters: a GRU or LSTM cell owns three,
 its joined W, U and b, one column block per gate (GRU z|r|h, LSTM o|i|f|g).
 The ``*_step`` functions are pure given (parameters, state, input) and are
 differentiable through the tape.
-All step functions are batched: states and inputs are (B, d) matrices, one
-row per sentence of a training batch or per live hypothesis of a beam step.
+All step functions are batched: states are (B, d), a row per sentence or
+live beam hypothesis; inputs are (T, B, e), or (B, e) for one LSTM step.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ class GruCell(_Cell):
 
 def gru_step(cell: GruCell, s_prev: Tensor, x: Tensor,
              keep: Optional[np.ndarray] = None, reverse: bool = False):
-    """One GRU step, s = (1 - z) * s_prev + z * candidate, for a (B, e)
-    ``x``; rows where the optional (B, 1) 0/1 ``keep`` mask is 0 keep
-    ``s_prev``.  A (T, B, e) ``x`` runs every step, as ``tensor.gru``."""
+    """Every GRU step, s = (1 - z) * s_prev + z * candidate, of a (T, B, e)
+    ``x``, as ``tensor.gru``: rows where the optional (T, B, 1) 0/1 ``keep``
+    is 0 keep the previous state.  Returns every state and the run's last."""
     return T.gru(s_prev, x, cell.weights, keep, reverse)
 
 

@@ -12,7 +12,7 @@ call over the whole sequence, then the head once over all T*B rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,12 +38,12 @@ class ConfigurationError(ValueError):
 
 
 class _SizedConfig:
-    """A model config whose ``SIZED_BY`` sizes must all be positive."""
+    """A model config whose fields are all sizes, each at least 1."""
 
     def __post_init__(self):
-        for key in SIZED_BY[type(self)]:
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigurationError(f"{f.name} must be >= 1")
 
 
 @dataclass
@@ -67,18 +67,6 @@ class LmConfig(_SizedConfig):
     vocab: int
     embed_dim: int = 620
     hidden: int = 2400
-
-
-# the block axis each config size fixes, under the parameter ids the models
-# below create; checkpoint loading checks them before a model is allocated
-SIZED_BY = {
-    NmtConfig: {"src_vocab": ("nmt.src_emb.table", 0),
-                "embed_dim": ("nmt.src_emb.table", 1),
-                "tgt_vocab": ("nmt.tgt_emb.table", 0), "hidden": ("nmt.W_init", 0),
-                "deep_output_width": ("nmt.out.b_h", 0)},
-    LmConfig: {"vocab": ("lm.emb.table", 0), "embed_dim": ("lm.emb.table", 1),
-               "hidden": ("lm.W_out", 1)},
-}
 
 
 class NmtModel:

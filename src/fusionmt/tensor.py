@@ -66,15 +66,14 @@ def constant(data) -> Tensor:
 
 
 class Parameter:
-    """A named, trainable tensor with an attached gradient slot."""
+    """A named, trainable tensor made from an array, with a gradient slot."""
 
     __slots__ = ("id", "value", "grad", "noisy", "gates")
 
-    def __init__(self, pid: str, value, trainable: bool = True,
-                 noisy: bool = True, gates: str = ""):
+    def __init__(self, pid: str, value, noisy: bool = True, gates: str = ""):
         self.id = pid
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.value.requires_grad = trainable
+        self.value = Tensor(value)
+        self.value.requires_grad = True
         self.grad = Tensor(np.zeros_like(self.value.data))
         # noisy marks parameters eligible for training-time additive weight
         # noise (recurrent matrices opt out); gates names a cell's column blocks
@@ -170,7 +169,6 @@ class Tape:
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        owned: set[int] = set()  # keys whose sum buffer backward allocated
         for node in reversed(self._nodes):
             g_outs = [grads.pop(id(t), None) for t in node.outs]
             if all(g is None for g in g_outs):
@@ -179,14 +177,9 @@ class Tape:
                 # a constant or frozen input: its gradient reaches no parameter
                 if g is None or not t.requires_grad:
                     continue
-                key, acc = id(t), grads.get(id(t))
-                if acc is None:
-                    grads[key] = g
-                elif key in owned:
-                    acc += g
-                else:  # acc may be a closure's own array: sum into a new one
-                    grads[key] = acc + g
-                    owned.add(key)
+                # a new array: a closure may return an array it keeps, or a view
+                acc = grads.get(id(t))
+                grads[id(t)] = g if acc is None else acc + g
         for p in params:  # a frozen value is never an input that gets a term
             g = grads.get(id(p.value))
             if g is not None:
@@ -214,13 +207,12 @@ def _record(inputs: Sequence[Tensor], out, backward_fn: Callable):
 # ---------------------------------------------------------------------------
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a * b for a constant ``b`` (a dropout mask), which gets
+    no gradient."""
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     out = Tensor(a.data * b.data)
-    # a constant operand (a dropout mask) gets no gradient
-    return _record((a, b), out, lambda g: (
-        g * b.data if a.requires_grad else None,
-        g * a.data if b.requires_grad else None))
+    return _record((a, b), out, lambda g: (g * b.data, None))
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
@@ -413,39 +405,36 @@ def gru(s_prev: Tensor, x: Tensor, cell: Sequence[Tensor],
         keep: Optional[np.ndarray] = None, reverse: bool = False):
     """GRU steps as one tape node: s = (1 - z) s_prev + z h, with gates
     z, r = sigmoid(x W + s_prev U + b), h = tanh(x W_h + (r s_prev) U_h + b_h)
-    from ``cell``, the joined (W, U, b) in column blocks z|r|h.  Rows where
-    0/1 ``keep`` is 0 carry ``s_prev``.
-
-    A (B, e) ``x`` with a (B, 1) ``keep`` is one step and returns its state.
-    A (T, B, e) ``x`` with a (T, B, 1) ``keep`` runs all T positions, from
-    the last if ``reverse``, and returns every position's state, (T, B, d),
-    and the state the run ends on."""
+    from ``cell``, the joined (W, U, b) in column blocks z|r|h.  The
+    (T, B, e) ``x`` runs all T positions, from the last if ``reverse``; rows
+    where the (T, B, 1) 0/1 ``keep`` is 0 carry the previous state.  Returns
+    every position's state, (T, B, d), and the state the run ends on."""
     w, u, bias = (t.data for t in cell)
+    if x.data.ndim != 3:
+        raise ShapeError(f"gru: expected (T, B, e) inputs, got {x.shape}")
     xs = _steps("gru", x, (s_prev,), w.shape[0], u.shape[0])
     (n, b, e), d = xs.shape, u.shape[0]
-    keeps = keep if keep is None or x.data.ndim == 3 else keep[None]
     order = range(n - 1, -1, -1) if reverse else range(n)
     run = np.empty((n + 1, b, d))  # s_prev and each step's state, in order
     states, prev = (run[:n], run[1:]) if reverse else (run[1:], run[:n])
     prev[order[0]], saved, rs = s_prev.data, [None] * n, np.empty((n, b, d))
     for t in order:  # step t reads prev[t] and writes states[t]
         new, saved[t] = _gru_cell(xs[t] @ w, prev[t], u, bias, rs[t])
-        states[t] = new if keeps is None else np.where(keeps[t], new, prev[t])
+        states[t] = new if keep is None else np.where(keep[t], new, prev[t])
 
     def backward(g, g_end=None):
         gs = np.zeros((n, b, d)) if g is None else g.reshape(n, b, d)
         ds, da = g_end, np.empty((n, b, 3 * d))
         for t in reversed(order):
             g_s = gs[t] if ds is None else gs[t] + ds
-            g_new, g_carry = (g_s, 0.0) if keeps is None else (
-                g_s * keeps[t], g_s * (1.0 - keeps[t]))
+            g_new, g_carry = (g_s, 0.0) if keep is None else (
+                g_s * keep[t], g_s * (1.0 - keep[t]))
             ds = _gru_cell_back(g_new, saved[t], u, da[t]) + g_carry
         return (ds, (da.reshape(-1, 3 * d) @ w.T).reshape(x.shape),
                 *_gru_grads(da, (xs,), prev, rs))
 
-    end = Tensor(states[order[-1]])
-    return _record((s_prev, x, *cell), (Tensor(states), end)
-                   if x.data.ndim == 3 else end, backward)
+    return _record((s_prev, x, *cell),
+                   (Tensor(states), Tensor(states[order[-1]])), backward)
 
 
 def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
@@ -470,11 +459,12 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
         raise DomainError("attention over no positions")
     inputs = (s_prev, y, proj, h, *attn, *cell)
     record, neg = _recording(inputs), (mask - 1.0) * 1e9
-    alphas, ctxs, states, rs = (np.empty((steps, b, m))
-                                for m in (t_len, k, d, d))
+    alphas, ctxs, rs = (np.empty((steps, b, m)) for m in (t_len, k, d))
+    run = np.empty((steps + 1, b, d))  # s_prev and each step's state, in order
+    run[0], prev, states = s_prev.data, run[:-1], run[1:]
     # a recorded node keeps each step's pre-activations; others reuse one
-    saved, s, buf = [], s_prev.data, None if record else np.empty((b, t_len, d))
-    for t in range(steps):
+    saved, buf = [], None if record else np.empty((b, t_len, d))
+    for t, s in enumerate(prev):  # prev[t] is written by step t - 1
         pre = np.add(((s @ w_a + ys[t] @ v_y) + b_a)[:, None, :], proj.data,
                      out=buf)
         np.tanh(pre, out=pre)
@@ -486,7 +476,6 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
         np.einsum("bt,btk->bk", alphas[t], h.data, out=ctxs[t])
         states[t], step = _gru_cell(
             np.concatenate((ys[t], ctxs[t]), axis=1) @ w, s, u, bias, rs[t])
-        s = states[t]
         if record:
             saved.append((pre, step))
 
@@ -511,12 +500,11 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
             d_proj += du
             ds += gq[t] @ w_a.T
         # each weight's gradient once over all steps; [y; c] is not kept
-        prev = np.concatenate((s_prev.data[None], states[:-1])).reshape(-1, d)
         d_ann = [x.sum(axis=0, keepdims=True) if n < b else x for x in (
             d_proj, alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2))]
         da2, gq, y2 = da.reshape(-1, 3 * d), gq.reshape(-1, d), ys.reshape(-1, e)
         return (ds, (da2 @ w[:e].T + gq @ v_y.T).reshape(y.shape), *d_ann,
-                prev.T @ gq, y2.T @ gq, gq.sum(axis=0), dv_a,
+                prev.reshape(-1, d).T @ gq, y2.T @ gq, gq.sum(axis=0), dv_a,
                 *_gru_grads(da, (ys, ctxs), prev, rs))
 
     at = 0 if y.data.ndim == 2 else slice(None)  # one step: its (B, .) rows

@@ -71,12 +71,12 @@ class TestContainer:
         ckpt = Checkpoint("lm", {"vocab": 5, "embed_dim": 3, "hidden": 4},
                           snapshot_params(tiny_lm().params),
                           meta={"updates": 3, "best_dev_perplexity": 1.25,
-                                "flag": True, "note": "plain"})
+                                "note": "plain"})
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, ckpt)
         meta = load_checkpoint(path).meta
         assert meta == {"updates": 3, "best_dev_perplexity": 1.25,
-                        "flag": True, "note": "plain"}
+                        "note": "plain"}
 
     def test_corruption_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -128,6 +128,22 @@ class TestContainer:
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CheckpointError, match=re.escape(
                 f"{path}: block 'nmt.W_init' is listed twice")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, section, line, again", [
+        ("lm", "meta", b"updates=300\n", b"updates=7\n"),
+        ("nmt", "arch", b"hidden=48\n", b"hidden=48\n")])
+    def test_key_named_twice(self, tmp_path, kind, section, line, again):
+        # a re-signed copy of a benchmark fixture that names a key again
+        # right after its line: refused, not read as the later value
+        body = (FIXTURES / f"{kind}.ckpt").read_bytes()[:-32]
+        assert body.count(line) == 1
+        body = body.replace(line, line + again)
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        key = line.decode().partition("=")[0]
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: [{section}] {key} is named twice")):
             load_checkpoint(path)
 
 
@@ -203,6 +219,19 @@ class TestModelReconstruction:
                 else f"{path}: parameter '{block}': shape (3, 3)")
         with pytest.raises(CheckpointError, match=re.escape(want)):
             BUILD[kind](load_checkpoint(path))
+
+    def test_block_no_parameter_reads(self, tmp_path):
+        # a re-saved copy of the benchmark fixture with a block under the
+        # joined id nmt.dec.W (the file holds it per gate) and a stray one
+        ckpt = load_checkpoint(FIXTURES / "nmt.ckpt")
+        joined = build_nmt(ckpt).params.get("nmt.dec.W").value.shape
+        ckpt.params["nmt.dec.W"] = np.full(joined, 7.0)
+        ckpt.params["nmt.stray"] = np.zeros(3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: no parameter reads ['nmt.dec.W', 'nmt.stray']")):
+            build_nmt(load_checkpoint(path))
 
 
 class TestArchSection:
@@ -280,6 +309,21 @@ class TestArchSection:
         with pytest.raises(CheckpointError, match=re.escape(
                 f"{path}: [arch] {key}={ckpt.arch[key]}: expected a positive")
                 + r".*integer, the length of axis \d of block"):
+            BUILD[kind](load_checkpoint(path))
+
+    @pytest.mark.parametrize("kind, line", [
+        ("nmt", b"lm_vocab=16\n"), ("lm", b"src_vocab=15\n"),
+        ("fused", b"lm_src_vocab=15\n")])
+    def test_key_no_config_field_reads(self, tmp_path, kind, line):
+        # a re-signed copy of a benchmark fixture with an [arch] key that
+        # sizes nothing in a model of its kind
+        body = (FIXTURES / f"{kind}.ckpt").read_bytes()[:-32]
+        body = body.replace(b"[arch]\n", b"[arch]\n" + line, 1)
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        key = line.decode().partition("=")[0]
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: [arch] {key}: no config field reads it")):
             BUILD[kind](load_checkpoint(path))
 
     @pytest.mark.parametrize("kind", sorted(BUILD))

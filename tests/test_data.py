@@ -104,15 +104,14 @@ class TestFilterPairs:
     def test_eighty_word_limit(self):
         long = ["w"] * 81
         ok = ["w"] * 80
-        kept, dlen, _ = filter_pairs([(long, ok), (ok, ok)])
-        assert len(kept) == 1 and dlen == 1
+        assert filter_pairs([(long, ok), (ok, ok)]) == [(ok, ok)]
 
     def test_ratio_boundary(self):
-        kept, _, dratio = filter_pairs([
+        pairs = [
             (["w"] * 10, ["w"] * 31),  # ratio 3.1 -> dropped
             (["w"] * 10, ["w"] * 30),  # ratio 3.0 -> kept
-        ])
-        assert len(kept) == 1 and dratio == 1
+        ]
+        assert filter_pairs(pairs) == pairs[1:]
 
     def test_mixed_fixture(self):
         pairs = [
@@ -123,9 +122,7 @@ class TestFilterPairs:
             (["a"] * 3, ["b"] * 9),       # ratio 3.0, kept
             (["a"] * 80, ["b"] * 80),     # kept
         ]
-        kept, dlen, dratio = filter_pairs(pairs)
-        assert [p for p in kept] == [pairs[0], pairs[4], pairs[5]]
-        assert (dlen, dratio) == (2, 1)
+        assert filter_pairs(pairs) == [pairs[0], pairs[4], pairs[5]]
 
     def test_all_filtered_raises(self):
         with pytest.raises(DataError):

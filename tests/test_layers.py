@@ -64,6 +64,14 @@ def zero_all(params):
         p.value.data[...] = 0.0
 
 
+def gru_once(cell, s, x, keep=None):
+    """One GRU step of a (B, e) ``x`` and a (B, 1) ``keep``, run by
+    ``gru_step`` as a T = 1 sequence: the new state."""
+    _, new = gru_step(cell, s, T.reshape(x, (1, *x.shape)),
+                      None if keep is None else keep[None])
+    return new
+
+
 # ---------------------------------------------------------------------------
 # initializers
 # ---------------------------------------------------------------------------
@@ -194,11 +202,11 @@ class TestJoinedGatesMatchPerGate:
         keep = (rng.random((b, 1)) < 0.6).astype(float) if masked else None
         g = rng.standard_normal((b, 48))
         with Tape() as tape:
-            out = gru_step(cell, s, x, keep)
+            out = gru_once(cell, s, x, keep)
         want, want_grads = per_gate_gru(w, s.data, x.data, keep, g)
         np.testing.assert_array_equal(bits(out.data), bits(want))
-        ds, dx, *joined = tape._nodes[-1].backward_fn(g)
-        assert_close_grads([ds, dx, *split_gates(joined, 48)], want_grads)
+        ds, dx, *joined = tape._nodes[-1].backward_fn(None, g)
+        assert_close_grads([ds, dx[0], *split_gates(joined, 48)], want_grads)
 
     @pytest.mark.parametrize("b", [1, 4, 32])
     def test_lstm(self, b):
@@ -217,11 +225,11 @@ class TestJoinedGatesMatchPerGate:
 
 def stepwise_gru(cell, s0, xs, keep, reverse):
     """The test-only reference for a sequence call: one ``gru_step`` node
-    per position of the per-step inputs ``xs``.  Returns every position's
-    state and the state the run ends on."""
+    per position of the per-step inputs ``xs``, each a T = 1 sequence.
+    Returns every position's state and the state the run ends on."""
     states, s = [None] * len(xs), s0
     for t in range(len(xs) - 1, -1, -1) if reverse else range(len(xs)):
-        s = states[t] = gru_step(cell, s, xs[t],
+        s = states[t] = gru_once(cell, s, xs[t],
                                  None if keep is None else keep[t])
     return states, s
 
@@ -353,7 +361,7 @@ class TestGru:
     def test_zero_fixed_point(self):
         cell, params = self.make()
         zero_all(params)
-        s = gru_step(cell, T.constant(np.zeros((1, 3))),
+        s = gru_once(cell, T.constant(np.zeros((1, 3))),
                      T.constant(np.zeros((1, 2))))
         np.testing.assert_array_equal(s.data, 0.0)
 
@@ -363,7 +371,7 @@ class TestGru:
         gate_block(params, "gru.b_z")[...] = 1e3  # z -> 1
         gate_block(params, "gru.W_h")[...] = RNG.standard_normal((2, 3))
         x = np.ones((1, 2))
-        s = gru_step(cell, T.constant(RNG.standard_normal((1, 3))),
+        s = gru_once(cell, T.constant(RNG.standard_normal((1, 3))),
                      T.constant(x))
         cand = np.tanh(x @ gate_block(params, "gru.W_h"))
         np.testing.assert_allclose(s.data, cand, atol=1e-12)
@@ -384,7 +392,7 @@ class TestGru:
         r = sig((-0.2) * x + 0.4 * s_prev + 0.0)
         cand = np.tanh(0.7 * x + 0.6 * (r * s_prev) + (-0.1))
         want = (1 - z) * s_prev + z * cand
-        got = gru_step(cell, T.constant([[s_prev]]), T.constant([[x]]))
+        got = gru_once(cell, T.constant([[s_prev]]), T.constant([[x]]))
         assert got.data[0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_gradients(self):
@@ -392,23 +400,26 @@ class TestGru:
         s0 = T.constant(RNG.standard_normal((2, 3)))
         x = T.constant(RNG.standard_normal((2, 2)))
         errors = finite_difference_check(
-            lambda: weighted_sum(T.tanh(gru_step(cell, s0, x))), params)
+            lambda: weighted_sum(T.tanh(gru_once(cell, s0, x))), params)
         assert max(errors.values()) < 1e-6
 
     def test_shape_checks(self):
         cell, _ = self.make()
         with pytest.raises(T.ShapeError):
-            gru_step(cell, T.constant(np.zeros((1, 4))),
+            gru_once(cell, T.constant(np.zeros((1, 4))),
                      T.constant(np.zeros((1, 2))))
         with pytest.raises(T.ShapeError):
-            gru_step(cell, T.constant(np.zeros((1, 3))),
+            gru_once(cell, T.constant(np.zeros((1, 3))),
                      T.constant(np.zeros((1, 5))))
+        with pytest.raises(T.ShapeError):  # a (B, e) input is not a sequence
+            gru_step(cell, T.constant(np.zeros((1, 3))),
+                     T.constant(np.zeros((1, 2))))
 
     @pytest.mark.parametrize("keep", [None, KEEP])
     def test_matches_reference(self, keep):
         cell, _ = self.make()
         s, x = RNG.standard_normal((4, 3)), RNG.standard_normal((4, 2))
-        got = gru_step(cell, T.constant(s), T.constant(x), keep).data
+        got = gru_once(cell, T.constant(s), T.constant(x), keep).data
         want = reference_gru(per_gate(cell), s, x, keep)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         if keep is not None:
@@ -419,13 +430,13 @@ class TestGru:
         s, x = trainable_inputs(params, "s_prev")
         w = RNG.standard_normal((4, 3))
         errors = finite_difference_check(
-            lambda: weighted_sum(gru_step(cell, s, x, KEEP), w), params)
+            lambda: weighted_sum(gru_once(cell, s, x, KEEP), w), params)
         assert max(errors.values()) < 1e-4, errors
 
     def test_one_tape_node_per_step(self):
         cell, _ = self.make()
         with Tape() as tape:
-            gru_step(cell, T.constant(np.zeros((4, 3))),
+            gru_once(cell, T.constant(np.zeros((4, 3))),
                      T.constant(np.ones((4, 2))), KEEP)
         assert len(tape) == 1
 

@@ -512,7 +512,8 @@ class TestFusedModel:
         y_emb = fm.nmt.tgt_emb.lookup([2])
         att, ctx, _ = attend(fm.nmt, s_b, y_emb, ann)
         from fusionmt.models import gru_step
-        s_new = gru_step(fm.nmt.decoder, s_b, T.concat([y_emb, ctx], axis=1))
+        yc = T.concat([y_emb, ctx], axis=1)
+        _, s_new = gru_step(fm.nmt.decoder, s_b, T.reshape(yc, (1, *yc.shape)))
         logits = deep_output(fm.out, s_new, y_emb, ctx,
                              s_lm_gated=T.constant(
                                  np.zeros((1, fm.lm.cfg.hidden))))

@@ -40,6 +40,8 @@ PINNED = {
     "checkpoint.build": ["ckpt", "kind"],
     "evaluation.decode_bleu": ["pairs", "beam_cfg", "models"],
     "tensor.nll": ["logits", "targets", "weights", "c"],
+    # a parameter starts trainable; freezing is value.requires_grad = False
+    "tensor.Parameter": ["pid", "value", "noisy", "gates"],
     # a recurrent op takes its cell's joined (W, U, b) once, as ``cell``
     "tensor.gru": ["s_prev", "x", "cell", "keep", "reverse"],
     "tensor.lstm": ["h_prev", "c_prev", "x", "cell"],

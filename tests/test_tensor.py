@@ -229,9 +229,10 @@ class TestOpGradients:
         a = params.add(make_param("a", (2, 3)))
         b = params.add(make_param("b", (2, 3)))
         w, minus = RNG.standard_normal((2, 3)), T.constant(-np.ones((2, 3)))
+        scale = T.constant(RNG.standard_normal((2, 3)))
         check_op(lambda: weighted_sum(
             add(add(a.value, T.mul(b.value, minus)),
-                T.mul(a.value, b.value)), w),
+                T.mul(T.tanh(a.value), scale)), w),
             params)
 
     def test_matmul(self):
@@ -412,14 +413,15 @@ def run_attention_gru(case, mask, one_step=False):
 def stepwise_attention_gru(s, ys, proj, h, mask, attn, cell):
     """Test-only reference for ``T.attention_gru``: per (B, e) input of
     ``ys``, the query from its own matmul, add and add_rowvec nodes,
-    ``reference_attention``, and a one-step ``T.gru`` on [y; c].  Returns
-    each step's (alpha, c, s)."""
+    ``reference_attention``, and ``T.gru`` over [y; c] as a T = 1 sequence.
+    Returns each step's (alpha, c, s)."""
     w_a, v_y, b_a, v_a = attn
     steps = []
     for y in ys:
         query = T.add_rowvec(add(T.matmul(s, w_a), T.matmul(y, v_y)), b_a)
         alpha, ctx = reference_attention(query, proj, h, v_a, mask)
-        s = T.gru(s, T.concat([y, ctx], axis=1), cell)
+        yc = T.concat([y, ctx], axis=1)
+        _, s = T.gru(s, T.reshape(yc, (1, *yc.shape)), cell)
         steps.append((alpha, ctx, s))
     return steps
 
@@ -659,9 +661,9 @@ class TestDeferredAnnotationGradient:
 
     @pytest.mark.parametrize("leaf", [False, True])
     @pytest.mark.parametrize("arrivals", [
-        ("att", "att", "dense"),  # a new sum of two op terms, then in place
+        ("att", "att", "dense"),  # two op terms, then a dense one
         ("dense", "att"),  # a closure's array, then an op term
-        ("dense", "dense", "att", "att"),  # an owned array, then op terms
+        ("dense", "dense", "att", "att"),  # a dense sum, then op terms
         ("att", "dense", "att", "dense"),
     ])
     def test_orders_match_dense_reference(self, arrivals, leaf):
@@ -792,7 +794,7 @@ class TestTape:
                                    2.0 * (1 - np.tanh(a.value.data) ** 2),
                                    atol=1e-12)
 
-    def test_in_place_sums_match_out_of_place_and_spare_closure_arrays(self):
+    def test_sums_of_many_terms_match_reference_and_spare_closure_arrays(self):
         # add(s, s) returns one array for both inputs, transpose and concat
         # return views, and a and w feed every step
         params = ParameterSet([make_param("a", (2, 3)),
@@ -832,7 +834,8 @@ class TestTape:
         tape.backward(loss, params)
 
     def test_frozen_parameter_not_recorded_or_touched(self):
-        frozen = Parameter("f", np.ones((2, 2)), trainable=False)
+        frozen = Parameter("f", np.ones((2, 2)))
+        frozen.value.requires_grad = False
         live = make_param("a", (2, 2))
         params = ParameterSet([frozen, live])
         params.zero_grads()
@@ -899,15 +902,15 @@ class TestParameterSet:
             params.add(make_param("a", 2))
 
     def test_trainable_filter(self):
-        params = ParameterSet([
-            Parameter("x", np.zeros(2), trainable=False),
-            make_param("y", 2),
-        ])
+        params = ParameterSet([make_param("x", 2), make_param("y", 2)])
+        params.get("x").value.requires_grad = False
         assert [p.id for p in params.trainable()] == ["y"]
 
     def test_trainable_is_the_value_flag(self):
-        p = Parameter("x", np.zeros(2), trainable=False)
-        assert p.trainable is False and p.value.requires_grad is False
+        p = Parameter("x", np.zeros(2))
+        assert p.trainable is True and p.value.requires_grad is True
+        p.value.requires_grad = False
+        assert p.trainable is False
         p.value.requires_grad = True
         assert p.trainable is True
         with pytest.raises(AttributeError):

@@ -1,6 +1,8 @@
 """Every public function of ``fusionmt.tensor`` is called from another
-module of the package: an op that only the tests call is dead code (a
-stdlib stand-in for a linter's unused-code rule)."""
+module of the package, and every public function and class of the package
+is read somewhere outside its own definition (by the package or by the
+benchmark scripts): a name that only the tests use is dead code (a stdlib
+stand-in for a linter's unused-code rule)."""
 
 import ast
 from pathlib import Path
@@ -52,3 +54,64 @@ def test_every_tensor_op_has_a_caller_in_the_package():
               if p.name != "tensor.py"]
     assert uncalled((SRC / "tensor.py").read_text(encoding="utf-8"),
                     others) == []
+
+
+BENCHMARKS = SRC.parents[1] / "benchmarks"
+
+# public names the package keeps although no code reads them, with the reason
+UNREFERENCED_BY_DESIGN = {
+    # the toy task's metric: the acceptance criteria read it
+    "data.article_rule_violations",
+}
+
+
+def unreferenced(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``"module.name"`` for each public top-level function or class of
+    ``modules`` (module name -> source) that no code reads outside its own
+    definition: not as a name, not as an attribute, and not inside a dotted
+    string such as the ``"module.name"`` targets a tracer wraps."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    public = {(name, node.name): node for name, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    own = {id(sub): key for key, node in public.items()
+           for sub in ast.walk(node)}  # nodes inside a definition
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                names = [node.attr]
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and "." in node.value):
+                names = node.value.split(".")
+            else:
+                continue
+            inside = own.get(id(node))
+            read.update(n for n in names if inside is None or inside[1] != n)
+    return sorted(f"{module}.{name}" for module, name in public
+                  if name not in read)
+
+
+def test_detects_a_name_no_code_reads():
+    modules = {
+        "a": "def used(x):\n    return x\n"
+             "def recursive(x):\n    return recursive(x)\n"
+             "class Traced:\n    pass\n"
+             "class Unused:\n    pass\n"
+             "def _private(x):\n    return x\n",
+        "b": "from .a import used\nused(1)\n",
+    }
+    assert unreferenced(modules, ['TARGETS = ["a.Traced"]\n']) == [
+        "a.Unused", "a.recursive"]
+
+
+def test_every_public_name_is_read_outside_its_definition():
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text(encoding="utf-8")
+              for p in sorted(BENCHMARKS.glob("*.py"))]
+    assert unreferenced(modules, others) == sorted(UNREFERENCED_BY_DESIGN)

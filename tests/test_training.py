@@ -172,8 +172,10 @@ class TestOptimizers:
         values = {k: rng.standard_normal(s) for k, s in shapes.items()}
 
         def make():
-            return ParameterSet([Parameter(k, v.copy(), trainable=k != "frozen")
-                                 for k, v in values.items()])
+            params = ParameterSet([Parameter(k, v.copy())
+                                   for k, v in values.items()])
+            params.get("frozen").value.requires_grad = False
+            return params
 
         params, ref_params, ref_state = make(), make(), {}
         opt = Optimizer(name, learning_rate=3e-3)
@@ -221,8 +223,8 @@ class TestOptimizers:
                         == ref_params.get("w").value.data.tobytes()), name
 
     def test_frozen_params_not_stepped(self):
-        params = ParameterSet([Parameter("f", np.array([1.0]),
-                                         trainable=False)])
+        params = ParameterSet([Parameter("f", np.array([1.0]))])
+        params.get("f").value.requires_grad = False
         params.get("f").grad.data[0] = 5.0
         Optimizer("adam").step(params)
         assert params.get("f").value.data[0] == 1.0
