@@ -219,6 +219,8 @@ def make_toy_corpus(kind: str, n_train: int, n_dev: int, n_test: int,
     sentences.  Pairs are (source tokens, target tokens)."""
     if min(n_train, n_dev, n_test) < 1:
         raise ValueError("corpus sizes must be positive")
+    if n_mono < 0:
+        raise ValueError("the monolingual sentence count must be >= 0")
     rng = np.random.default_rng(seed)
     corpus = ToyCorpus()
 

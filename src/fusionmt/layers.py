@@ -6,7 +6,7 @@ its joined W, U and b, one column block per gate (GRU z|r|h, LSTM o|i|f|g).
 The ``*_step`` functions are pure given (parameters, state, input) and are
 differentiable through the tape.
 All step functions are batched: states are (B, d), a row per sentence or
-live beam hypothesis; inputs are (T, B, e), or (B, e) for one LSTM step.
+live beam hypothesis; inputs are (T, B, e), a decode step's T = 1.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class LstmCell(_Cell):
 
 def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],
               x: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step for a (B, e) ``x``; returns (h, c).  A (T, B, e) ``x``
-    runs every step, as ``tensor.lstm``."""
+    """Every LSTM step of a (T, B, e) ``x``, as ``tensor.lstm``: returns
+    every step's h, (T, B, d), and the last step's c."""
     return T.lstm(*state, x, cell.weights)
 
 

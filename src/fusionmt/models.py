@@ -3,11 +3,10 @@ model, the LSTM language model, and the deep-fusion composite with its
 controller gate.
 
 All forward procedures are batched: states are (B, d) matrices and token
-inputs are length-B id vectors.  Beam decoding stacks the live hypotheses
-of a step into the B rows.  Each model is a recurrence plus an output head
-for any number of rows: a decode step runs both, and a teacher-forced loss
-runs each recurrence (the encoder, the attention decoder and the LM) as one
-call over the whole sequence, then the head once over all T*B rows.
+inputs are (T, B) id arrays, T = 1 for a decode step.  Beam decoding stacks
+the live hypotheses of a step into the B rows.  Each model is a recurrence,
+one call over all T steps, plus an output head over any number of rows:
+the recurrence hands the head its outputs as step-major (T*B, .) rows.
 """
 
 from __future__ import annotations
@@ -156,9 +155,9 @@ def initial_state(model: NmtModel, ann: AnnotationMatrix) -> Tensor:
 def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
            ann: AnnotationMatrix) -> tuple[AttentionScores, Tensor, Tensor]:
     """Additive attention queried by the previous state and word embedding,
-    then the decoder GRU on [y; c], for one (B, e) ``y_emb`` or all steps of
-    a (T, B, e) one, as one node.  Returns the scores, the context c = sum_j
-    alpha_j h_j and the new state (each step's for T steps)."""
+    then the decoder GRU on [y; c], for all steps of a (T, B, e) ``y_emb``
+    as one node.  Returns each step's scores, context c = sum_j alpha_j h_j
+    and new state, each (T, B, .)."""
     a = model.attn
     alpha, ctx, s = T.attention_gru(
         s_prev, y_emb, ann.proj, ann.h, ann.mask,
@@ -169,13 +168,14 @@ def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
 
 def _recur(model: NmtModel, s_prev: Tensor, y_prev, ann: AnnotationMatrix,
            ) -> tuple[Tensor, Tensor, Tensor, AttentionScores]:
-    """Embed the previous words, attend, and advance the decoder GRU, over
-    (B,) ids for one step or (T, B) ids for T steps.
-
-    Returns (new state, previous-word embedding, context, attention)."""
+    """Embed the (T, B) previous-word ids, attend and advance the decoder
+    GRU over all T steps; returns (states, previous-word embeddings,
+    contexts, attention), each as step-major (T*B, .) rows."""
     y_emb = model.tgt_emb.lookup(y_prev)
     scores, ctx, s_new = attend(model, s_prev, y_emb, ann)
-    return s_new, y_emb, ctx, scores
+    s_new, y_emb, ctx, alpha = (T.reshape(x, (-1, x.shape[2])) for x in (
+        s_new, y_emb, ctx, scores.alpha))
+    return s_new, y_emb, ctx, AttentionScores(alpha=alpha)
 
 
 def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
@@ -183,7 +183,7 @@ def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
     """One decoder step: attend, recur, deep output, log-softmax.
 
     Returns (new state, log-probs over the target vocab, attention)."""
-    s_new, y_emb, ctx, scores = _recur(model, s_prev, y_prev, ann)
+    s_new, y_emb, ctx, scores = _recur(model, s_prev, [y_prev], ann)
     logits = deep_output(model.out, s_new, y_emb, ctx)
     return s_new, T.log_softmax(logits), scores
 
@@ -194,12 +194,11 @@ def _nll(logits: Tensor, batch) -> Tensor:
                  -1.0 / batch.tgt_in.shape[0])
 
 
-def _nmt_teacher_forced(model: NmtModel, batch) -> list[Tensor]:
+def _nmt_teacher_forced(model: NmtModel, batch) -> tuple[Tensor, ...]:
     """The decoder recurrence over a padded batch in one call: the head
     inputs (states, previous-word embeddings, contexts) as (T*B, .) rows."""
     ann = encode(model, batch.src, batch.src_mask)
-    steps = _recur(model, initial_state(model, ann), batch.tgt_in.T, ann)
-    return [T.reshape(x, (-1, x.shape[2])) for x in steps[:3]]
+    return _recur(model, initial_state(model, ann), batch.tgt_in.T, ann)[:3]
 
 
 def nmt_batch_loss(model: NmtModel, batch, dropout_p: float = 0.0,
@@ -238,8 +237,10 @@ class RnnLm:
 
 def _lm_recur(lm: RnnLm, state: tuple[Tensor, Tensor],
               y_prev) -> tuple[Tensor, Tensor]:
-    """Embed the previous word and advance the LSTM; returns (h, c)."""
-    return lstm_step(lm.lstm, state, lm.tgt_emb.lookup(y_prev))
+    """Embed the (T, B) previous-word ids and advance the LSTM over all T
+    steps: every step's h as step-major (T*B, d) rows, and the last c."""
+    h, c = lstm_step(lm.lstm, state, lm.tgt_emb.lookup(y_prev))
+    return T.reshape(h, (-1, h.shape[2])), c
 
 
 def _lm_logits(lm: RnnLm, h: Tensor) -> Tensor:
@@ -251,21 +252,14 @@ def _lm_logits(lm: RnnLm, h: Tensor) -> Tensor:
 def lm_step(lm: RnnLm, state: tuple[Tensor, Tensor], y_prev,
             ) -> tuple[tuple[Tensor, Tensor], Tensor]:
     """Advance the LM one token; returns (new state, log-probs)."""
-    h, c = _lm_recur(lm, state, y_prev)
+    h, c = _lm_recur(lm, state, [y_prev])
     return (h, c), T.log_softmax(_lm_logits(lm, h))
-
-
-def _lm_teacher_forced(lm: RnnLm, batch) -> Tensor:
-    """The LSTM recurrence over a padded batch, all steps in one call: its
-    hidden states, step major, as one (T*B, d) head input."""
-    h, _ = lstm_step(lm.lstm, lm.initial_state(batch.size),
-                     lm.tgt_emb.lookup(batch.tgt_in.T))
-    return T.reshape(h, (-1, lm.cfg.hidden))
 
 
 def lm_batch_loss(lm: RnnLm, batch) -> Tensor:
     """Mean (over sentences) summed NLL of a monolingual padded batch."""
-    return _nll(_lm_logits(lm, _lm_teacher_forced(lm, batch)), batch)
+    h, _ = _lm_recur(lm, lm.initial_state(batch.size), batch.tgt_in.T)
+    return _nll(_lm_logits(lm, h), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +330,8 @@ def fused_step(fm: FusedModel, s_tm_prev: Tensor, lm_state_prev, y_prev,
     """Advance decoder and LM in lockstep on the same previous token.
 
     Returns (s_tm, lm_state, log-probs, attention, gate)."""
-    s_tm, y_emb, ctx, scores = _recur(fm.nmt, s_tm_prev, y_prev, ann)
-    h_lm, c_lm = _lm_recur(fm.lm, lm_state_prev, y_prev)
+    s_tm, y_emb, ctx, scores = _recur(fm.nmt, s_tm_prev, [y_prev], ann)
+    h_lm, c_lm = _lm_recur(fm.lm, lm_state_prev, [y_prev])
     logits, g = _fused_logits(fm, h_lm, s_tm, y_emb, ctx, 0.0, None)
     return s_tm, (h_lm, c_lm), T.log_softmax(logits), scores, g
 
@@ -346,7 +340,8 @@ def fused_batch_loss(fm: FusedModel, batch, dropout_p: float = 0.0,
                      rng: Optional[np.random.Generator] = None) -> Tensor:
     """Mean summed NLL under the fused output distribution.  Both
     recurrences are frozen, so only the fused head is recorded."""
-    logits, _ = _fused_logits(fm, _lm_teacher_forced(fm.lm, batch),
-                              *_nmt_teacher_forced(fm.nmt, batch),
+    h_lm, _ = _lm_recur(fm.lm, fm.lm.initial_state(batch.size),
+                        batch.tgt_in.T)
+    logits, _ = _fused_logits(fm, h_lm, *_nmt_teacher_forced(fm.nmt, batch),
                               dropout_p, rng)
     return _nll(logits, batch)

@@ -355,16 +355,15 @@ def maxout2(a: Tensor) -> Tensor:
 
 
 def _steps(op: str, x: Tensor, states: Sequence[Tensor], e: int, d: int):
-    """A cell's (T, B, e) input steps, a (B, e) ``x`` as one; states (B, d)."""
-    xs = x.data if x.data.ndim == 3 else x.data[None]
-    b = xs.shape[1] if xs.ndim == 3 else -1
-    shapes = [xs.shape[1:]] + [t.shape for t in states]
-    if shapes != [(b, e)] + [(b, d)] * len(states):
-        raise ShapeError(f"{op}: input and states {shapes}, weights for "
-                         f"inputs of {e} and states of {d}")
-    if len(xs) == 0:
+    """A cell's (T, B, e) input steps, checked against its (B, d) states."""
+    b = x.shape[1] if x.data.ndim == 3 else -1  # no other rank matches
+    shapes = [t.shape for t in states]
+    if [x.shape[1:]] + shapes != [(b, e)] + [(b, d)] * len(states):
+        raise ShapeError(f"{op}: input {x.shape} and states {shapes}, weights "
+                         f"for (T, B, {e}) inputs and (B, {d}) states")
+    if len(x.data) == 0:
         raise DomainError(f"{op} over no steps")
-    return xs
+    return x.data
 
 
 def _gru_cell(xw: np.ndarray, s: np.ndarray, u: np.ndarray, bias: np.ndarray,
@@ -410,10 +409,11 @@ def gru(s_prev: Tensor, x: Tensor, cell: Sequence[Tensor],
     where the (T, B, 1) 0/1 ``keep`` is 0 carry the previous state.  Returns
     every position's state, (T, B, d), and the state the run ends on."""
     w, u, bias = (t.data for t in cell)
-    if x.data.ndim != 3:
-        raise ShapeError(f"gru: expected (T, B, e) inputs, got {x.shape}")
     xs = _steps("gru", x, (s_prev,), w.shape[0], u.shape[0])
     (n, b, e), d = xs.shape, u.shape[0]
+    if keep is not None and keep.shape != (n, b, 1):
+        raise ShapeError(f"gru: keep {keep.shape} for inputs {x.shape}; "
+                         f"expected ({n}, {b}, 1)")
     order = range(n - 1, -1, -1) if reverse else range(n)
     run = np.empty((n + 1, b, d))  # s_prev and each step's state, in order
     states, prev = (run[:n], run[1:]) if reverse else (run[1:], run[:n])
@@ -445,8 +445,9 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
     v_a), takes alpha = softmax over T of tanh(proj + q) . v_a (-1e9 where
     the (n, T) 0/1 ``mask`` is 0) and c = sum_j alpha_j h_j, and advances the
     GRU ``cell`` as in ``gru`` on [y; c]; n is B, or 1 for one sentence read
-    by every row.  A (B, e) ``y`` is one step and returns its (alpha, c, s),
-    a (T, B, e) ``y`` those of all T steps.  Only c and s are differentiable."""
+    by every row.  The (T, B, e) ``y`` runs all T steps, a decode step's
+    T = 1, and returns every step's (alpha, c, s), each (T, B, .).  Only c
+    and s are differentiable."""
     ys = _steps("attention_gru", y, (s_prev,), *attn[1].shape)
     (steps, b, e), (n, t_len, d), k = ys.shape, proj.shape, h.shape[-1]
     w_a, v_y, b_a, v_a, w, u, bias = (t.data for t in (*attn, *cell))
@@ -507,9 +508,8 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
                 prev.reshape(-1, d).T @ gq, y2.T @ gq, gq.sum(axis=0), dv_a,
                 *_gru_grads(da, (ys, ctxs), prev, rs))
 
-    at = 0 if y.data.ndim == 2 else slice(None)  # one step: its (B, .) rows
-    return (Tensor(alphas[at]), *_record(
-        inputs, (Tensor(ctxs[at]), Tensor(states[at])), backward))
+    return (Tensor(alphas), *_record(
+        inputs, (Tensor(ctxs), Tensor(states)), backward))
 
 
 def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
@@ -517,9 +517,8 @@ def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
     """LSTM steps as one tape node: c = f c_prev + i g and h = o tanh(c),
     with gates o, i, f = sigmoid(x W + h_prev U + b) and g = tanh(x W_g +
     h_prev U_g + b_g) from ``cell``, the joined (W, U, b) in column blocks
-    o|i|f|g.  A (B, e) ``x`` is one step and returns its (h, c); a (T, B, e)
-    ``x`` runs T steps and returns every step's h, (T, B, d), and the last
-    step's c."""
+    o|i|f|g.  The (T, B, e) ``x`` runs all T steps, a decode step's T = 1,
+    and returns every step's h, (T, B, d), and the last step's c."""
     w, u, bias = (t.data for t in cell)
     xs = _steps("lstm", x, (h_prev, c_prev), w.shape[0], u.shape[0])
     (n, b, e), d = xs.shape, u.shape[0]
@@ -550,5 +549,5 @@ def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
         return (dh, dc, (da @ w.T).reshape(x.shape), xs.reshape(-1, e).T @ da,
                 run[:n].reshape(-1, d).T @ da, da.sum(axis=0))
 
-    h = Tensor(run[1:] if x.data.ndim == 3 else run[-1])
-    return _record((h_prev, c_prev, x, *cell), (h, Tensor(cp)), backward)
+    return _record((h_prev, c_prev, x, *cell), (Tensor(run[1:]), Tensor(cp)),
+                   backward)

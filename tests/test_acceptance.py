@@ -131,12 +131,13 @@ def test_attention_normalization(criterion):
             for _ in range(8):
                 s = T.constant(rng.normal(size=(1, 5)))
                 y_prev = int(rng.integers(0, 9))
+                # one step of one row: a T = 1, B = 1 sequence
                 scores, ctx, _ = attend(model, s,
-                                        model.tgt_emb.lookup([y_prev]), ann)
-                alpha = scores.alpha.data[0]
+                                        model.tgt_emb.lookup([[y_prev]]), ann)
+                alpha = scores.alpha.data[0, 0]
                 assert abs(alpha.sum() - 1.0) <= 1e-10
                 assert np.all(alpha >= 0.0)
-                c = ctx.data[0]
+                c = ctx.data[0, 0]
                 assert np.all(c >= lo) and np.all(c <= hi)
                 steps += 1
         assert steps == 1000

@@ -649,6 +649,16 @@ class TestMakeToy:
             assert ((tmp_path / "0" / name).read_bytes()
                     == (tmp_path / "20" / name).read_bytes())
 
+    @pytest.mark.parametrize("kind", ["copy", "constrained-target"])
+    def test_negative_mono_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "toy"
+        code, msg = run(["make-toy", "--kind", kind, "--train", "10",
+                         "--dev", "4", "--test", "4", "--mono", "-3",
+                         "--output", str(out)], capsys)
+        assert code == 2
+        assert "monolingual sentence count" in msg.err
+        assert not (out / "mono.txt").exists() and not out.exists()
+
     def test_copy_kind_sources_equal_targets(self, tmp_path, capsys):
         out = tmp_path / "toy"
         run(["make-toy", "--kind", "copy", "--train", "5", "--dev", "2",

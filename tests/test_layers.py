@@ -72,6 +72,13 @@ def gru_once(cell, s, x, keep=None):
     return new
 
 
+def lstm_once(cell, state, x):
+    """One LSTM step of a (B, e) ``x``, run by ``lstm_step`` as a T = 1
+    sequence: the new (h, c)."""
+    h, c = lstm_step(cell, state, T.reshape(x, (1, *x.shape)))
+    return T.reshape(h, h.shape[1:]), c
+
+
 # ---------------------------------------------------------------------------
 # initializers
 # ---------------------------------------------------------------------------
@@ -214,13 +221,15 @@ class TestJoinedGatesMatchPerGate:
         rng, w, h0, c0, x = self.inputs(cell, b, 48, 24, b)
         gh, gc = (rng.standard_normal((b, 48)) for _ in range(2))
         with Tape() as tape:
-            h, c = lstm_step(cell, (h0, c0), x)
+            h, c = lstm_once(cell, (h0, c0), x)
         want_h, want_c, want_grads = per_gate_lstm(
             w, h0.data, c0.data, x.data, gh, gc)
         np.testing.assert_array_equal(bits(h.data), bits(want_h))
         np.testing.assert_array_equal(bits(c.data), bits(want_c))
-        dh, dc, dx, *joined = tape._nodes[-1].backward_fn(gh, gc)
-        assert_close_grads([dh, dc, dx, *split_gates(joined, 48)], want_grads)
+        # the lstm node; the reshape of its h follows it
+        dh, dc, dx, *joined = tape._nodes[0].backward_fn(gh[None], gc)
+        assert_close_grads([dh, dc, dx[0], *split_gates(joined, 48)],
+                           want_grads)
 
 
 def stepwise_gru(cell, s0, xs, keep, reverse):
@@ -235,11 +244,11 @@ def stepwise_gru(cell, s0, xs, keep, reverse):
 
 
 def stepwise_lstm(cell, state, xs):
-    """As ``stepwise_gru``, one ``lstm_step`` node per step: every step's h
-    and the last c."""
+    """As ``stepwise_gru``, one ``lstm_step`` node per step, each a T = 1
+    sequence: every step's h and the last c."""
     hs = []
     for x in xs:
-        state = lstm_step(cell, state, x)
+        state = lstm_once(cell, state, x)
         hs.append(state[0])
     return hs, state[1]
 
@@ -414,6 +423,10 @@ class TestGru:
         with pytest.raises(T.ShapeError):  # a (B, e) input is not a sequence
             gru_step(cell, T.constant(np.zeros((1, 3))),
                      T.constant(np.zeros((1, 2))))
+        for steps in (2, 5):  # a (B, 1) keep, with T <= B and with T > B
+            with pytest.raises(T.ShapeError, match=r"keep \(4, 1\)"):
+                gru_step(cell, T.constant(np.zeros((4, 3))),
+                         T.constant(np.zeros((steps, 4, 2))), KEEP)
 
     @pytest.mark.parametrize("keep", [None, KEEP])
     def test_matches_reference(self, keep):
@@ -467,7 +480,7 @@ class TestLstm:
         cell, params = self.make()
         zero_all(params)
         z = T.constant(np.zeros((1, 3)))
-        h, c = lstm_step(cell, (z, z), T.constant(np.zeros((1, 2))))
+        h, c = lstm_once(cell, (z, z), T.constant(np.zeros((1, 2))))
         np.testing.assert_array_equal(h.data, 0.0)
         np.testing.assert_array_equal(c.data, 0.0)
 
@@ -477,7 +490,7 @@ class TestLstm:
         gate_block(params, "lstm.b_f")[...] = 1e3   # forget -> 1
         gate_block(params, "lstm.b_i")[...] = -1e3  # input -> 0
         c_prev = RNG.standard_normal((1, 3))
-        h, c = lstm_step(cell, (T.constant(np.zeros((1, 3))),
+        h, c = lstm_once(cell, (T.constant(np.zeros((1, 3))),
                                 T.constant(c_prev)),
                          T.constant(np.ones((1, 2))))
         np.testing.assert_allclose(c.data, c_prev, atol=1e-12)
@@ -501,7 +514,7 @@ class TestLstm:
         g = np.tanh(0.9 * x + 0.3 * h_prev - 0.2)
         c = f * c_prev + i * g
         h = o * np.tanh(c)
-        got_h, got_c = lstm_step(
+        got_h, got_c = lstm_once(
             cell, (T.constant([[h_prev]]), T.constant([[c_prev]])),
             T.constant([[x]]))
         assert got_h.data[0, 0] == pytest.approx(h, abs=1e-12)
@@ -514,7 +527,7 @@ class TestLstm:
         x = T.constant(RNG.standard_normal((2, 2)))
 
         def loss():
-            h, c = lstm_step(cell, (z, c0), x)
+            h, c = lstm_once(cell, (z, c0), x)
             return weighted_sum(add(h, T.tanh(c)))
 
         errors = finite_difference_check(loss, params)
@@ -524,7 +537,7 @@ class TestLstm:
         cell, _ = self.make()
         h, c, x = (RNG.standard_normal(shape) for shape in
                    ((4, 3), (4, 3), (4, 2)))
-        got = lstm_step(cell, (T.constant(h), T.constant(c)), T.constant(x))
+        got = lstm_once(cell, (T.constant(h), T.constant(c)), T.constant(x))
         for g, want in zip(got, reference_lstm(per_gate(cell), h, c, x)):
             np.testing.assert_allclose(g.data, want, rtol=0, atol=1e-12)
 
@@ -534,7 +547,7 @@ class TestLstm:
         w_h, w_c = (RNG.standard_normal((4, 3)) for _ in range(2))
 
         def loss():
-            h, c = lstm_step(cell, (h0, c0), x)
+            h, c = lstm_once(cell, (h0, c0), x)
             return add(weighted_sum(h, w_h), weighted_sum(c, w_c))
 
         errors = finite_difference_check(loss, params)
@@ -544,17 +557,19 @@ class TestLstm:
         cell, _ = self.make()
         with Tape() as tape:
             lstm_step(cell, (T.constant(np.zeros((4, 3))),) * 2,
-                      T.constant(np.ones((4, 2))))
+                      T.constant(np.ones((1, 4, 2))))
         assert len(tape) == 1
 
-    @pytest.mark.parametrize("x_width, h_width, c_width", [
-        (5, 3, 3), (2, 4, 3), (2, 3, 4)])
-    def test_shape_checks(self, x_width, h_width, c_width):
+    @pytest.mark.parametrize("x_shape, h_width, c_width", [
+        ((1, 1, 5), 3, 3), ((1, 1, 2), 4, 3), ((1, 1, 2), 3, 4),
+        ((1, 2), 3, 3)],  # a (B, e) input is not a sequence
+        ids=["5-3-3", "2-4-3", "2-3-4", "B-e-input"])
+    def test_shape_checks(self, x_shape, h_width, c_width):
         cell, _ = self.make()
         state = (T.constant(np.zeros((1, h_width))),
                  T.constant(np.zeros((1, c_width))))
         with pytest.raises(T.ShapeError):
-            lstm_step(cell, state, T.constant(np.zeros((1, x_width))))
+            lstm_step(cell, state, T.constant(np.zeros(x_shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,14 @@ def jitter_params(params, std=0.1, seed=42):
             p.value.data += rng.standard_normal(p.value.shape) * std
 
 
+def attend_once(model, s, y_emb, ann):
+    """``attend`` over one step of a (B, e) ``y_emb``, run as a T = 1
+    sequence: the (B, T) attention and the (B, 2d) context."""
+    scores, ctx, _ = attend(model, s, T.reshape(y_emb, (1, *y_emb.shape)),
+                            ann)
+    return scores.alpha.data[0], T.reshape(ctx, ctx.shape[1:])
+
+
 def reference_attention(model, s, y_emb, h, mask):
     """Plain-NumPy additive attention, one source position at a time.
 
@@ -200,8 +208,8 @@ class TestAttention:
         model = tiny_nmt()
         ann = encode(model, np.array([[3]]), np.ones((1, 1)))
         s = initial_state(model, ann)
-        scores, ctx, _ = attend(model, s, model.tgt_emb.lookup([2]), ann)
-        assert scores.alpha.data[0, 0] == pytest.approx(1.0, abs=1e-15)
+        alpha, ctx = attend_once(model, s, model.tgt_emb.lookup([2]), ann)
+        assert alpha[0, 0] == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(ctx.data, ann.h.data[:, 0], atol=1e-15)
 
     def test_zero_alignment_params_uniform(self):
@@ -211,8 +219,8 @@ class TestAttention:
             model.params.get(pid).value.data[...] = 0.0
         ann = encode(model, [3, 4, 5])
         s = initial_state(model, ann)
-        scores, ctx, _ = attend(model, s, model.tgt_emb.lookup([2]), ann)
-        np.testing.assert_allclose(scores.alpha.data, 0.25, atol=1e-15)
+        alpha, ctx = attend_once(model, s, model.tgt_emb.lookup([2]), ann)
+        np.testing.assert_allclose(alpha, 0.25, atol=1e-15)
         mean = ann.h.data.mean(axis=1)
         np.testing.assert_allclose(ctx.data, mean, atol=1e-12)
 
@@ -221,14 +229,14 @@ class TestAttention:
         ann = encode(model, [3, 4, 5, 3])
         s = initial_state(model, ann)
         y_emb = model.tgt_emb.lookup([4])
-        scores, _, _ = attend(model, s, y_emb, ann)
+        alpha, _ = attend_once(model, s, y_emb, ann)
         e = reference_attention(model, s.data, y_emb.data, ann.h.data,
                                 ann.mask)[0][0]
         with mpmath.workdps(50):
             exps = [mpmath.exp(v) for v in e]
             total = mpmath.fsum(exps)
             want = np.array([float(v / total) for v in exps])
-        np.testing.assert_allclose(scores.alpha.data[0], want, atol=1e-12)
+        np.testing.assert_allclose(alpha[0], want, atol=1e-12)
 
     def test_normalization_and_convex_hull(self):
         model = tiny_nmt(seed=11)
@@ -238,8 +246,8 @@ class TestAttention:
             ann = encode(model, src)
             s = T.constant(rng.standard_normal((1, model.cfg.hidden)))
             y_emb = model.tgt_emb.lookup([int(rng.integers(0, 6))])
-            scores, ctx, _ = attend(model, s, y_emb, ann)
-            assert abs(scores.alpha.data.sum() - 1.0) < 1e-10
+            alpha, ctx = attend_once(model, s, y_emb, ann)
+            assert abs(alpha.sum() - 1.0) < 1e-10
             stack = ann.h.data[0]
             assert (ctx.data[0] <= stack.max(axis=0) + 1e-12).all()
             assert (ctx.data[0] >= stack.min(axis=0) - 1e-12).all()
@@ -250,11 +258,10 @@ class TestAttention:
                            SentencePair([3], [3])])
         ann = encode(model, batch.src, batch.src_mask)
         s = initial_state(model, ann)
-        scores, _, _ = attend(model, s, model.tgt_emb.lookup([2, 2]), ann)
+        alpha, _ = attend_once(model, s, model.tgt_emb.lookup([2, 2]), ann)
         # second sentence: positions beyond its EOS are padding
-        assert scores.alpha.data[1, 2:].max() < 1e-12
-        np.testing.assert_allclose(scores.alpha.data.sum(axis=1), 1.0,
-                                   atol=1e-10)
+        assert alpha[1, 2:].max() < 1e-12
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-10)
 
     def test_padded_batch_matches_per_position_reference(self):
         model = tiny_nmt(seed=8)
@@ -265,13 +272,13 @@ class TestAttention:
         assert ann.h.shape[:2] == (4, 7)
         s = T.constant(RNG.standard_normal((4, model.cfg.hidden)))
         y_emb = model.tgt_emb.lookup([2, 3, 4, 5])
-        scores, ctx, _ = attend(model, s, y_emb, ann)
-        _, alpha, want_ctx = reference_attention(model, s.data, y_emb.data,
-                                                 ann.h.data, ann.mask)
-        np.testing.assert_allclose(scores.alpha.data, alpha, rtol=0, atol=1e-12)
+        alpha, ctx = attend_once(model, s, y_emb, ann)
+        _, want_alpha, want_ctx = reference_attention(
+            model, s.data, y_emb.data, ann.h.data, ann.mask)
+        np.testing.assert_allclose(alpha, want_alpha, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ctx.data, want_ctx, rtol=0, atol=1e-12)
         for i, src in enumerate(srcs):
-            assert (scores.alpha.data[i, len(src) + 1:] < 1e-12).all()
+            assert (alpha[i, len(src) + 1:] < 1e-12).all()
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +517,7 @@ class TestFusedModel:
         scores_b = decode_step(fm.nmt, s_b, [2], ann)
         # compare to the fused layer evaluated with an exactly-zero LM input
         y_emb = fm.nmt.tgt_emb.lookup([2])
-        att, ctx, _ = attend(fm.nmt, s_b, y_emb, ann)
+        _, ctx = attend_once(fm.nmt, s_b, y_emb, ann)
         from fusionmt.models import gru_step
         yc = T.concat([y_emb, ctx], axis=1)
         _, s_new = gru_step(fm.nmt.decoder, s_b, T.reshape(yc, (1, *yc.shape)))
@@ -545,7 +552,7 @@ def reference_nmt_loss(model, batch, dropout_p, rng):
     ann = encode(model, batch.src, batch.src_mask)
 
     def step(s, y):
-        s, y_emb, ctx, _ = models._recur(model, s, y, ann)
+        s, y_emb, ctx, _ = models._recur(model, s, [y], ann)
         return s, T.log_softmax(deep_output(model.out, s, y_emb, ctx,
                                             dropout_p=dropout_p, rng=rng))
 
@@ -561,8 +568,8 @@ def reference_fused_loss(fm, batch, dropout_p, rng):
     ann = encode(fm.nmt, batch.src, batch.src_mask)
 
     def step(state, y):
-        s, y_emb, ctx, _ = models._recur(fm.nmt, state[0], y, ann)
-        lm_state = models._lm_recur(fm.lm, state[1], y)
+        s, y_emb, ctx, _ = models._recur(fm.nmt, state[0], [y], ann)
+        lm_state = models._lm_recur(fm.lm, state[1], [y])
         logits, _ = models._fused_logits(fm, lm_state[0], s, y_emb, ctx,
                                          dropout_p, rng)
         return (s, lm_state), T.log_softmax(logits)

@@ -402,12 +402,20 @@ def padded_mask(n, t_len):
     return mask
 
 
-def run_attention_gru(case, mask, one_step=False):
-    """The op over every step of ``case`` as one (T, B, e) input, or over
-    its one step as a (B, e) input; returns its (alpha, c, s)."""
+def run_attention_gru(case, mask):
+    """The op over every step of ``case`` as one (T, B, e) input; returns
+    its (alpha, c, s)."""
     _, s0, ys, proj, h, attn, cell = case
-    y = ys[0] if one_step else T.reshape(T.concat(ys), (len(ys), *ys[0].shape))
+    y = T.reshape(T.concat(ys), (len(ys), *ys[0].shape))
     return T.attention_gru(s0, y, proj, h, mask, attn, cell.weights)
+
+
+def attention_once(s, y, proj, h, mask, attn, cell):
+    """One step of a (B, e) ``y``, run by ``T.attention_gru`` as a T = 1
+    sequence: its (alpha, c, s), each (B, .)."""
+    out = T.attention_gru(s, T.reshape(y, (1, *y.shape)), proj, h, mask,
+                          attn, cell)
+    return tuple(T.reshape(x, x.shape[1:]) for x in out)
 
 
 def stepwise_attention_gru(s, ys, proj, h, mask, attn, cell):
@@ -468,16 +476,20 @@ class TestAttentionOp:
 
     def test_shapes_checked(self):
         _, s0, ys, proj, h, attn, cell = decoder_case(RNG, 2, 2, 3, 1)
+        y = T.reshape(ys[0], (1, *ys[0].shape))  # a T = 1 sequence
+        with pytest.raises(T.ShapeError):  # a (B, e) input is not a sequence
+            T.attention_gru(s0, ys[0], proj, h, np.ones((2, 3)), attn,
+                            cell.weights)
         with pytest.raises(T.ShapeError):  # a v_a of the wrong width
-            T.attention_gru(s0, ys[0], proj, h, np.ones((2, 3)),
+            T.attention_gru(s0, y, proj, h, np.ones((2, 3)),
                             attn[:3] + [T.constant(np.zeros((3, 1)))],
                             cell.weights)
         with pytest.raises(T.ShapeError):  # a GRU input not [y; c] wide
-            T.attention_gru(s0, ys[0], proj, T.constant(np.zeros((2, 3, 5))),
+            T.attention_gru(s0, y, proj, T.constant(np.zeros((2, 3, 5))),
                             np.ones((2, 3)), attn, cell.weights)
         with pytest.raises(T.DomainError):
-            T.attention_gru(s0, ys[0], *(T.constant(np.zeros((2, 0, w)))
-                                         for w in (4, 6)),
+            T.attention_gru(s0, y, *(T.constant(np.zeros((2, 0, w)))
+                                     for w in (4, 6)),
                             np.ones((2, 0)), attn, cell.weights)
 
     @pytest.mark.parametrize("n_proj, n_h, n_mask", [
@@ -486,7 +498,8 @@ class TestAttentionOp:
         # B = 3 rows: proj, h and mask share one batch, 1 or 3
         _, s0, ys, _, _, attn, cell = decoder_case(RNG, 3, 3, 5, 1)
         with pytest.raises(T.ShapeError):
-            T.attention_gru(s0, ys[0], T.constant(np.zeros((n_proj, 5, 4))),
+            T.attention_gru(s0, T.reshape(ys[0], (1, 3, 5)),
+                            T.constant(np.zeros((n_proj, 5, 4))),
                             T.constant(np.zeros((n_h, 5, 6))),
                             np.ones((n_mask, 5)), attn, cell.weights)
 
@@ -533,7 +546,7 @@ class TestAttentionMatchesReference:
     norm-relative (the op forms each weight's and the annotations' gradient
     once over all steps, where the reference's tape adds one per step)."""
 
-    def outputs(self, case, mask, stepwise, one_step=False):
+    def outputs(self, case, mask, stepwise):
         """Every step's (alpha, c, s) stacked, and the parameter gradients
         of a weighted sum over every step's c and s."""
         params, s0, ys, proj, h, attn, cell = case
@@ -551,30 +564,28 @@ class TestAttentionMatchesReference:
                     term = add(weighted_sum(c, w_c[t]), weighted_sum(s, w_s[t]))
                     loss = term if loss is None else add(loss, term)
             else:
-                alpha, c, s = run_attention_gru(case, mask, one_step)
-                out = [x.data.reshape(len(ys), *x.shape[-2:])
-                       for x in (alpha, c, s)]
-                loss = add(weighted_sum(c, w_c.reshape(c.shape)),
-                           weighted_sum(s, w_s.reshape(s.shape)))
+                alpha, c, s = run_attention_gru(case, mask)
+                out = [x.data for x in (alpha, c, s)]
+                loss = add(weighted_sum(c, w_c), weighted_sum(s, w_s))
         tape.backward(loss, params)
         return out, {p.id: p.grad.data.copy() for p in params}, len(tape)
 
-    def assert_matches(self, case, mask, one_step=False):
-        got, got_grads, nodes = self.outputs(case, mask, False, one_step)
+    def assert_matches(self, case, mask):
+        got, got_grads, nodes = self.outputs(case, mask, False)
         want, want_grads, _ = self.outputs(case, mask, True)
         for name, x, y in zip(("alpha", "c", "s"), got, want):
             np.testing.assert_array_equal(bits(x), bits(y), err_msg=name)
         assert_close_gradients(got_grads, want_grads)
-        # the op alone, or the op after the inputs' concat and reshape
-        assert nodes == (4 if one_step else 6)
+        # the op after the inputs' concat and reshape, and the loss (3)
+        assert nodes == 6
 
     @pytest.mark.parametrize("b", [1, 3, 32])
     @pytest.mark.parametrize("t_len", [1, 6, 25])
     def test_padded_batches(self, b, t_len):
-        # one step, from a (B, e) input, as a decode step runs it
+        # one step, a T = 1 sequence, as a decode step runs it
         case = decoder_case(np.random.default_rng(100 * b + t_len), b, b,
                             t_len, 1, e=8, d=8, k=10)
-        self.assert_matches(case, padded_mask(b, t_len), one_step=True)
+        self.assert_matches(case, padded_mask(b, t_len))
 
     @pytest.mark.parametrize("b", [1, 4, 32])
     @pytest.mark.parametrize("shared", [False, True])
@@ -649,7 +660,7 @@ class TestDeferredAnnotationGradient:
                     s = add(s0, T.constant(offset))
                     ctx = (stepwise_attention_gru(
                         s, ys, proj, h, self.mask(), attn, cell.weights)[0][1]
-                        if stepwise else T.attention_gru(
+                        if stepwise else attention_once(
                             s, ys[0], proj, h, self.mask(), attn,
                             cell.weights)[1])
                     term = weighted_sum(ctx, w_att)
@@ -684,8 +695,8 @@ class TestDeferredAnnotationGradient:
             h = T.tanh(a)
             proj, s, total = T.matmul(h, u), s0, None
             for wt in ws:
-                _, ctx, _ = T.attention_gru(s, ys[0], proj, h, self.mask(),
-                                            attn, cell.weights)
+                _, ctx, _ = attention_once(s, ys[0], proj, h, self.mask(),
+                                           attn, cell.weights)
                 term = weighted_sum(ctx, wt)
                 total = term if total is None else add(total, term)
                 s = T.tanh(T.matmul(ctx, w))
