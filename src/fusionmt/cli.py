@@ -337,6 +337,10 @@ def cmd_evaluate(args) -> int:
     elif args.gate_stats:
         traces = [[float(x) for x in line.split()] if line.strip() else []
                   for line in D.read_lines(args.gate_stats)]
+        for n, trace in enumerate(traces, 1):
+            if not all(0.0 <= g <= 1.0 for g in trace):  # NaN fails too
+                raise ConfigError(f"{args.gate_stats}: line {n}: a gate is a "
+                                  "sigmoid, in [0, 1]")
         stats = decoding.gate_stats([t for t in traces if t])
         print(evaluation.analysis_report(None, stats))
     else:

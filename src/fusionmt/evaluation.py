@@ -89,7 +89,8 @@ class PerplexityReport:
 
 def perplexity(lm: RnnLm, corpus: Sequence[Sequence[int]],
                batch_size: int = 64) -> PerplexityReport:
-    """Exact per-token perplexity of the LM on id sequences (EOS counted)."""
+    """Exact per-token perplexity of the LM on id sequences (EOS counted);
+    inf where it exceeds the largest float."""
     if not corpus:
         raise DataError("cannot compute perplexity on an empty corpus")
     total_nll = 0.0
@@ -99,8 +100,12 @@ def perplexity(lm: RnnLm, corpus: Sequence[Sequence[int]],
         # lm_batch_loss averages over sentences; undo to get the sum
         total_nll += lm_batch_loss(lm, batch).item() * batch.size
         tokens += int(batch.tgt_mask.sum())
+    try:
+        ppl = math.exp(total_nll / tokens)
+    except OverflowError:  # a mean NLL above about 709.8 nats
+        ppl = math.inf
     return PerplexityReport(total_logprob=-total_nll, token_count=tokens,
-                            perplexity=math.exp(total_nll / tokens))
+                            perplexity=ppl)
 
 
 def analysis_report(perp: Optional[PerplexityReport], gates) -> str:

@@ -69,7 +69,7 @@ class LstmCell(_Cell):
 def lstm_step(cell: LstmCell, state: tuple[Tensor, Tensor],
               x: Tensor) -> tuple[Tensor, Tensor]:
     """Every LSTM step of a (T, B, e) ``x``, as ``tensor.lstm``: returns
-    every step's h, (T, B, d), and the last step's c."""
+    every step's h as step-major (T*B, d) rows and the last step's c."""
     return T.lstm(*state, x, cell.weights)
 
 

@@ -6,7 +6,7 @@ All forward procedures are batched: states are (B, d) matrices and token
 inputs are (T, B) id arrays, T = 1 for a decode step.  Beam decoding stacks
 the live hypotheses of a step into the B rows.  Each model is a recurrence,
 one call over all T steps, plus an output head over any number of rows:
-the recurrence hands the head its outputs as step-major (T*B, .) rows.
+the recurrent op returns its outputs as the head's step-major (T*B, .) rows.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class AnnotationMatrix:
 
 @dataclass
 class AttentionScores:
-    alpha: Tensor  # (B, T), rows sum to 1
+    alpha: Tensor  # (T_tgt*B, T) step-major rows, each sums to 1
 
 
 def encode(model: NmtModel, source,
@@ -157,7 +157,7 @@ def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
     """Additive attention queried by the previous state and word embedding,
     then the decoder GRU on [y; c], for all steps of a (T, B, e) ``y_emb``
     as one node.  Returns each step's scores, context c = sum_j alpha_j h_j
-    and new state, each (T, B, .)."""
+    and new state, each as step-major (T*B, .) rows."""
     a = model.attn
     alpha, ctx, s = T.attention_gru(
         s_prev, y_emb, ann.proj, ann.h, ann.mask,
@@ -173,9 +173,7 @@ def _recur(model: NmtModel, s_prev: Tensor, y_prev, ann: AnnotationMatrix,
     contexts, attention), each as step-major (T*B, .) rows."""
     y_emb = model.tgt_emb.lookup(y_prev)
     scores, ctx, s_new = attend(model, s_prev, y_emb, ann)
-    s_new, y_emb, ctx, alpha = (T.reshape(x, (-1, x.shape[2])) for x in (
-        s_new, y_emb, ctx, scores.alpha))
-    return s_new, y_emb, ctx, AttentionScores(alpha=alpha)
+    return s_new, T.reshape(y_emb, (-1, y_emb.shape[2])), ctx, scores
 
 
 def decode_step(model: NmtModel, s_prev: Tensor, y_prev,
@@ -239,8 +237,7 @@ def _lm_recur(lm: RnnLm, state: tuple[Tensor, Tensor],
               y_prev) -> tuple[Tensor, Tensor]:
     """Embed the (T, B) previous-word ids and advance the LSTM over all T
     steps: every step's h as step-major (T*B, d) rows, and the last c."""
-    h, c = lstm_step(lm.lstm, state, lm.tgt_emb.lookup(y_prev))
-    return T.reshape(h, (-1, h.shape[2])), c
+    return lstm_step(lm.lstm, state, lm.tgt_emb.lookup(y_prev))
 
 
 def _lm_logits(lm: RnnLm, h: Tensor) -> Tensor:

@@ -446,8 +446,8 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
     the (n, T) 0/1 ``mask`` is 0) and c = sum_j alpha_j h_j, and advances the
     GRU ``cell`` as in ``gru`` on [y; c]; n is B, or 1 for one sentence read
     by every row.  The (T, B, e) ``y`` runs all T steps, a decode step's
-    T = 1, and returns every step's (alpha, c, s), each (T, B, .).  Only c
-    and s are differentiable."""
+    T = 1, and returns every step's (alpha, c, s) as step-major (T*B, .)
+    rows.  Only c and s are differentiable."""
     ys = _steps("attention_gru", y, (s_prev,), *attn[1].shape)
     (steps, b, e), (n, t_len, d), k = ys.shape, proj.shape, h.shape[-1]
     w_a, v_y, b_a, v_a, w, u, bias = (t.data for t in (*attn, *cell))
@@ -508,8 +508,8 @@ def attention_gru(s_prev: Tensor, y: Tensor, proj: Tensor, h: Tensor,
                 prev.reshape(-1, d).T @ gq, y2.T @ gq, gq.sum(axis=0), dv_a,
                 *_gru_grads(da, (ys, ctxs), prev, rs))
 
-    return (Tensor(alphas), *_record(
-        inputs, (Tensor(ctxs), Tensor(states)), backward))
+    return (Tensor(alphas.reshape(-1, t_len)), *_record(inputs, (  # views
+        Tensor(ctxs.reshape(-1, k)), Tensor(states.reshape(-1, d))), backward))
 
 
 def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
@@ -518,7 +518,7 @@ def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
     with gates o, i, f = sigmoid(x W + h_prev U + b) and g = tanh(x W_g +
     h_prev U_g + b_g) from ``cell``, the joined (W, U, b) in column blocks
     o|i|f|g.  The (T, B, e) ``x`` runs all T steps, a decode step's T = 1,
-    and returns every step's h, (T, B, d), and the last step's c."""
+    and returns every step's h as step-major (T*B, d) rows and the last c."""
     w, u, bias = (t.data for t in cell)
     xs = _steps("lstm", x, (h_prev, c_prev), w.shape[0], u.shape[0])
     (n, b, e), d = xs.shape, u.shape[0]
@@ -549,5 +549,5 @@ def lstm(h_prev: Tensor, c_prev: Tensor, x: Tensor,
         return (dh, dc, (da @ w.T).reshape(x.shape), xs.reshape(-1, e).T @ da,
                 run[:n].reshape(-1, d).T @ da, da.sum(axis=0))
 
-    return _record((h_prev, c_prev, x, *cell), (Tensor(run[1:]), Tensor(cp)),
-                   backward)
+    return _record((h_prev, c_prev, x, *cell),
+                   (Tensor(run[1:].reshape(-1, d)), Tensor(cp)), backward)

@@ -134,10 +134,10 @@ def test_attention_normalization(criterion):
                 # one step of one row: a T = 1, B = 1 sequence
                 scores, ctx, _ = attend(model, s,
                                         model.tgt_emb.lookup([[y_prev]]), ann)
-                alpha = scores.alpha.data[0, 0]
+                alpha = scores.alpha.data[0]
                 assert abs(alpha.sum() - 1.0) <= 1e-10
                 assert np.all(alpha >= 0.0)
-                c = ctx.data[0, 0]
+                c = ctx.data[0]
                 assert np.all(c >= lo) and np.all(c <= hi)
                 steps += 1
         assert steps == 1000

@@ -699,6 +699,48 @@ class TestEvaluateCommand:
         assert code == 0
         assert "avg_gate=0.2500" in out.out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    def test_gate_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
+        # a gate is a sigmoid: a value no gate can take names its line
+        gates = tmp_path / "g.txt"
+        write_lines(gates, ["0.25 0.25", "", f"0.5 {value}"])
+        code, out = run(["evaluate", "--gate-stats", str(gates)], capsys)
+        assert (code, out.out) == (2, "")
+        assert f"{gates}: line 3:" in out.err
+
+    def test_perplexity_beyond_the_largest_float_is_inf(self, toy_dir, capsys):
+        # every token but id 5 scores about -5000 nats: exp of the mean
+        # NLL overflows a float
+        ckpt = untrained_checkpoints(toy_dir)["lm"]
+        ckpt.params["lm.b_out"][5] = 5000.0
+        save_checkpoint(toy_dir / "lm.ckpt", ckpt)
+        code, out = run(["evaluate", "--config", str(toy_dir / "exp.cfg"),
+                         "--lm", str(toy_dir / "lm.ckpt"), "--perplexity",
+                         str(toy_dir / "toy" / "test.tgt")], capsys)
+        assert (code, out.err) == (0, "")
+        assert out.out.startswith("perplexity = inf (")
+
+    def test_train_lm_from_an_inf_dev_perplexity(self, toy_dir, capsys):
+        # the same LM's dev perplexity stays inf over 10 updates: training
+        # ends cleanly, and no inf evaluation replaces the first one
+        ckpt = untrained_checkpoints(toy_dir)["lm"]
+        ckpt.params["lm.b_out"][5] = 5000.0
+        ckpt.meta["updates"] = 0
+        save_checkpoint(toy_dir / "lm.ckpt", ckpt)
+        cfg = toy_dir / "exp.cfg"
+        cfg.write_text(cfg.read_text().replace("[model]", (
+            "mono_train = {0}/train.tgt\nmono_dev = {0}/dev.tgt\n\n"
+            "[model]").format(toy_dir / "toy")))
+        code, out = run(["train-lm", "--config", str(cfg), "--resume",
+                         str(toy_dir / "lm.ckpt"), "--output",
+                         str(toy_dir / "out.ckpt"), "--log",
+                         str(toy_dir / "log.tsv")], capsys)
+        assert code == 0
+        assert "no dev evaluation beat update 0" in out.err
+        assert out.out == "best dev perplexity inf at update 0\n"
+        assert [ln.split("\t")[3] for ln in read_lines(
+            toy_dir / "log.tsv")[1:]] == ["", "", "", "", "inf"] * 2
+
     def test_no_mode_exits_2(self, capsys):
         code, _ = run(["evaluate"], capsys)
         assert code == 2

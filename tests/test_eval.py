@@ -82,6 +82,19 @@ class TestPerplexity:
         b = perplexity(lm, corpus, batch_size=4).perplexity
         assert a == pytest.approx(b, abs=1e-10)
 
+    def test_mean_nll_beyond_the_largest_float_is_inf(self):
+        # tokens 3, 4 and end-of-sequence each score -5000 nats, so exp of
+        # the mean NLL overflows
+        lm = RnnLm(LmConfig(vocab=6, embed_dim=3, hidden=4),
+                   np.random.default_rng(0))
+        for p in lm.params:
+            p.value.data[...] = 0.0
+        lm.b_out.value.data[5] = 5000.0
+        report = perplexity(lm, [[3, 4]])
+        assert report.perplexity == math.inf
+        assert report.total_logprob == pytest.approx(-15000.0, rel=1e-12)
+        assert str(report) == "perplexity = inf (3 tokens)"
+
     def test_empty_corpus_rejected(self):
         lm = RnnLm(LmConfig(vocab=6, embed_dim=3, hidden=4),
                    np.random.default_rng(0))

@@ -75,8 +75,7 @@ def gru_once(cell, s, x, keep=None):
 def lstm_once(cell, state, x):
     """One LSTM step of a (B, e) ``x``, run by ``lstm_step`` as a T = 1
     sequence: the new (h, c)."""
-    h, c = lstm_step(cell, state, T.reshape(x, (1, *x.shape)))
-    return T.reshape(h, h.shape[1:]), c
+    return lstm_step(cell, state, T.reshape(x, (1, *x.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +225,8 @@ class TestJoinedGatesMatchPerGate:
             w, h0.data, c0.data, x.data, gh, gc)
         np.testing.assert_array_equal(bits(h.data), bits(want_h))
         np.testing.assert_array_equal(bits(c.data), bits(want_c))
-        # the lstm node; the reshape of its h follows it
-        dh, dc, dx, *joined = tape._nodes[0].backward_fn(gh[None], gc)
+        # the lstm node, the tape's only one
+        dh, dc, dx, *joined = tape._nodes[0].backward_fn(gh, gc)
         assert_close_grads([dh, dc, dx[0], *split_gates(joined, 48)],
                            want_grads)
 
@@ -254,7 +253,9 @@ def stepwise_lstm(cell, state, xs):
 
 
 def sequence_call(kind, cell, states, xs, keep, reverse):
-    """The per-step inputs ``xs`` as one (T, B, e) tensor through one call."""
+    """The per-step inputs ``xs`` as one (T, B, e) tensor through one call:
+    every step's output, (T, B, d) for a GRU and (T*B, d) rows for an LSTM,
+    and the last state."""
     x = T.reshape(T.concat(xs), (len(xs), *xs[0].shape))
     if kind == "gru":
         return gru_step(cell, states[0], x, keep, reverse)
@@ -302,10 +303,11 @@ class TestSequenceMatchesSteps:
         cell, params, states, xs, keep, (w_all, w_end) = self.make(
             kind, b, 7, masked, b)
 
-        def sequence():
+        def sequence():  # the outputs as (T, B, d), with no node for it
             every, end = sequence_call(kind, cell, states, xs, keep, reverse)
-            return (every.data, end.data), add(weighted_sum(every, w_all),
-                                               weighted_sum(end, w_end))
+            return ((every.data.reshape(w_all.shape), end.data),
+                    add(weighted_sum(every, w_all.reshape(every.shape)),
+                        weighted_sum(end, w_end)))
 
         def steps():
             every, end = (stepwise_gru(cell, states[0], xs, keep, reverse)
@@ -332,7 +334,8 @@ class TestSequenceMatchesSteps:
 
         def loss():
             every, end = sequence_call(kind, cell, states, xs, keep, reverse)
-            return add(weighted_sum(every, w_all), weighted_sum(end, w_end))
+            return add(weighted_sum(every, w_all.reshape(every.shape)),
+                       weighted_sum(end, w_end))
 
         errors = finite_difference_check(loss, params)
         assert max(errors.values()) < 1e-4, errors

@@ -90,7 +90,7 @@ def attend_once(model, s, y_emb, ann):
     sequence: the (B, T) attention and the (B, 2d) context."""
     scores, ctx, _ = attend(model, s, T.reshape(y_emb, (1, *y_emb.shape)),
                             ann)
-    return scores.alpha.data[0], T.reshape(ctx, ctx.shape[1:])
+    return scores.alpha.data, ctx
 
 
 def reference_attention(model, s, y_emb, h, mask):
@@ -649,10 +649,8 @@ class TestTwoPassLoss:
             steps = stepwise_attention_gru(
                 s, [take_step(y, t) for t in range(len(y.data))], proj, h,
                 mask, attn, cell)
-            return (T.constant(np.stack([x[0].data for x in steps])),
-                    *(T.reshape(T.concat([x[i] for x in steps]),
-                                (len(steps), *steps[0][i].shape))
-                      for i in (1, 2)))
+            return (T.constant(np.concatenate([x[0].data for x in steps])),
+                    *(T.concat([x[i] for x in steps]) for i in (1, 2)))
 
         loss, grads, _ = self.run(model, lambda m, r: loss_fn(m, batch, 0.3, r))
         monkeypatch.setattr(T, "attention_gru", oracle)
@@ -693,7 +691,7 @@ def long_fixture_batch():
 
 
 def test_long_fixture_loss_has_a_one_node_head():
-    # no dropout: the recurrence and output layer record 21 nodes, and the
+    # no dropout: the recurrence and output layer record 19 nodes, and the
     # NLL one more; the encoder over 25 source positions records 5 (one
     # lookup, one GRU node per direction, their join and its transposition),
     # and the decoder's 32 steps record 2 (one target lookup and one
@@ -701,7 +699,7 @@ def test_long_fixture_loss_has_a_one_node_head():
     batch, nmt = long_fixture_batch()
     with Tape() as tape:
         nmt_batch_loss(nmt, batch)
-    assert len(tape) == 273 - 256 + 2 + 3  # the head reshapes its 3 inputs
+    assert len(tape) == 273 - 256 + 2 + 1  # the target embeddings as rows
     assert len(tape) <= 30
 
 
@@ -717,7 +715,7 @@ def test_lm_loss_and_encoder_node_counts_do_not_grow_with_length(b):
         with Tape() as enc_tape:
             encode(nmt, ids, np.ones((b, t_len)))
         counts.append((len(lm_tape), len(enc_tape)))
-    assert counts[0] == counts[1] == (7, 6)
+    assert counts[0] == counts[1] == (6, 6)
 
 
 @pytest.mark.parametrize("b", [1, 4])
@@ -734,7 +732,28 @@ def test_nmt_loss_node_count_does_not_grow_with_target_length(b):
         with Tape() as tape:
             nmt_batch_loss(nmt, batch)
         counts.append(len(tape))
-    assert counts[0] == counts[1] == 22
+    assert counts[0] == counts[1] == 20
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_a_step_reshapes_only_its_target_embeddings(b, monkeypatch):
+    # the recurrent ops return the rows the heads read: a decode step and a
+    # fused step reshape their (1, B, e) target embeddings, an LM step nothing
+    nmt, lm = tiny_nmt(), tiny_lm()
+    fm = FusedModel(nmt, lm, np.random.default_rng(0))
+    ann = encode(nmt, [3, 4])
+    s = T.constant(np.repeat(initial_state(nmt, ann).data, b, axis=0))
+    y, calls, reshape = [2] * b, [], T.reshape
+    monkeypatch.setattr(T, "reshape",
+                        lambda *a: calls.append(a) or reshape(*a))
+    counts = []
+    for step in (lambda: decode_step(nmt, s, y, ann),
+                 lambda: lm_step(lm, lm.initial_state(b), y),
+                 lambda: fused_step(fm, s, lm.initial_state(b), y, ann)):
+        calls.clear()
+        step()
+        counts.append(len(calls))
+    assert counts == [1, 0, 1]
 
 
 def test_long_fixture_backward_forms_annotation_gradient_once(monkeypatch):

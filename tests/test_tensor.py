@@ -404,18 +404,22 @@ def padded_mask(n, t_len):
 
 def run_attention_gru(case, mask):
     """The op over every step of ``case`` as one (T, B, e) input; returns
-    its (alpha, c, s)."""
+    its (alpha, c, s) as step-major (T*B, .) rows."""
     _, s0, ys, proj, h, attn, cell = case
     y = T.reshape(T.concat(ys), (len(ys), *ys[0].shape))
     return T.attention_gru(s0, y, proj, h, mask, attn, cell.weights)
 
 
+def as_steps(x, steps):
+    """Step-major (T*B, .) rows back as (T, B, .)."""
+    return T.reshape(x, (steps, -1, x.shape[1]))
+
+
 def attention_once(s, y, proj, h, mask, attn, cell):
     """One step of a (B, e) ``y``, run by ``T.attention_gru`` as a T = 1
     sequence: its (alpha, c, s), each (B, .)."""
-    out = T.attention_gru(s, T.reshape(y, (1, *y.shape)), proj, h, mask,
-                          attn, cell)
-    return tuple(T.reshape(x, x.shape[1:]) for x in out)
+    return T.attention_gru(s, T.reshape(y, (1, *y.shape)), proj, h, mask,
+                           attn, cell)
 
 
 def stepwise_attention_gru(s, ys, proj, h, mask, attn, cell):
@@ -445,7 +449,7 @@ class TestAttentionOp:
         w_c, w_s = rng.standard_normal((3, 3, 4)), rng.standard_normal((3, 3, 3))
 
         def loss():
-            _, ctx, s = run_attention_gru(case, mask)
+            _, ctx, s = (as_steps(x, 3) for x in run_attention_gru(case, mask))
             return add(weighted_sum(ctx, w_c), weighted_sum(s, w_s))
 
         check_op(loss, case[0], tol=1e-4)
@@ -469,7 +473,7 @@ class TestAttentionOp:
         mask = np.ones((3, 6))
         mask[2, 2:] = 0.0
         case = decoder_case(RNG, 3, 3, 6, 4)
-        alpha, _, _ = run_attention_gru(case, mask)
+        alpha = as_steps(run_attention_gru(case, mask)[0], 4)
         assert alpha.shape == (4, 3, 6)  # source positions on the last axis
         np.testing.assert_allclose(alpha.data.sum(axis=2), 1.0, atol=1e-12)
         assert alpha.data[:, 2, 2:].max() < 1e-12
@@ -563,10 +567,11 @@ class TestAttentionMatchesReference:
                 for t, (_, c, s) in enumerate(steps):
                     term = add(weighted_sum(c, w_c[t]), weighted_sum(s, w_s[t]))
                     loss = term if loss is None else add(loss, term)
-            else:
+            else:  # the rows back as (T, B, .), with no node for it
                 alpha, c, s = run_attention_gru(case, mask)
-                out = [x.data for x in (alpha, c, s)]
-                loss = add(weighted_sum(c, w_c), weighted_sum(s, w_s))
+                out = [x.data.reshape(len(ys), b, -1) for x in (alpha, c, s)]
+                loss = add(weighted_sum(c, w_c.reshape(c.shape)),
+                           weighted_sum(s, w_s.reshape(s.shape)))
         tape.backward(loss, params)
         return out, {p.id: p.grad.data.copy() for p in params}, len(tape)
 

@@ -285,6 +285,14 @@ class TestEarlyStop:
         assert stop.best_metric == 8.0
         assert halted == 4
 
+    def test_inf_perplexity_never_wins(self):
+        # an overflowing dev perplexity reads inf; only a first evaluation
+        # with no best before it keeps one
+        stop, _ = self.run([np.inf, 9.0, np.inf, 8.0, np.inf], mode="min")
+        assert (stop.best_metric, stop.best_update) == (8.0, 3)
+        stop, _ = self.run([np.inf, np.inf], mode="min")
+        assert stop.best_update == 0
+
     def test_metric_monotone_at_best(self):
         stop, _ = self.run([1.0, 2.0, 3.0, 2.5])
         assert stop.best_metric == 3.0
