@@ -103,6 +103,14 @@ def load_config(path: Optional[str]) -> dict[str, dict]:
     return cfg
 
 
+def _number(raw, where: str) -> float:
+    """``raw`` as a float, or a ConfigError naming ``where`` it was read."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: not a number: {raw!r}") from None
+
+
 def _read_tokens(cfg: dict, path: str) -> list[list[str]]:
     if not path:
         raise ConfigError("missing corpus path in [data]")
@@ -335,12 +343,12 @@ def cmd_evaluate(args) -> int:
         corpus = [vocab.encode(s) for s in _read_tokens(cfg, args.perplexity)]
         print(evaluation.perplexity(lm, corpus))
     elif args.gate_stats:
-        traces = [[float(x) for x in line.split()] if line.strip() else []
-                  for line in D.read_lines(args.gate_stats)]
-        for n, trace in enumerate(traces, 1):
-            if not all(0.0 <= g <= 1.0 for g in trace):  # NaN fails too
-                raise ConfigError(f"{args.gate_stats}: line {n}: a gate is a "
-                                  "sigmoid, in [0, 1]")
+        traces = []
+        for n, line in enumerate(D.read_lines(args.gate_stats), 1):
+            where = f"{args.gate_stats}: line {n}"
+            traces.append([_number(x, where) for x in line.split()])
+            if not all(0.0 <= g <= 1.0 for g in traces[-1]):  # NaN fails too
+                raise ConfigError(f"{where}: a gate is a sigmoid, in [0, 1]")
         stats = decoding.gate_stats([t for t in traces if t])
         print(evaluation.analysis_report(None, stats))
     else:
@@ -352,8 +360,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep_beta(args) -> int:
     cfg = load_config(args.config)
     beam_cfg = _beam_config(args, cfg)  # shallow: the subcommand's mode
-    grid = [decoding.ShallowConfig(beta=float(b)) for b in (  # before loading
-        args.betas.split(",") if args.betas else decoding.BETA_GRID)]
+    grid = [decoding.ShallowConfig(beta=_number(b, "--betas"))  # before loading
+            for b in (args.betas.split(",") if args.betas else decoding.BETA_GRID)]
     models, vocabs = _decode_setup(args, cfg, beam_cfg.fusion)
     dev = _bitext(cfg, "dev", vocabs)
     table = []

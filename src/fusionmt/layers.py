@@ -120,14 +120,12 @@ def deep_output(layer: DeepOutputLayer, s_tm, y_prev_embed, c,
     if s_lm_gated is not None:
         blocks.insert(0, s_lm_gated)
     x = T.concat(blocks, axis=1)
-    pre = T.add_rowvec(T.matmul(x, layer.W_h.value), layer.b_h.value)
-    hidden = T.maxout2(pre)
+    hidden = T.maxout2(T.matmul(x, layer.W_h.value, layer.b_h.value))
     if dropout_p > 0.0:
         if rng is None:
             raise ValueError("dropout requires an rng")
-        hidden = T.mul(hidden, T.constant(dropout_mask(rng, hidden.shape, dropout_p)))
-    return T.add_rowvec(
-        T.matmul(hidden, T.transpose(layer.W_o.value)), layer.b_o.value)
+        hidden = T.mul(hidden, dropout_mask(rng, hidden.shape, dropout_p))
+    return T.matmul(hidden, T.transpose(layer.W_o.value), layer.b_o.value)
 
 
 def dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:

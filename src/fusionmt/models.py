@@ -148,8 +148,7 @@ def encode(model: NmtModel, source,
 
 def initial_state(model: NmtModel, ann: AnnotationMatrix) -> Tensor:
     """s_0 = tanh(W_init . backward-encoder first state)."""
-    return T.tanh(T.add_rowvec(T.matmul(ann.bwd_first, model.W_init.value),
-                               model.b_init.value))
+    return T.tanh(T.matmul(ann.bwd_first, model.W_init.value, model.b_init.value))
 
 
 def attend(model: NmtModel, s_prev: Tensor, y_emb: Tensor,
@@ -242,8 +241,7 @@ def _lm_recur(lm: RnnLm, state: tuple[Tensor, Tensor],
 
 def _lm_logits(lm: RnnLm, h: Tensor) -> Tensor:
     """The LM's head: its output projection."""
-    return T.add_rowvec(T.matmul(h, T.transpose(lm.W_out.value)),
-                        lm.b_out.value)
+    return T.matmul(h, T.transpose(lm.W_out.value), lm.b_out.value)
 
 
 def lm_step(lm: RnnLm, state: tuple[Tensor, Tensor], y_prev,
@@ -274,8 +272,7 @@ class Controller:
 
 def controller_gate(ctrl: Controller, s_lm: Tensor) -> Tensor:
     """Per-row scalar gate in (0, 1), shape (B, 1)."""
-    return T.sigmoid(T.add_rowvec(T.matmul(s_lm, ctrl.v_g.value),
-                                  ctrl.b_g.value))
+    return T.sigmoid(T.matmul(s_lm, ctrl.v_g.value, ctrl.b_g.value))
 
 
 class FusedModel:

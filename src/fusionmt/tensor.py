@@ -4,8 +4,8 @@ Everything downstream (recurrent cells, attention, output layers) is built
 from the operations in this module.  Forward evaluation always works; when a
 ``Tape`` is active, every operation also records a backward closure so that
 ``Tape.backward`` can fill parameter gradients.  No implicit broadcasting
-beyond scalars: row/column-vector promotion goes through the explicit
-``add_rowvec`` / ``mul_colvec`` ops.
+beyond scalars: a row vector is ``matmul``'s bias, and a column vector
+is promoted by the explicit ``mul_colvec`` op.
 """
 
 from __future__ import annotations
@@ -206,21 +206,11 @@ def _record(inputs: Sequence[Tensor], out, backward_fn: Callable):
 # elementwise / structural operations
 # ---------------------------------------------------------------------------
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a * b for a constant ``b`` (a dropout mask), which gets
-    no gradient."""
+def mul(a: Tensor, b: np.ndarray) -> Tensor:
+    """Elementwise a * b for a constant array ``b`` (a dropout mask)."""
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data * b.data)
-    return _record((a, b), out, lambda g: (g * b.data, None))
-
-
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-d vector to every row of an (n, d) matrix."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowvec: shapes {m.shape} and {v.shape}")
-    out = Tensor(m.data + v.data[None, :])
-    return _record((m, v), out, lambda g: (g, g.sum(axis=0)))
+    return _record((a,), Tensor(a.data * b), lambda g: (g * b,))
 
 
 def mul_colvec(m: Tensor, col: Tensor) -> Tensor:
@@ -234,13 +224,23 @@ def mul_colvec(m: Tensor, col: Tensor) -> Tensor:
     )
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(n, k) @ (k, m), or (B, T, k) @ (k, m) applied to each of the B*T rows."""
-    if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    out = Tensor(a.data @ b.data)  # a 2-D reshape below is a same-shape view
-    return _record((a, b), out, lambda g: (g @ b.data.T, a.data.reshape(
-        -1, b.shape[0]).T @ g.reshape(-1, b.shape[1])))
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """(n, k) @ (k, m), or (B, T, k) @ (k, m) applied to each of the B*T
+    rows, plus a length-m ``bias`` on every row, in one node."""
+    inputs = (a, b) if bias is None else (a, b, bias)
+    if (a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.shape[-1] != b.shape[0]
+            or bias is not None and bias.shape != b.shape[1:]):
+        raise ShapeError(f"matmul: shapes {[t.shape for t in inputs]} do not chain")
+    out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
+
+    def backward(g):
+        g2 = g.reshape(-1, b.shape[1])  # a 2-D g's reshape is a same-shape view
+        da, db = g @ b.data.T, a.data.reshape(-1, b.shape[0]).T @ g2
+        return (da, db) if bias is None else (da, db, g2.sum(axis=0))
+
+    return _record(inputs, Tensor(out), backward)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -64,3 +64,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     tests' way to sum two losses or terms (the package has no such op)."""
     assert a.shape == b.shape, (a.shape, b.shape)
     return _record((a, b), Tensor(a.data + b.data), lambda g: (g, g))
+
+
+def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
+    """m + v on every row of an (n, d) ``m``, recorded as one node: a bias
+    added as a node of its own (the package adds it inside ``matmul``)."""
+    assert m.data.ndim == 2 and v.shape == m.shape[1:], (m.shape, v.shape)
+    return _record((m, v), Tensor(m.data + v.data[None, :]),
+                   lambda g: (g, g.sum(axis=0)))

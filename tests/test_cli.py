@@ -342,6 +342,22 @@ class TestExitCodes:
         assert "beta must be finite" in out.err
         assert not dump.exists()
 
+    @pytest.mark.parametrize("betas, entry", [("0.1,abc", "'abc'"),
+                                              ("0.1,,0.2", "''")])
+    def test_beta_grid_entry_not_a_number_exits_2(self, toy_dir, capsys,
+                                                  betas, entry):
+        # the grid is read before any model is loaded; the message names
+        # the flag and the entry
+        argv = ["sweep-beta", "--config", str(toy_dir / "exp.cfg"),
+                "--betas", betas]
+        for kind in ("nmt", "lm"):
+            save_checkpoint(toy_dir / f"{kind}.ckpt",
+                            untrained_checkpoints(toy_dir)[kind])
+            argv += [f"--{kind}", str(toy_dir / f"{kind}.ckpt")]
+        code, out = run(argv, capsys)
+        assert (code, out.out) == (2, "")
+        assert out.err == f"error: --betas: not a number: {entry}\n"
+
     @pytest.mark.parametrize("command", ["train-lm", "train-nmt", "finetune"])
     def test_unwritable_log_leaves_no_checkpoint(self, toy_dir, capsys,
                                                  command):
@@ -699,7 +715,7 @@ class TestEvaluateCommand:
         assert code == 0
         assert "avg_gate=0.2500" in out.out
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5", "abc"])
     def test_gate_outside_unit_interval_exits_2(self, tmp_path, capsys, value):
         # a gate is a sigmoid: a value no gate can take names its line
         gates = tmp_path / "g.txt"

@@ -668,14 +668,15 @@ class TestTwoPassLoss:
 
     def test_fused_head_is_one_set_of_nodes(self):
         # the frozen recurrences record nothing, so the tape holds the head
-        # alone: gate (3), gating (1), output layer with dropout (8) and the
-        # NLL (1), whatever T is
+        # alone: gate (2: an affine map with its bias, and the sigmoid),
+        # gating (1), output layer with dropout (6) and the NLL (1),
+        # whatever T is
         fm = self.models("fused")
         for pairs in (self.PAIRS[:1], self.PAIRS):
             with Tape() as tape:
                 fused_batch_loss(fm, pad_batch(pairs), 0.5,
                                  np.random.default_rng(0))
-            assert len(tape) == 13
+            assert len(tape) == 10
 
 
 def long_fixture_batch():
@@ -691,21 +692,26 @@ def long_fixture_batch():
 
 
 def test_long_fixture_loss_has_a_one_node_head():
-    # no dropout: the recurrence and output layer record 19 nodes, and the
-    # NLL one more; the encoder over 25 source positions records 5 (one
-    # lookup, one GRU node per direction, their join and its transposition),
-    # and the decoder's 32 steps record 2 (one target lookup and one
-    # attention decoder node) where 8 nodes per step recorded 256
+    # no dropout: the encoder over 25 source positions records 6 (one
+    # lookup, one GRU node per direction, their join, its transposition and
+    # the attention projection), the initial state 2 (an affine map with its
+    # bias, and the tanh), the decoder's 32 steps 3 (one target lookup, one
+    # attention decoder node, and the target embeddings as rows) where 8
+    # nodes per step once recorded 256, the output layer 5 (the join, two
+    # affine maps with their biases, the maxout and W_o's transposition) and
+    # the NLL 1
     batch, nmt = long_fixture_batch()
     with Tape() as tape:
         nmt_batch_loss(nmt, batch)
-    assert len(tape) == 273 - 256 + 2 + 1  # the target embeddings as rows
+    assert len(tape) == 6 + 2 + 3 + 5 + 1
     assert len(tape) <= 30
 
 
 @pytest.mark.parametrize("b", [1, 4])
 def test_lm_loss_and_encoder_node_counts_do_not_grow_with_length(b):
-    # one lookup and one recurrent node per sequence, whatever T is
+    # one lookup and one recurrent node per sequence, whatever T is: the LM
+    # loss adds its head (W_out's transposition, an affine map with its
+    # bias) and the NLL; the encoder its join, transposition and projection
     lm, nmt = tiny_lm(), tiny_nmt()
     counts = []
     for t_len in (5, 30):
@@ -715,12 +721,13 @@ def test_lm_loss_and_encoder_node_counts_do_not_grow_with_length(b):
         with Tape() as enc_tape:
             encode(nmt, ids, np.ones((b, t_len)))
         counts.append((len(lm_tape), len(enc_tape)))
-    assert counts[0] == counts[1] == (6, 6)
+    assert counts[0] == counts[1] == (5, 6)
 
 
 @pytest.mark.parametrize("b", [1, 4])
 def test_nmt_loss_node_count_does_not_grow_with_target_length(b):
-    # one attention decoder node runs every target step
+    # one attention decoder node runs every target step: the loss records
+    # 17 nodes, as on the long fixture batch
     nmt, counts = tiny_nmt(), []
     for t_len in (5, 30):
         rng = np.random.default_rng(t_len)
@@ -732,7 +739,7 @@ def test_nmt_loss_node_count_does_not_grow_with_target_length(b):
         with Tape() as tape:
             nmt_batch_loss(nmt, batch)
         counts.append(len(tape))
-    assert counts[0] == counts[1] == 20
+    assert counts[0] == counts[1] == 17
 
 
 @pytest.mark.parametrize("b", [1, 3])
@@ -754,6 +761,30 @@ def test_a_step_reshapes_only_its_target_embeddings(b, monkeypatch):
         step()
         counts.append(len(calls))
     assert counts == [1, 0, 1]
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_a_step_builds_one_tensor_per_affine_head(b, monkeypatch):
+    # each head adds its bias inside its matmul: a decode step builds 11
+    # Tensors (its output layer's two affine maps), an LM step from a zero
+    # state 8 (its output projection) and a fused step from a zero LM state
+    # 19 (both, and the controller gate); a bias added by a node of its own
+    # would build 13, 9 and 22
+    nmt, lm = tiny_nmt(), tiny_lm()
+    fm = FusedModel(nmt, lm, np.random.default_rng(0))
+    ann = encode(nmt, [3, 4])
+    s = T.constant(np.repeat(initial_state(nmt, ann).data, b, axis=0))
+    y, built, init = [2] * b, [], T.Tensor.__init__
+    monkeypatch.setattr(T.Tensor, "__init__",
+                        lambda self, data: built.append(1) or init(self, data))
+    counts = []
+    for step in (lambda: decode_step(nmt, s, y, ann),
+                 lambda: lm_step(lm, lm.initial_state(b), y),
+                 lambda: fused_step(fm, s, lm.initial_state(b), y, ann)):
+        before = len(built)
+        step()
+        counts.append(len(built) - before)
+    assert counts == [11, 8, 19]
 
 
 def test_long_fixture_backward_forms_annotation_gradient_once(monkeypatch):

@@ -40,6 +40,10 @@ PINNED = {
     "checkpoint.build": ["ckpt", "kind"],
     "evaluation.decode_bleu": ["pairs", "beam_cfg", "models"],
     "tensor.nll": ["logits", "targets", "weights", "c"],
+    # an affine map is one node: its bias rides in the matmul
+    "tensor.matmul": ["a", "b", "bias"],
+    # a dropout mask is a plain array, not a tape input
+    "tensor.mul": ["a", "b"],
     # a parameter starts trainable; freezing is value.requires_grad = False
     "tensor.Parameter": ["pid", "value", "noisy", "gates"],
     # a recurrent op takes its cell's joined (W, U, b) once, as ``cell``

@@ -18,7 +18,7 @@ from fusionmt.tensor import (
     Tensor,
 )
 
-from gradcheck import add, finite_difference_check, weighted_sum
+from gradcheck import add, add_rowvec, finite_difference_check, weighted_sum
 
 RNG = np.random.default_rng(12345)
 
@@ -65,6 +65,15 @@ class TestMatmulForward:
             np.testing.assert_allclose(got[i], a[i] @ b, atol=1e-12)
         with pytest.raises(T.ShapeError):
             T.matmul(T.constant(a), T.constant(np.zeros((3, 5))))
+
+    def test_bias_on_every_row(self):
+        m = T.constant(np.zeros((2, 3)))
+        v = T.constant([1.0, 2.0, 3.0])
+        eye = T.constant(np.eye(3))
+        np.testing.assert_array_equal(T.matmul(m, eye, v).data,
+                                      [[1, 2, 3], [1, 2, 3]])
+        with pytest.raises(T.ShapeError):
+            T.matmul(m, eye, T.constant([1.0, 2.0]))
 
 
 def softmax(x):
@@ -162,12 +171,6 @@ class TestStructuralOps:
         with pytest.raises(T.ShapeError):
             T.maxout2(T.constant(np.zeros((2, 3))))
 
-    def test_add_rowvec(self):
-        m = T.constant(np.zeros((2, 3)))
-        v = T.constant([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(T.add_rowvec(m, v).data,
-                                      [[1, 2, 3], [1, 2, 3]])
-
     def test_mul_colvec(self):
         m = T.constant(np.ones((2, 3)))
         col = T.constant([[2.0], [3.0]])
@@ -176,7 +179,7 @@ class TestStructuralOps:
 
     def test_same_shape_enforced(self):
         with pytest.raises(T.ShapeError):
-            T.mul(T.constant(np.zeros(2)), T.constant(np.zeros(3)))
+            T.mul(T.constant(np.zeros(2)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +231,8 @@ class TestOpGradients:
         params = ParameterSet()
         a = params.add(make_param("a", (2, 3)))
         b = params.add(make_param("b", (2, 3)))
-        w, minus = RNG.standard_normal((2, 3)), T.constant(-np.ones((2, 3)))
-        scale = T.constant(RNG.standard_normal((2, 3)))
+        w, minus = RNG.standard_normal((2, 3)), -np.ones((2, 3))
+        scale = RNG.standard_normal((2, 3))
         check_op(lambda: weighted_sum(
             add(add(a.value, T.mul(b.value, minus)),
                 T.mul(T.tanh(a.value), scale)), w),
@@ -241,12 +244,13 @@ class TestOpGradients:
         b = params.add(make_param("b", (3, 2)))
         check_op(lambda: weighted_sum(T.matmul(a.value, b.value)), params)
 
-    def test_add_rowvec(self):
+    def test_matmul_bias(self):
         params = ParameterSet()
-        m = params.add(make_param("m", (2, 3)))
-        v = params.add(make_param("v", 3))
-        w = RNG.standard_normal((2, 3))
-        check_op(lambda: weighted_sum(T.add_rowvec(m.value, v.value), w),
+        a = params.add(make_param("a", (2, 3)))
+        b = params.add(make_param("b", (3, 2)))
+        v = params.add(make_param("v", 2))
+        w = RNG.standard_normal((2, 2))
+        check_op(lambda: weighted_sum(T.matmul(a.value, b.value, v.value), w),
                  params)
 
     def test_mul_colvec(self):
@@ -424,13 +428,13 @@ def attention_once(s, y, proj, h, mask, attn, cell):
 
 def stepwise_attention_gru(s, ys, proj, h, mask, attn, cell):
     """Test-only reference for ``T.attention_gru``: per (B, e) input of
-    ``ys``, the query from its own matmul, add and add_rowvec nodes,
+    ``ys``, the query from its own matmul, add and ``add_rowvec`` nodes,
     ``reference_attention``, and ``T.gru`` over [y; c] as a T = 1 sequence.
     Returns each step's (alpha, c, s)."""
     w_a, v_y, b_a, v_a = attn
     steps = []
     for y in ys:
-        query = T.add_rowvec(add(T.matmul(s, w_a), T.matmul(y, v_y)), b_a)
+        query = add_rowvec(add(T.matmul(s, w_a), T.matmul(y, v_y)), b_a)
         alpha, ctx = reference_attention(query, proj, h, v_a, mask)
         yc = T.concat([y, ctx], axis=1)
         _, s = T.gru(s, T.reshape(yc, (1, *yc.shape)), cell)
@@ -862,33 +866,42 @@ class TestTape:
         np.testing.assert_array_equal(live.grad.data, 1.0)
 
     def test_constant_inputs_keep_no_gradient(self):
-        # the mask feeds two nodes; its gradients come back as objects that
-        # refuse to be summed, so a backward that keeps them fails
+        # one constant initial state feeds two GRU nodes, as the encoder's
+        # zero state feeds both directions; each closure computes a gradient
+        # for it, returned here as an object that refuses to be summed, so a
+        # backward that keeps a constant's gradient fails
         class Unsummable:
             def __add__(self, other):
                 raise AssertionError("a constant's gradient was summed")
             __radd__ = __iadd__ = __add__
 
-        params = ParameterSet([make_param("a", (2, 2))])
-        a = params.get("a").value
-        mask = T.constant(np.array([[1.0, 0.0], [2.0, 1.0]]))
-        params.zero_grads()
-        with Tape() as tape:
-            loss = weighted_sum(add(T.mul(a, mask), T.mul(T.tanh(a), mask)))
-        returned = []
-        for node in tape._nodes:
-            def spy(g, fn=node.backward_fn, inputs=node.inputs):
-                grads = fn(g)
-                returned.extend(x for t, x in zip(inputs, grads) if t is mask)
-                return [Unsummable() if t is mask else x
-                        for t, x in zip(inputs, grads)]
-            node.backward_fn = spy
-        tape.backward(loss, params)
-        # mul computes no gradient for its constant operand
-        assert [x is None for x in returned] == [True, True]
-        np.testing.assert_allclose(
-            params.get("a").grad.data,
-            mask.data * (2.0 - np.tanh(a.data) ** 2), rtol=0, atol=1e-15)
+        params = ParameterSet()
+        cell = GruCell("c", 2, 2, params, np.random.default_rng(0))
+        x = params.add(make_param("x", (3, 2, 2))).value
+        s0 = T.constant(np.array([[1.0, 0.0], [2.0, 1.0]]))
+
+        def grads(spied):
+            params.zero_grads()
+            with Tape() as tape:
+                loss = weighted_sum(add(
+                    T.gru(s0, x, cell.weights)[0],
+                    T.gru(s0, T.tanh(x), cell.weights, reverse=True)[0]))
+            for node in tape._nodes if spied else ():
+                def spy(*g, fn=node.backward_fn, inputs=node.inputs):
+                    got = fn(*g)
+                    returned.extend(v for t, v in zip(inputs, got) if t is s0)
+                    return [Unsummable() if t is s0 else v
+                            for t, v in zip(inputs, got)]
+                node.backward_fn = spy
+            tape.backward(loss, params)
+            return {p.id: p.grad.data.copy() for p in params}
+
+        returned, want = [], grads(spied=False)
+        got = grads(spied=True)
+        # each GRU node computes its state's gradient; the tape drops both
+        assert [np.shape(v) for v in returned] == [(2, 2), (2, 2)]
+        for pid, g in want.items():
+            np.testing.assert_allclose(got[pid], g, rtol=0, atol=1e-15)
 
     def test_forward_works_without_tape(self):
         out = T.tanh(T.constant([1.0]))
